@@ -13,7 +13,6 @@
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
-#include "simhw/kernel_memo.hpp"
 #include "workload/catalog.hpp"
 #include "workload/synthetic.hpp"
 
@@ -151,26 +150,6 @@ void BM_PolicyApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PolicyApply);
-
-void BM_ImcSearchProjection(benchmark::State& state) {
-  // An IMC-window search projects the same demand across the whole
-  // uncore grid; with the memo the sweep is one table fill plus fetches.
-  const auto cfg = simhw::make_skylake_6148_node();
-  const auto demand = workload::make_demand(cfg, workload::SyntheticSpec{});
-  simhw::IterationMemo memo(cfg);
-  const auto freqs = cfg.uncore.descending();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto f : freqs) {
-      acc += memo.evaluate(cfg, demand, common::Freq::ghz(2.4), f)
-                 .iter_time.value;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * freqs.size()));
-}
-BENCHMARK(BM_ImcSearchProjection);
 
 void BM_CampaignSweep(benchmark::State& state) {
   // A representative table sweep: three catalog workloads under two

@@ -36,8 +36,8 @@
 // (e.g. a settled search's trial/ref are dead once STABLE, because the
 // only outgoing edges re-anchor or restart). This is what keeps the
 // stable-anchored state family linear in the lattice size instead of
-// cubic. Frontier expansion is parallelised over common::ThreadPool
-// workers with a sequential, index-ordered merge, so the explored set,
+// cubic. Frontier expansion fans out with common::parallel_for, followed
+// by a sequential, index-ordered merge, so the explored set,
 // the digest and every counterexample are bitwise identical at any
 // thread count.
 #pragma once

@@ -1,9 +1,13 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace ear::common {
 
@@ -21,52 +25,6 @@ std::size_t default_jobs() {
 
 std::size_t resolve_jobs(std::size_t requested) {
   return requested > 0 ? requested : default_jobs();
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = resolve_jobs(threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stop_ set and nothing left to drain
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++active_;
-    lock.unlock();
-    task();
-    lock.lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-  }
 }
 
 void parallel_for(std::size_t n,

@@ -1,20 +1,15 @@
-// Minimal parallel-execution layer for the campaign engine: a persistent
-// ThreadPool plus a parallel_for that fans loop iterations out over a
-// shared atomic index (dynamic balancing — long experiment points don't
-// leave the other workers idle behind a static partition).
+// Minimal parallel-execution layer for the campaign engine: a
+// parallel_for that fans loop iterations out over a shared atomic index
+// (dynamic balancing — long experiment points don't leave the other
+// workers idle behind a static partition).
 //
 // Job-count resolution order: explicit argument > EAR_SIM_JOBS env var >
 // std::thread::hardware_concurrency(). Everything degrades to serial
 // execution for jobs <= 1, so callers need no special casing.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ear::common {
 
@@ -24,36 +19,6 @@ namespace ear::common {
 
 /// Resolve a user-supplied job count: 0 means "use default_jobs()".
 [[nodiscard]] std::size_t resolve_jobs(std::size_t requested);
-
-/// Fixed-size pool of worker threads draining a FIFO task queue.
-class ThreadPool {
- public:
-  /// Spawn `threads` workers (0 = default_jobs()).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Enqueue a task; it may start immediately on any worker.
-  void submit(std::function<void()> task);
-
-  /// Block until the queue is empty and every worker is idle.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for tasks
-  std::condition_variable idle_cv_;   // wait_idle waits for drain
-  std::size_t active_ = 0;
-  bool stop_ = false;
-};
 
 /// Run body(i) for every i in [0, n) on up to `jobs` threads (0 = auto).
 /// Iterations are claimed dynamically from a shared counter in chunks of

@@ -25,8 +25,6 @@ using common::ConfigError;
 
 namespace {
 
-// NodeSlot / kNoJob moved to sim/shard.hpp (shared with the event core).
-
 /// Per-running-job bookkeeping.
 struct ActiveJob {
   std::size_t job = 0;

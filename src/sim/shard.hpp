@@ -18,8 +18,9 @@
 // follows the RROS per-CPU run-queue idiom cited in the roadmap: all
 // EAR_SHARD_LOCAL members are touched only by the shard's current owner
 // (one worker inside the parallel window advance, the merge thread
-// between barriers — handover synchronises through the parallel_for
-// join).
+// between barriers — handover synchronises through ShardCrew's epoch
+// barrier: the epoch increment publishes the window to the workers and
+// the done count hands the shards back).
 #pragma once
 
 #include <cstddef>

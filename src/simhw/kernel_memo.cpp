@@ -1,89 +1,22 @@
 #include "simhw/kernel_memo.hpp"
 
-#include <algorithm>
-
 namespace ear::simhw {
-
-IterationMemo::IterationMemo(const NodeConfig& cfg) {
-  cpu_khz_.reserve(cfg.pstates.size());
-  for (const Freq f : cfg.pstates.all()) cpu_khz_.push_back(f.as_khz());
-
-  // The EAR-style ladder is turbo, nominal, then fixed decrements; when
-  // that holds (it does for every shipped table) the cpu index is pure
-  // arithmetic. Odd custom tables fall back to a linear scan.
-  if (cpu_khz_.size() >= 3) {
-    const std::uint64_t step = cpu_khz_[1] - cpu_khz_[2];
-    cpu_uniform_ = step > 0;
-    for (std::size_t i = 2; cpu_uniform_ && i + 1 < cpu_khz_.size(); ++i) {
-      cpu_uniform_ = cpu_khz_[i] - cpu_khz_[i + 1] == step;
-    }
-    cpu_step_khz_ = step;
-  }
-
-  imc_min_khz_ = cfg.uncore.min().as_khz();
-  imc_step_khz_ = cfg.uncore.step().as_khz();
-  imc_steps_ = cfg.uncore.num_steps();
-  table_.assign(cpu_khz_.size() * imc_steps_, std::nullopt);
-}
-
-std::size_t IterationMemo::cpu_index(Freq f) const {
-  const std::uint64_t khz = f.as_khz();
-  if (cpu_khz_.empty()) return npos;
-  if (khz == cpu_khz_[0]) return 0;
-  if (cpu_uniform_) {
-    if (khz > cpu_khz_[1]) return npos;
-    const std::uint64_t diff = cpu_khz_[1] - khz;
-    if (diff % cpu_step_khz_ != 0) return npos;
-    const std::size_t idx = 1 + diff / cpu_step_khz_;
-    return idx < cpu_khz_.size() ? idx : npos;
-  }
-  const auto it = std::find(cpu_khz_.begin(), cpu_khz_.end(), khz);
-  return it == cpu_khz_.end()
-             ? npos
-             : static_cast<std::size_t>(it - cpu_khz_.begin());
-}
-
-std::size_t IterationMemo::imc_index(Freq f) const {
-  const std::uint64_t khz = f.as_khz();
-  if (khz < imc_min_khz_ || imc_step_khz_ == 0) return npos;
-  const std::uint64_t diff = khz - imc_min_khz_;
-  if (diff % imc_step_khz_ != 0) return npos;
-  const std::size_t idx = diff / imc_step_khz_;
-  return idx < imc_steps_ ? idx : npos;
-}
 
 PerfResult IterationMemo::evaluate(const NodeConfig& cfg,
                                    const WorkDemand& demand, Freq f_cpu,
                                    Freq f_imc) {
-  const std::size_t ci = cpu_index(f_cpu);
-  const std::size_t mi = imc_index(f_imc);
-  if (ci == npos || mi == npos) {
-    if (offgrid_valid_ && offgrid_cpu_khz_ == f_cpu.as_khz() &&
-        offgrid_imc_khz_ == f_imc.as_khz() && offgrid_demand_ == demand) {
-      ++hits_;
-      return offgrid_result_;
-    }
-    ++misses_;
-    offgrid_result_ = evaluate_iteration(cfg, demand, f_cpu, f_imc);
-    offgrid_cpu_khz_ = f_cpu.as_khz();
-    offgrid_imc_khz_ = f_imc.as_khz();
-    offgrid_demand_ = demand;
-    offgrid_valid_ = true;
-    return offgrid_result_;
-  }
-  if (!demand_valid_ || !(demand == demand_)) {
-    std::fill(table_.begin(), table_.end(), std::nullopt);
-    demand_ = demand;
-    demand_valid_ = true;
-  }
-  auto& slot = table_[ci * imc_steps_ + mi];
-  if (!slot) {
-    ++misses_;
-    slot = evaluate_iteration(cfg, demand, f_cpu, f_imc);
-  } else {
+  if (valid_ && cpu_khz_ == f_cpu.as_khz() && imc_khz_ == f_imc.as_khz() &&
+      demand_ == demand) {
     ++hits_;
+    return result_;
   }
-  return *slot;
+  ++misses_;
+  result_ = evaluate_iteration(cfg, demand, f_cpu, f_imc);
+  cpu_khz_ = f_cpu.as_khz();
+  imc_khz_ = f_imc.as_khz();
+  demand_ = demand;
+  valid_ = true;
+  return result_;
 }
 
 }  // namespace ear::simhw

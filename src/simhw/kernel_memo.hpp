@@ -1,25 +1,22 @@
-// IterationMemo: memoised evaluate_iteration() over the P-state × IMC grid.
+// IterationMemo: evaluate_iteration() behind a one-entry last-point cache.
 //
-// The analytic performance model is pure: for a fixed NodeConfig and
-// WorkDemand, the result depends only on (f_cpu, f_imc), and both
-// frequencies live on small enumerable grids (the P-state ladder and the
-// 100 MHz uncore window — a few hundred points total). Policies project
-// the same points repeatedly (IMC searches, pstate selection, the
-// campaign's grid cells), so one node-local table turns those repeats
-// into a fetch.
+// The analytic performance model is pure: for a fixed NodeConfig the
+// result depends only on (demand, f_cpu, f_imc), and a node often asks
+// again for the point it asked for last: a phase runs at one P-state under
+// a settled governor, and the facility's stretch path evaluates the same
+// dither-averaged uncore frequency every control round until a cap, MSR
+// window or demand moves. That frequency lands between the 100 MHz uncore
+// steps, so a table indexed by the P-state ladder and the uncore grid
+// cannot serve it; remembering the last exact key can.
 //
-// Determinism: the table stores the *noise-free* model output, bit for
-// bit — run-to-run noise is applied by SimNode after the lookup, exactly
-// as it was applied after the direct call before. Off-grid frequencies
-// (e.g. the dither-averaged uncore frequency of a finished iteration)
-// fall through to a direct evaluation, so results never depend on whether
-// a point happened to be cached.
+// Determinism: the entry stores the *noise-free* model output for the
+// exact key, bit for bit — run-to-run noise is applied by SimNode after
+// the lookup — so a hit returns the same bytes as the direct evaluation
+// it replaces, and results never depend on what happened to be cached.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "simhw/config.hpp"
 #include "simhw/demand.hpp"
@@ -32,12 +29,12 @@ class IterationMemo {
   /// The memo is bound to one node configuration; `evaluate` must be
   /// called with that same configuration (SimNode's config is immutable
   /// after construction, which is what makes the binding safe).
-  explicit IterationMemo(const NodeConfig& cfg);
+  explicit IterationMemo(const NodeConfig& /*cfg*/) {}
 
   /// Same contract (and bitwise-identical results) as
-  /// evaluate_iteration(cfg, demand, f_cpu, f_imc). Grid points are
-  /// computed at most once per demand; a demand change invalidates the
-  /// whole table.
+  /// evaluate_iteration(cfg, demand, f_cpu, f_imc). A call whose demand
+  /// and both frequencies equal the previous call's is a hit; any other
+  /// call evaluates the kernel and replaces the entry.
   PerfResult evaluate(const NodeConfig& cfg, const WorkDemand& demand,
                       Freq f_cpu, Freq f_imc);
 
@@ -45,33 +42,11 @@ class IterationMemo {
   [[nodiscard]] std::size_t misses() const { return misses_; }
 
  private:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// Index into the P-state ladder, npos if `f` is not a table frequency.
-  [[nodiscard]] std::size_t cpu_index(Freq f) const;
-  /// Index into the uncore grid, npos if `f` is off-grid.
-  [[nodiscard]] std::size_t imc_index(Freq f) const;
-
-  std::vector<std::uint64_t> cpu_khz_;  // P-state ladder, descending
-  bool cpu_uniform_ = false;            // uniform step below nominal
-  std::uint64_t cpu_step_khz_ = 0;
-  std::uint64_t imc_min_khz_ = 0;
-  std::uint64_t imc_step_khz_ = 0;
-  std::size_t imc_steps_ = 0;
-
+  bool valid_ = false;
+  std::uint64_t cpu_khz_ = 0;
+  std::uint64_t imc_khz_ = 0;
   WorkDemand demand_{};
-  bool demand_valid_ = false;
-  std::vector<std::optional<PerfResult>> table_;  // [cpu * imc_steps + imc]
-  // Single-entry cache for the one off-grid point the stretch path
-  // produces: the dither-averaged uncore frequency, which repeats every
-  // control round until the P-state cap, MSR window or demand moves.
-  // Stores the exact model output for the exact key, so a hit is
-  // bitwise-identical to the direct evaluation it replaces.
-  bool offgrid_valid_ = false;
-  std::uint64_t offgrid_cpu_khz_ = 0;
-  std::uint64_t offgrid_imc_khz_ = 0;
-  WorkDemand offgrid_demand_{};
-  PerfResult offgrid_result_{};
+  PerfResult result_{};
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };

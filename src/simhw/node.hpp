@@ -127,8 +127,8 @@ class SimNode {
   NodeConfig cfg_;
   NoiseModel noise_;
   common::Rng rng_;
-  // Memoised performance model over the P-state × IMC grid; noise is
-  // applied after lookup, so results stay bitwise identical.
+  // Last-point cache of the performance model (one entry, exact key);
+  // noise is applied after lookup, so results stay bitwise identical.
   IterationMemo memo_;
   Pstate pstate_;
   std::vector<MsrFile> msrs_;

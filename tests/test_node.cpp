@@ -1,5 +1,9 @@
 #include "simhw/node.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -176,6 +180,76 @@ TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
   EXPECT_EQ(ref.rapl().pkg(1).raw(), fast.rapl().pkg(1).raw());
   EXPECT_EQ(ref.rapl().dram().raw(), fast.rapl().dram().raw());
   EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
+}
+
+// Every field of a PerfResult as raw bits, so equality means bitwise.
+std::vector<std::uint64_t> bits(const PerfResult& r) {
+  return {std::bit_cast<std::uint64_t>(r.iter_time.value),
+          std::bit_cast<std::uint64_t>(r.cycles_per_core),
+          std::bit_cast<std::uint64_t>(r.instructions_per_core),
+          std::bit_cast<std::uint64_t>(r.bytes),
+          std::bit_cast<std::uint64_t>(r.cpi),
+          std::bit_cast<std::uint64_t>(r.tpi),
+          std::bit_cast<std::uint64_t>(r.gbps),
+          std::bit_cast<std::uint64_t>(r.bw_utilisation),
+          std::bit_cast<std::uint64_t>(r.avx512_fraction),
+          std::bit_cast<std::uint64_t>(r.compute_time.value),
+          std::bit_cast<std::uint64_t>(r.bandwidth_time.value),
+          r.bandwidth_bound ? 1u : 0u};
+}
+
+TEST(IterationMemo, MatchesKernelBitwise) {
+  const NodeConfig cfg = make_skylake_6148_node();
+  IterationMemo memo(cfg);
+  WorkDemand other = demand();
+  other.bytes = 5e9;
+  const Freq cpu = Freq::ghz(2.4);
+  const Freq on_grid = Freq::ghz(2.0);
+  const Freq dithered = Freq::khz(2'386'400);  // between 100 MHz steps
+  for (const auto& [d, imc] : {std::pair{demand(), on_grid},
+                               std::pair{demand(), dithered},
+                               std::pair{other, dithered}}) {
+    const auto want = bits(evaluate_iteration(cfg, d, cpu, imc));
+    EXPECT_EQ(bits(memo.evaluate(cfg, d, cpu, imc)), want);  // miss
+    EXPECT_EQ(bits(memo.evaluate(cfg, d, cpu, imc)), want);  // hit
+  }
+  EXPECT_EQ(memo.misses(), 3u);
+  EXPECT_EQ(memo.hits(), 3u);
+}
+
+TEST(IterationMemo, OnlyAnExactRepeatHits) {
+  const NodeConfig cfg = make_skylake_6148_node();
+  IterationMemo memo(cfg);
+  WorkDemand d = demand();
+  Freq cpu = Freq::ghz(2.4);
+  Freq imc = Freq::ghz(2.0);
+  (void)memo.evaluate(cfg, d, cpu, imc);
+  (void)memo.evaluate(cfg, d, cpu, imc);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
+  d.comm_seconds = 0.1;  // demand moves
+  (void)memo.evaluate(cfg, d, cpu, imc);
+  EXPECT_EQ(memo.misses(), 2u);
+  cpu = Freq::ghz(2.2);  // P-state moves
+  (void)memo.evaluate(cfg, d, cpu, imc);
+  EXPECT_EQ(memo.misses(), 3u);
+  imc = Freq::khz(2'000'100);  // uncore moves by 100 kHz
+  (void)memo.evaluate(cfg, d, cpu, imc);
+  EXPECT_EQ(memo.misses(), 4u);
+  EXPECT_EQ(memo.hits(), 1u);
+}
+
+TEST(IterationMemo, ReturnsToAnEarlierPointBitwise) {
+  const NodeConfig cfg = make_skylake_6148_node();
+  IterationMemo memo(cfg);
+  const Freq cpu = Freq::ghz(2.4);
+  const Freq a = Freq::khz(2'386'400);
+  const Freq b = Freq::ghz(1.6);
+  const auto first = bits(memo.evaluate(cfg, demand(), cpu, a));
+  EXPECT_NE(bits(memo.evaluate(cfg, demand(), cpu, b)), first);
+  EXPECT_EQ(bits(memo.evaluate(cfg, demand(), cpu, a)), first);
+  EXPECT_EQ(memo.misses(), 3u);  // one entry: B replaced A
+  EXPECT_EQ(memo.hits(), 0u);
 }
 
 TEST(Cluster, IndependentlySeededNodes) {

@@ -69,40 +69,5 @@ TEST(ParallelFor, ResultsIndependentOfJobCount) {
   EXPECT_EQ(compute(1), compute(4));
 }
 
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.wait_idle();  // no tasks yet: must not hang
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  // Destructor joins after the queue drains; nothing is dropped.
-  EXPECT_EQ(count.load(), 50);
-}
-
 }  // namespace
 }  // namespace ear::common

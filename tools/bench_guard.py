@@ -431,8 +431,7 @@ def main():
     print(f"bench_guard: allowed (x{args.max_ratio_factor:g})"
           f"               = {limit:.2f}")
     for name in ("BM_DynaisPush", "BM_DynaisPushNonPeriodic",
-                 "BM_DynaisWorstCase", "BM_DynaisReferenceWorstCase",
-                 "BM_ImcSearchProjection"):
+                 "BM_DynaisWorstCase", "BM_DynaisReferenceWorstCase"):
         if name in bench:
             print(f"bench_guard:   {name}: {bench[name]:.1f} ns")
     if "BM_CampaignSweep" in bench:
