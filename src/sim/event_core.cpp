@@ -31,11 +31,24 @@ namespace {
 /// shard can run ahead of a completion that would end the simulation.
 constexpr std::size_t kMaxWindow = 64;
 
+/// Nodes per unit of parallel work. Whole islands are too coarse:
+/// first-fit admission packs the busy nodes into the low islands, so one
+/// shard could hold up a whole window. At 10k nodes, 64 to 512 measured
+/// within ~8% of each other and 32 fell behind; 128 still splits an
+/// island of a few hundred nodes over several workers.
+constexpr std::size_t kChunkNodes = 128;
+
+/// One unit of parallel work: local nodes [lo, hi) of one shard.
+struct NodeChunk {
+  std::size_t shard = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
 /// Per-running-job bookkeeping (admission order).
 struct RunningJob {
   std::size_t job = 0;
   std::size_t island = 0;
-  std::size_t shard_job = 0;  // index into the owning shard's job list
   std::vector<std::size_t> local_nodes;
   double start_inm_j = 0.0;
   bool live = false;
@@ -47,26 +60,27 @@ std::size_t round_at_or_after(double s, double round_s) {
   return static_cast<std::size_t>(std::ceil(s / round_s));
 }
 
-/// Persistent shard workers behind an epoch spin-barrier.
+/// Persistent advance workers behind an epoch spin-barrier.
 ///
 /// A condition-variable pool costs ~10 us per wake; with a live
 /// federation every window is a single control round, so the facility
 /// dispatches hundreds of times per run and the wake cost would rival
-/// the shard work itself. Workers spin briefly (yielding periodically to
-/// stay polite on shared hosts) on an epoch counter instead, bringing a
-/// dispatch down to about a microsecond. The calling thread runs the
-/// last partition itself, so `helpers + 1` partitions execute per epoch
-/// and a crew of one helper still halves the wall time.
+/// the advance work itself. Workers spin briefly (yielding periodically
+/// to stay polite on shared hosts) on an epoch counter instead, bringing
+/// a dispatch down to about a microsecond. Inside an epoch every thread,
+/// the caller included, claims items from a shared counter the way
+/// common::parallel_for does, so a busy island is spread over the crew
+/// instead of holding up one worker. A crew of one thread has no helpers
+/// and runs the same claim loop serially.
 class ShardCrew {
  public:
-  /// `partitions` = helpers + 1; `body(i)` must be safe to run
-  /// concurrently for distinct i (each shard is owned by exactly one
-  /// partition per epoch).
-  ShardCrew(std::size_t partitions, std::function<void(std::size_t)> body)
-      : partitions_(partitions), body_(std::move(body)) {
-    EAR_CHECK(partitions_ >= 2);
-    for (std::size_t p = 0; p + 1 < partitions_; ++p) {
-      threads_.emplace_back([this, p] { worker(p); });
+  /// `threads` = helpers + 1 (the caller); `body(i)` must be safe to run
+  /// concurrently for distinct i.
+  ShardCrew(std::size_t threads, std::function<void(std::size_t)> body)
+      : helpers_(threads - 1), body_(std::move(body)) {
+    EAR_CHECK(threads >= 1);
+    for (std::size_t h = 0; h < helpers_; ++h) {
+      threads_.emplace_back([this] { worker(); });
     }
   }
 
@@ -79,16 +93,17 @@ class ShardCrew {
   ShardCrew(const ShardCrew&) = delete;
   ShardCrew& operator=(const ShardCrew&) = delete;
 
-  /// Run body(i) for every i in [0, n), statically partitioned over the
-  /// crew; returns after all partitions finish. Rethrows the first
-  /// exception any partition produced.
+  /// Run body(i) for every i in [0, n), claimed one at a time by the
+  /// crew; returns after every thread stops claiming. Rethrows the first
+  /// exception any item produced.
   void run(std::size_t n) {
     n_ = n;
+    next_.store(0, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_release);
-    run_partition(partitions_ - 1);
+    claim();
     std::size_t spins = 0;
-    while (done_.load(std::memory_order_acquire) + 1 < partitions_) {
+    while (done_.load(std::memory_order_acquire) < helpers_) {
       if (++spins > kSpinLimit) {
         std::this_thread::yield();
         spins = 0;
@@ -104,18 +119,23 @@ class ShardCrew {
  private:
   static constexpr std::size_t kSpinLimit = 4096;
 
-  void run_partition(std::size_t p) {
-    const std::size_t lo = p * n_ / partitions_;
-    const std::size_t hi = (p + 1) * n_ / partitions_;
+  void claim() {
     try {
-      for (std::size_t i = lo; i < hi; ++i) body_(i);
+      for (;;) {
+        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n_) return;
+        body_(i);
+      }
     } catch (...) {
-      std::lock_guard<std::mutex> lock(err_mu_);
-      if (!error_) error_ = std::current_exception();
+      {
+        std::lock_guard<std::mutex> lock(err_mu_);
+        if (!error_) error_ = std::current_exception();
+      }
+      next_.store(n_, std::memory_order_relaxed);  // stop claiming work
     }
   }
 
-  void worker(std::size_t p) {
+  void worker() {
     std::uint64_t seen = 0;
     for (;;) {
       std::uint64_t e = seen;
@@ -128,20 +148,21 @@ class ShardCrew {
       }
       seen = e;
       if (quit_.load(std::memory_order_relaxed)) return;
-      run_partition(p);
+      claim();
       done_.fetch_add(1, std::memory_order_release);
     }
   }
 
-  std::size_t partitions_;
+  std::size_t helpers_;
   std::function<void(std::size_t)> body_;
-  std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> done_{0};
   std::atomic<bool> quit_{false};
   std::size_t n_ = 0;
   std::mutex err_mu_;
   std::exception_ptr error_;
+  std::vector<std::thread> threads_;  // last: the workers use the above
 };
 
 }  // namespace
@@ -165,6 +186,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     sh.seed = common::mix_seed(cfg.seed, i);
     sh.offset = total_nodes;
     sh.size = cfg.islands[i].nodes;
+    sh.round_s = cfg.round_s;
     total_nodes += sh.size;
     sh.slots.resize(sh.size);
     sh.done_round.assign(sh.size, kNoRound);
@@ -260,21 +282,21 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
-  // Persistent spin-barrier crew for the parallel phase (see ShardCrew).
-  // crew_round/crew_window are published to the workers by the epoch
-  // increment inside run() (release/acquire pairing).
-  const std::size_t crew_size =
-      std::min(common::resolve_jobs(cfg.sim_jobs), shards.size());
-  std::size_t crew_round = 0;
-  std::size_t crew_window = 1;
-  std::unique_ptr<ShardCrew> crew;
-  if (crew_size > 1) {
-    crew = std::make_unique<ShardCrew>(
-        crew_size,
-        [&shards, &cfg, &crew_round, &crew_window](std::size_t i) {
-          shards[i].advance_window(cfg.round_s, crew_round, crew_window);
-        });
+  // Persistent spin-barrier crew for the parallel phase (see ShardCrew),
+  // claiming fixed-size node chunks of every shard in shard-index order.
+  // The window each chunk advances through is published to the workers
+  // by the epoch increment inside run() (release/acquire pairing).
+  std::vector<NodeChunk> chunks;
+  for (const Shard& sh : shards) {
+    for (std::size_t lo = 0; lo < sh.size; lo += kChunkNodes) {
+      chunks.push_back({sh.index, lo, std::min(lo + kChunkNodes, sh.size)});
+    }
   }
+  ShardCrew crew(std::min(common::resolve_jobs(cfg.sim_jobs), chunks.size()),
+                 [&shards, &chunks](std::size_t c) {
+                   const NodeChunk& ch = chunks[c];
+                   shards[ch.shard].advance_nodes(ch.lo, ch.hi);
+                 });
 
   double last_fault_end_s = 0.0;
   for (const auto& f : cfg.fault_plan.specs) {
@@ -297,6 +319,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   bool finished = false;
 
   std::size_t round = 0;
+  std::size_t last_window = 1;
   while (true) {
     const double now = static_cast<double>(round) * cfg.round_s;
     const double round_end = now + cfg.round_s;
@@ -327,7 +350,6 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       Shard& sh = shards[start.island];
       RunningJob rj{.job = start.job,
                     .island = start.island,
-                    .shard_job = sh.jobs.size(),
                     .local_nodes = std::move(start.local_nodes),
                     .start_inm_j = 0.0,
                     .live = true};
@@ -339,10 +361,8 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
         sh.done_round[local] = spec.iterations == 0 ? round : kNoRound;
         rj.start_inm_j += sh.cluster->node(local).inm().exact().value;
       }
-      sh.jobs.push_back(ShardJob{.job = start.job,
-                                 .local_nodes = rj.local_nodes,
-                                 .live = true,
-                                 .completion_posted = false});
+      sh.jobs.push_back(
+          ShardJob{.job = start.job, .local_nodes = rj.local_nodes});
       FacilityJobOutcome& o = out.jobs[start.job];
       o.island = start.island;
       o.nodes = rj.local_nodes.size();
@@ -357,10 +377,15 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     // live federation re-splits caps every round, a pending job may
     // admit as soon as a completion frees nodes, and arrival / fault
     // boundaries pin their exact rounds. Completions inside a window are
-    // safe — the merge replays them round-by-round from snapshots.
+    // safe — the merge replays them round-by-round from snapshots, so
+    // results do not depend on the window length. Drain windows double
+    // from the previous one rather than jumping to kMaxWindow: the run
+    // may end a few rounds in, and every round past the end is
+    // integrated for nothing.
     std::size_t window = 1;
     if (!federation && queue.pending() == 0) {
-      while (window < kMaxWindow &&
+      const std::size_t grown = std::min(kMaxWindow, 2 * last_window);
+      while (window < grown &&
              static_cast<double>(round + window) * cfg.round_s +
                      cfg.round_s <=
                  cfg.max_sim_s) {
@@ -371,18 +396,14 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
         window = std::min(window, next_event - round);
       }
     }
+    last_window = window;
 
-    // Parallel phase: each worker owns whole shards; every RNG draw in
-    // here comes from a shard-local stream.
-    if (crew) {
-      crew_round = round;
-      crew_window = window;
-      crew->run(shards.size());
-    } else {
-      for (Shard& sh : shards) {
-        sh.advance_window(cfg.round_s, round, window);
-      }
-    }
+    // Parallel phase: the crew claims node chunks; every RNG draw in
+    // here comes from a node-local stream. Buffer sizing before it and
+    // completion posting after it stay serial.
+    for (Shard& sh : shards) sh.begin_window(round, window);
+    crew.run(chunks.size());
+    for (Shard& sh : shards) sh.post_completions();
 
     // Serial merge: replay the window round-by-round in shard-index
     // order — the same readings arithmetic, fault-stream draw order and
@@ -489,7 +510,6 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
         if (!std::isfinite(o.energy_j)) nonfinite = true;
         out.makespan_s = std::max(out.makespan_s, o.end_s);
         queue.release(rj.island, rj.local_nodes);
-        sh.jobs[rj.shard_job].live = false;
         rj.live = false;
         --live_jobs;
       }

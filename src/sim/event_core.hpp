@@ -8,10 +8,10 @@
 //     phase-stable stretches (simhw::SimNode::execute_stretch — memoised
 //     iteration kernel + closed-form UFS governor integration);
 //   * advances shard-local state (one shard per island, per-shard RNG
-//     streams rooted at mix_seed(seed, island)) in parallel through
-//     multi-round *windows* whenever no control-plane event (job
-//     arrival, fault boundary, EARGM cap round, pending admission) can
-//     fall inside the window;
+//     streams rooted at mix_seed(seed, island)) in parallel, workers
+//     claiming fixed-size node chunks, through multi-round *windows*
+//     whenever no control-plane event (job arrival, fault boundary,
+//     EARGM cap round, pending admission) can fall inside the window;
 //   * merges cross-shard effects serially in shard-index order at
 //     barrier rounds, replaying readings, fault draws and job
 //     completions round-by-round from per-round snapshots — the exact

@@ -103,6 +103,9 @@ struct FacilityConfig {
 struct FacilityWalls {
   double build_s = 0.0;
   double core_s = 0.0;
+
+  friend bool operator==(const FacilityWalls&,
+                         const FacilityWalls&) = default;
 };
 
 struct FacilityJobOutcome {
@@ -116,6 +119,9 @@ struct FacilityJobOutcome {
 
   [[nodiscard]] double wait_s() const { return start_s - submit_s; }
   [[nodiscard]] double turnaround_s() const { return end_s - submit_s; }
+
+  friend bool operator==(const FacilityJobOutcome&,
+                         const FacilityJobOutcome&) = default;
 };
 
 struct FacilityIslandOutcome {
@@ -129,6 +135,9 @@ struct FacilityIslandOutcome {
   std::size_t blind_rounds = 0;
   std::size_t missed_readings = 0;
   std::size_t resumed_nodes = 0;
+
+  friend bool operator==(const FacilityIslandOutcome&,
+                         const FacilityIslandOutcome&) = default;
 };
 
 struct FacilityResult {
@@ -152,6 +161,11 @@ struct FacilityResult {
 
   [[nodiscard]] double mean_wait_s() const;
   [[nodiscard]] double mean_turnaround_s() const;
+
+  /// Field-by-field, walls included: copy one side's walls over the
+  /// other to compare only what was simulated.
+  friend bool operator==(const FacilityResult&,
+                         const FacilityResult&) = default;
 };
 
 /// Run the facility to completion (or max_sim_s). Deterministic for a

@@ -1,6 +1,7 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace ear::sim {
 
@@ -30,23 +31,30 @@ Event EventQueue::pop() {
   return e;
 }
 
-void Shard::advance_window(double round_s, std::size_t first_round,
-                           std::size_t rounds) {
+void Shard::begin_window(std::size_t first_round, std::size_t rounds) {
+  window_first_round = first_round;
+  window_rounds = rounds;
   // The INM snapshot feeds job-energy accounting at every window size;
   // the clock snapshot only feeds rewind_to, which mid-window
   // termination never needs for a single-round window (the slots'
   // prev-* bookkeeping already is that round's snapshot).
-  const bool snapshot = rounds > 1;
   win_inm_j.resize(rounds * size);
-  if (snapshot) win_clock_s.resize(rounds * size);
+  if (rounds > 1) win_clock_s.resize(rounds * size);
   win_reading_w.resize(rounds * size);
-  for (std::size_t w = 0; w < rounds; ++w) {
+}
+
+void Shard::advance_nodes(std::size_t lo, std::size_t hi) {
+  EAR_CHECK(lo <= hi && hi <= size);
+  const bool snapshot = window_rounds > 1;
+  // Iterate the cluster directly: node(n) is an out-of-line
+  // bounds-checked call, and this loop is the simulator's innermost.
+  const auto first_node = cluster->begin() + static_cast<std::ptrdiff_t>(lo);
+  for (std::size_t w = 0; w < window_rounds; ++w) {
     const double round_end =
-        static_cast<double>(first_round + w) * round_s + round_s;
-    // Iterate the cluster directly: node(n) is an out-of-line
-    // bounds-checked call, and this loop is the simulator's innermost.
-    std::size_t n = 0;
-    for (simhw::SimNode& node : *cluster) {
+        static_cast<double>(window_first_round + w) * round_s + round_s;
+    auto node_it = first_node;
+    for (std::size_t n = lo; n < hi; ++n, ++node_it) {
+      simhw::SimNode& node = *node_it;
       NodeSlot& slot = slots[n];
       // Guard on the clock too: a multi-second iteration overshoots the
       // round boundary and then sits out the following rounds, and
@@ -59,7 +67,7 @@ void Shard::advance_window(double round_s, std::size_t first_round,
         const simhw::StretchSummary s =
             node.execute_stretch(slot.demand, slot.iters_left, round_end);
         slot.iters_left -= s.iterations;
-        if (slot.iters_left == 0) done_round[n] = first_round + w;
+        if (slot.iters_left == 0) done_round[n] = window_first_round + w;
       }
       const double gap = round_end - node.clock().value;
       // idle_cached: bitwise-identical to idle() (same deposits, same
@@ -79,29 +87,24 @@ void Shard::advance_window(double round_s, std::size_t first_round,
       slot.prev_inm_j = e;
       slot.prev_clock_s = t;
       win_reading_w[w * size + n] = slot.last_reading.value;
-      ++n;
     }
   }
+}
 
-  // Post exact phase-change events for jobs that drained this window. The
-  // merge completes a job the round its slowest node finishes — the same
-  // round the reference sweep would detect it.
-  for (ShardJob& j : jobs) {
-    if (!j.live || j.completion_posted) continue;
+void Shard::post_completions() {
+  // The merge completes a job the round its slowest node finishes — the
+  // same round the reference sweep would detect it. Posted jobs leave
+  // the list, so later windows scan only running ones; the event heap
+  // orders by (round, kind, job), so posting order cannot leak.
+  std::erase_if(jobs, [this](const ShardJob& j) {
     std::size_t done_at = 0;
-    bool done = true;
     for (std::size_t local : j.local_nodes) {
-      if (slots[local].iters_left > 0) {
-        done = false;
-        break;
-      }
+      if (slots[local].iters_left > 0) return false;
       done_at = std::max(done_at, done_round[local]);
     }
-    if (done) {
-      events.push({done_at, EventKind::kCompletionCheck, j.job});
-      j.completion_posted = true;
-    }
-  }
+    events.push({done_at, EventKind::kCompletionCheck, j.job});
+    return true;
+  });
 }
 
 void Shard::rewind_to(std::size_t w) {

@@ -14,13 +14,18 @@
 // Between barriers a shard advances autonomously through a *window* of
 // control rounds, recording per-round INM/clock snapshots so the serial
 // merge can replay readings, fault draws and completions round-by-round
-// in exactly the reference loop's order. The owner-thread discipline
-// follows the RROS per-CPU run-queue idiom cited in the roadmap: all
-// EAR_SHARD_LOCAL members are touched only by the shard's current owner
-// (one worker inside the parallel window advance, the merge thread
-// between barriers — handover synchronises through ShardCrew's epoch
-// barrier: the epoch increment publishes the window to the workers and
-// the done count hands the shards back).
+// in exactly the reference loop's order. A window takes three steps:
+// begin_window sizes the snapshot buffers, advance_nodes integrates
+// disjoint node ranges (on several workers at once), and
+// post_completions turns drained jobs into events. The owner-thread
+// discipline follows the RROS per-CPU run-queue idiom cited in the
+// roadmap, at node granularity: inside the advance a worker owns its
+// range's slots, done rounds and snapshot columns (every node's RNG
+// streams are its own), while buffer sizes, the job list and the event
+// queue are touched only serially, by the merge thread. Handover
+// synchronises through ShardCrew's epoch barrier: the epoch increment
+// publishes the window to the workers and the done count hands the
+// node ranges back.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +95,6 @@ class EventQueue {
 struct ShardJob {
   std::size_t job = 0;                   // facility job index
   std::vector<std::size_t> local_nodes;  // island-local, ascending
-  bool live = false;
-  bool completion_posted = false;
 };
 
 struct Shard {
@@ -101,11 +104,17 @@ struct Shard {
   simhw::Cluster* cluster = nullptr;
   std::size_t offset = 0;           // first global node index
   std::size_t size = 0;
+  double round_s = 0.0;             // control-round length
+  /// The window being advanced: set by begin_window, read-only while
+  /// workers run advance_nodes.
+  std::size_t window_first_round = 0;
+  std::size_t window_rounds = 0;
 
   EAR_SHARD_LOCAL std::vector<NodeSlot> slots;
   /// Round in which each node drained its current job (kNoRound while
   /// work remains); reset at admission.
   EAR_SHARD_LOCAL std::vector<std::size_t> done_round;
+  /// Running jobs whose completion event is not yet posted.
   EAR_SHARD_LOCAL std::vector<ShardJob> jobs;
   /// Phase-change events (exact completion rounds) for the merge.
   EAR_SHARD_LOCAL EventQueue events;
@@ -126,12 +135,18 @@ struct Shard {
   /// epilogue reads node state exactly as of the final merged round.
   void rewind_to(std::size_t w);
 
-  /// Advance every node of the shard through `rounds` control rounds
-  /// starting at `first_round`, one phase-stable stretch per busy node
-  /// per round, idling to each round boundary; then post completion
-  /// events for jobs that drained inside the window. Owner-thread only.
-  void advance_window(double round_s, std::size_t first_round,
-                      std::size_t rounds);
+  /// Start a window of `rounds` control rounds at `first_round`: record
+  /// it and size the snapshot buffers. Serial.
+  void begin_window(std::size_t first_round, std::size_t rounds);
+
+  /// Advance local nodes [lo, hi) through the current window, one
+  /// phase-stable stretch per busy node per round, idling to each round
+  /// boundary. Safe to run concurrently on disjoint ranges.
+  void advance_nodes(std::size_t lo, std::size_t hi);
+
+  /// Post completion events for jobs that drained inside the window and
+  /// drop them from `jobs`. Serial, after every range has advanced.
+  void post_completions();
 };
 
 }  // namespace ear::sim

@@ -314,6 +314,26 @@ class EventCoreGuardTest(GuardTestBase):
         self.assertEqual(r.returncode, 1, r.stderr)
         self.assertIn("scale efficiency", r.stderr)
 
+    def test_null_walls_on_narrow_host_pass_with_trajectory(self):
+        # bench_cluster_scale writes null for worker counts above the
+        # host's CPUs; the guard and the trajectory append accept them.
+        report = event_core_report(host_cpus=4, scale_eff=None)
+        report["entries"][0]["scale_core_s"]["8"] = None
+        traj = os.path.join(self.tmp.name, "bench", "ci-box.jsonl")
+        r = self.run_guard(
+            self.write("report.json", report),
+            self.write("baseline.json", event_core_report()),
+            "--event-core", "--trajectory", traj, "--machine", "ci-box",
+        )
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("not enforced", r.stdout)
+        self.assertIn("bench_guard: OK", r.stdout)
+        with open(traj) as f:
+            entries = [json.loads(line) for line in f]
+        self.assertEqual(len(entries), 1)
+        self.assertEqual(entries[0]["host_cpus"], 4)
+        self.assertIsNone(entries[0]["scale_eff_8"])
+
     def test_good_scale_eff_passes_on_wide_host(self):
         r = self.run_guard(
             self.write("report.json",

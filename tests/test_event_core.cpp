@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <initializer_list>
 
 #include "common/error.hpp"
 #include "sim/facility.hpp"
@@ -67,6 +69,19 @@ FacilityConfig dither_free(std::size_t nodes, std::size_t islands,
   return cfg;
 }
 
+/// Islands several node chunks wide: uncapped, so no federation pins
+/// windows to one round, with multi-second phases that keep hundreds of
+/// nodes busy. First-fit admission packs them into the low chunks of
+/// island 0, and the queue drains long before the last job ends, so the
+/// drain windows grow while completions still land inside them.
+FacilityConfig wide_islands(std::size_t nodes, std::size_t islands,
+                            std::uint64_t seed) {
+  FacilityConfig cfg = dither_free(nodes, islands, nodes / 6, seed);
+  cfg.budget = {0.0};
+  for (FacilityJob& job : cfg.jobs) job.work.iter_seconds *= 10.0;
+  return cfg;
+}
+
 FacilityResult run_core(FacilityConfig cfg, SimCore core) {
   cfg.core = core;
   return run_facility(cfg);
@@ -90,6 +105,10 @@ TEST(EventCore, BitwiseEqualUncappedQuiet) {
   const FacilityConfig cfg = dither_free(24, 3, 10, 3);
   expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
                        run_core(cfg, SimCore::kReference));
+  // Shards of several chunks, and drain windows longer than one round.
+  const FacilityConfig wide = wide_islands(1024, 2, 29);
+  expect_bitwise_equal(run_core(wide, SimCore::kEvent),
+                       run_core(wide, SimCore::kReference));
 }
 
 TEST(EventCore, BitwiseEqualCappedQuiet) {
@@ -123,30 +142,63 @@ TEST(EventCore, BitwiseEqualStrictFifo) {
 
 TEST(EventCore, BitwiseEqualWedgedHorizon) {
   // Horizon too short to drain: both engines must wedge on the same
-  // round with the same violation text.
-  FacilityConfig cfg = dither_free(8, 2, 8, 17);
-  cfg.max_sim_s = 40.0;
-  const FacilityResult ev = run_core(cfg, SimCore::kEvent);
-  const FacilityResult ref = run_core(cfg, SimCore::kReference);
-  EXPECT_FALSE(ref.violations.empty());
-  expect_bitwise_equal(ev, ref);
+  // round with the same violation text — under a cap, where windows are
+  // one round, and uncapped, where the horizon lands in a drain window
+  // that must stop at it.
+  FacilityConfig capped = dither_free(8, 2, 8, 17);
+  capped.max_sim_s = 40.0;
+  FacilityConfig drain = wide_islands(384, 1, 31);
+  drain.max_sim_s = 140.0;
+  for (const FacilityConfig& cfg : {capped, drain}) {
+    const FacilityResult ev = run_core(cfg, SimCore::kEvent);
+    const FacilityResult ref = run_core(cfg, SimCore::kReference);
+    EXPECT_FALSE(ref.violations.empty());
+    expect_bitwise_equal(ev, ref);
+  }
+}
+
+/// Run `cfg` on the event core at one worker and at each of `workers`,
+/// expecting bitwise-equal results; returns the one-worker result.
+FacilityResult expect_same_at_workers(
+    FacilityConfig cfg, std::initializer_list<std::size_t> workers) {
+  cfg.core = SimCore::kEvent;
+  cfg.sim_jobs = 1;
+  const FacilityResult base = run_facility(cfg);
+  for (const std::size_t jobs : workers) {
+    cfg.sim_jobs = jobs;
+    expect_bitwise_equal(run_facility(cfg), base);
+  }
+  return base;
 }
 
 TEST(EventCore, BitwiseDeterministicAcrossWorkerCounts) {
-  FacilityConfig cfg = dither_free(16, 4, 10, 19);
-  add_chaos(cfg);
-  cfg.core = SimCore::kEvent;
-  FacilityResult base{};
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    cfg.sim_jobs = jobs;
-    const FacilityResult r = run_facility(cfg);
-    if (jobs == 1) {
-      base = r;
-      continue;
+  // Small islands under chaos: one chunk per shard.
+  FacilityConfig chaos = dither_free(16, 4, 10, 19);
+  add_chaos(chaos);
+  expect_same_at_workers(chaos, {2, 8});
+
+  // One island of several chunks still runs on two workers.
+  expect_same_at_workers(wide_islands(384, 1, 31), {2});
+
+  // The shape the chunked advance needs covered: one island carries
+  // most of the work, busy over several chunks, and the drain after the
+  // last arrival is long.
+  const FacilityConfig wide = wide_islands(1024, 2, 29);
+  const FacilityResult r = expect_same_at_workers(wide, {2, 4});
+  EXPECT_TRUE(r.violations.empty());
+  std::size_t on_island0 = 0;
+  std::size_t peak_busy = 0;
+  for (const FacilityJobOutcome& a : r.jobs) {
+    on_island0 += a.island == 0;
+    std::size_t busy = 0;
+    for (const FacilityJobOutcome& b : r.jobs) {
+      if (b.start_s <= a.start_s && a.start_s < b.end_s) busy += b.nodes;
     }
-    expect_bitwise_equal(r, base);
+    peak_busy = std::max(peak_busy, busy);
   }
+  EXPECT_GT(on_island0, r.jobs.size() / 2);
+  EXPECT_GT(peak_busy, 256u);  // more than two 128-node chunks busy
+  EXPECT_GT(r.makespan_s - wide.jobs.back().submit_s, 16 * wide.round_s);
 }
 
 TEST(EventCore, DitheredRunsAgreeWithinDocumentedTolerance) {
