@@ -103,7 +103,6 @@ TraceEvent decode_event(ByteReader* r, DeltaState* st) {
   return e;
 }
 
-// ear_lint wire-pair: append_block checked_block
 void append_block(std::string* file, std::string_view payload) {
   // The length field is u32; a payload over 4 GiB would silently
   // truncate and desync every offset in the directory after it.
@@ -164,7 +163,6 @@ void TraceWriter::add(const TraceEvent& e) {
   if (open_.size() >= chunk_events_) seal_chunk();
 }
 
-// ear_lint wire-pair: seal_chunk load_chunk
 void TraceWriter::seal_chunk() {
   if (open_.empty()) return;
   DirEntry entry;

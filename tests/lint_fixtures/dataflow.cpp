@@ -1,5 +1,5 @@
-// Fixture for the ear_lint self-test: the dataflow rule families
-// (nondet-iteration, unchecked-status). Never compiled — only scanned.
+// Fixture for the ear_lint self-test: the nondet-iteration dataflow
+// rule. Never compiled — only scanned.
 #include <map>
 #include <set>
 #include <string>
@@ -50,42 +50,3 @@ double fixture_nondet_clean() {
   }
   return sum + static_cast<double>(n);
 }
-
-struct FakeDaemon {
-  bool reprobe();
-  bool uncore_writable() const;
-  bool uncore_ok() const;
-  bool verify_uncore_write(int want);
-};
-struct FakeMsr {
-  bool is_locked(int reg) const;
-};
-struct FakeNode {
-  FakeMsr& msr(int socket);
-};
-
-void fixture_unchecked_status(FakeDaemon& daemon, FakeNode& node, bool x) {
-  daemon.reprobe();                       // LINT-EXPECT: unchecked-status
-  daemon.verify_uncore_write(3);          // LINT-EXPECT: unchecked-status
-  node.msr(0).is_locked(0x620);           // LINT-EXPECT: unchecked-status
-  if (x) daemon.reprobe();                // LINT-EXPECT: unchecked-status
-
-  // Consumed in every sanctioned way: no findings.
-  const bool ok = daemon.reprobe();
-  if (!daemon.uncore_writable()) {
-    (void)daemon.reprobe();  // explicit discard
-  }
-  while (daemon.uncore_ok()) {
-    break;
-  }
-  const bool verified = ok && daemon.verify_uncore_write(2);
-  static_cast<void>(verified);
-}
-
-// Declarations and definitions of the status APIs themselves must stay
-// quiet: `name()` here is not a discarded call.
-bool FakeDaemon::reprobe() { return true; }
-bool FakeDaemon::uncore_writable() const { return true; }
-bool FakeDaemon::uncore_ok() const { return true; }
-bool FakeDaemon::verify_uncore_write(int want) { return want != 0; }
-bool FakeMsr::is_locked(int reg) const { return reg != 0; }

@@ -40,10 +40,10 @@ TEST(Facility, SyntheticFacilityDrainsClean) {
               1e-6 * r.facility_energy_j);
 }
 
-TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
+void expect_bitwise_across_worker_counts(std::size_t nodes) {
   // Chaos included on purpose: the fault stream must not depend on the
   // worker count either.
-  FacilityConfig cfg = make_facility_config(16, 2, 10, 5);
+  FacilityConfig cfg = make_facility_config(nodes, 2, 10, 5);
   cfg.fault_plan.specs.push_back(
       {.family = faults::FaultFamily::kNodeDropout,
        .node = 1,
@@ -67,7 +67,8 @@ TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
     }
     // Bitwise equality: any cross-thread reduction-order leak shows up
     // as a ULP difference here.
-    EXPECT_EQ(r.makespan_s, base.makespan_s) << jobs << " workers";
+    EXPECT_EQ(r.makespan_s, base.makespan_s)
+        << nodes << " nodes, " << jobs << " workers";
     EXPECT_EQ(r.facility_energy_j, base.facility_energy_j);
     EXPECT_EQ(r.peak_power_w, base.peak_power_w);
     EXPECT_EQ(r.worst_overrun_w, base.worst_overrun_w);
@@ -82,6 +83,14 @@ TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
       EXPECT_EQ(r.jobs[i].energy_j, base.jobs[i].energy_j);
     }
   }
+}
+
+TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
+  // The node advance claims 16-node chunks: 16 nodes run it on one
+  // thread, 64 spread it over several, so only the larger facility lets
+  // TSan see a write to shared state from inside that loop.
+  expect_bitwise_across_worker_counts(16);
+  expect_bitwise_across_worker_counts(64);
 }
 
 TEST(Facility, TightCapThrottlesWithinDocumentedSlack) {

@@ -3,9 +3,8 @@
 // (leading-dot and hex-float pp-numbers), the cross-TU call graph, the
 // nondet-taint junction logic, the shard-ownership pass — including
 // the facility serial-merge mutant the annotations exist to catch —
-// and the v4 passes: the interval abstract interpreter (--abstract)
-// and the wire-format symmetry analysis (--wire), plus the SARIF
-// output both feed.
+// and the SARIF output and per-pass expectation tags the deep passes
+// feed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,14 +15,12 @@
 #include <utility>
 #include <vector>
 
-#include "lint/absint.hpp"
 #include "lint/deep.hpp"
 #include "lint/findings.hpp"
 #include "lint/index.hpp"
 #include "lint/rules.hpp"
 #include "lint/source.hpp"
 #include "lint/token.hpp"
-#include "lint/wiresym.hpp"
 
 namespace {
 
@@ -307,278 +304,14 @@ TEST(LintToken, LeadingDotFloatsAreOneToken) {
 }
 
 // ---------------------------------------------------------------------------
-// Abstract interpretation (--abstract)
-// ---------------------------------------------------------------------------
-
-std::vector<lint::AbsSite> absint_sites(const Program& program, bool strict,
-                                        std::vector<lint::Finding>* fs) {
-  const lint::Index index = lint::build_index(program);
-  const lint::CallGraph cg = lint::build_callgraph(program, index);
-  std::vector<lint::AbsSite> sites;
-  lint::AbsintOptions opts;
-  opts.strict = strict;
-  lint::run_absint_pass(program, index, cg, opts, fs, &sites);
-  return sites;
-}
-
-TEST(LintAbsint, ClampedRatioDischargesLiteralOverflowViolates) {
-  const Program program = Program::from_memory({{"m/msr.cpp",
-      "namespace fix {\n"
-      "constexpr unsigned int kMask = 0x7F;\n"
-      "unsigned int ok(unsigned int r) {\n"
-      "  if (r > kMask) r = kMask;\n"
-      "  EAR_EXPECT(r <= kMask);\n"
-      "  return (r << 8) | r;\n"
-      "}\n"
-      "unsigned int bad() {\n"
-      "  const unsigned int r = 0x3FF;\n"
-      "  EAR_EXPECT(r <= kMask);\n"
-      "  return r & kMask;\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::Finding> fs;
-  const std::vector<lint::AbsSite> sites = absint_sites(program, false, &fs);
-  ASSERT_EQ(count_rule(fs, "absint-violation"), 1U);
-  const auto violated = std::find_if(
-      sites.begin(), sites.end(), [](const lint::AbsSite& s) {
-        return s.verdict == lint::AbsVerdict::kViolated;
-      });
-  ASSERT_NE(violated, sites.end());
-  EXPECT_EQ(violated->line, 10U);
-  // The witness interval names the out-of-range value.
-  EXPECT_NE(violated->detail.find("1023"), std::string::npos);
-  // The clamped contract is discharged, not merely unproven.
-  const auto clamped = std::find_if(
-      sites.begin(), sites.end(), [](const lint::AbsSite& s) {
-        return s.line == 5 && s.kind == lint::AbsSiteKind::kContract;
-      });
-  ASSERT_NE(clamped, sites.end());
-  EXPECT_EQ(clamped->verdict, lint::AbsVerdict::kDischarged);
-}
-
-TEST(LintAbsint, CallChainViolationNamesCallerAndCallee) {
-  const Program program = Program::from_memory({{"m/chain.cpp",
-      "namespace fix {\n"
-      "unsigned int clamp(unsigned int r) {\n"
-      "  EAR_EXPECT(r <= 127);\n"
-      "  return r;\n"
-      "}\n"
-      "unsigned int use() { return clamp(300); }\n"
-      "}\n"}});
-  std::vector<lint::Finding> fs;
-  absint_sites(program, false, &fs);
-  ASSERT_EQ(count_rule(fs, "absint-violation"), 1U);
-  const lint::Finding& f = fs.front();
-  EXPECT_EQ(f.line, 6U);
-  EXPECT_NE(f.message.find("use"), std::string::npos);
-  EXPECT_NE(f.message.find("clamp"), std::string::npos);
-  EXPECT_NE(f.message.find("300"), std::string::npos);
-}
-
-TEST(LintAbsint, LoopWideningDischargesBoundedSubscript) {
-  const Program program = Program::from_memory({{"m/loop.cpp",
-      "namespace fix {\n"
-      "int sum() {\n"
-      "  std::array<int, 16> t{};\n"
-      "  int acc = 0;\n"
-      "  for (int i = 0; i < 16; ++i) acc += t[i];\n"
-      "  return acc;\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::Finding> fs;
-  const std::vector<lint::AbsSite> sites = absint_sites(program, false, &fs);
-  EXPECT_EQ(count_rule(fs, "absint-violation"), 0U);
-  const auto sub = std::find_if(
-      sites.begin(), sites.end(), [](const lint::AbsSite& s) {
-        return s.kind == lint::AbsSiteKind::kSubscript;
-      });
-  ASSERT_NE(sub, sites.end());
-  EXPECT_EQ(sub->verdict, lint::AbsVerdict::kDischarged);
-}
-
-TEST(LintAbsint, StrictModeReportsOpenSitesQuietOtherwise) {
-  // An unconstrained parameter reaching a contract is `open`: not
-  // provable either way. Default runs stay quiet; --abstract-strict
-  // surfaces it under its own rule id so it can be allowlisted.
-  const Program program = Program::from_memory({{"m/open.cpp",
-      "namespace fix {\n"
-      "unsigned int f(unsigned int r) {\n"
-      "  EAR_EXPECT(r <= 127);\n"
-      "  return r;\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::Finding> quiet;
-  absint_sites(program, false, &quiet);
-  EXPECT_EQ(quiet.size(), 0U);
-  std::vector<lint::Finding> strict;
-  absint_sites(program, true, &strict);
-  ASSERT_EQ(count_rule(strict, "absint-open"), 1U);
-  EXPECT_EQ(strict.front().line, 3U);
-}
-
-TEST(LintAbsint, NarrowingCastVerdicts) {
-  const Program program = Program::from_memory({{"m/cast.cpp",
-      "namespace fix {\n"
-      "unsigned char bad() {\n"
-      "  const int big = 300;\n"
-      "  return static_cast<unsigned char>(big);\n"
-      "}\n"
-      "unsigned char ok() {\n"
-      "  const int big = 300;\n"
-      "  return static_cast<unsigned char>(big & 0xFF);\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::Finding> fs;
-  const std::vector<lint::AbsSite> sites = absint_sites(program, false, &fs);
-  ASSERT_EQ(count_rule(fs, "absint-violation"), 1U);
-  EXPECT_EQ(fs.front().line, 4U);
-  const auto ok_site = std::find_if(
-      sites.begin(), sites.end(), [](const lint::AbsSite& s) {
-        return s.line == 8;
-      });
-  ASSERT_NE(ok_site, sites.end());
-  EXPECT_EQ(ok_site->verdict, lint::AbsVerdict::kDischarged);
-}
-
-// ---------------------------------------------------------------------------
-// Wire-format symmetry (--wire)
-// ---------------------------------------------------------------------------
-
-std::vector<lint::Finding> wire_findings(const Program& program,
-                                         std::vector<lint::WireCodec>* codecs) {
-  const lint::Index index = lint::build_index(program);
-  const lint::CallGraph cg = lint::build_callgraph(program, index);
-  std::vector<lint::Finding> fs;
-  lint::run_wiresym_pass(program, index, cg, &fs, codecs);
-  lint::sort_findings(&fs);
-  return fs;
-}
-
-TEST(LintWiresym, MatchedPairWithLoopAndContinuationIsClean) {
-  const Program program = Program::from_memory({{"w/clean.cpp",
-      "namespace fix {\n"
-      "void encode_cell(ByteWriter& w, const Cell& c) {\n"
-      "  w.u32(c.id);\n"
-      "  w.f64(c.mean);\n"
-      "}\n"
-      "Cell decode_cell(ByteReader& r) {\n"
-      "  Cell c;\n"
-      "  c.id = r.u32();\n"
-      "  c.mean = r.f64();\n"
-      "  return c;\n"
-      "}\n"
-      "void encode_t(ByteWriter& w, const T& t) {\n"
-      "  w.varint(t.n);\n"
-      "  for (const Cell& c : t.cells) encode_cell(w, c);\n"
-      "}\n"
-      "T decode_t(ByteReader& r) {\n"
-      "  T t;\n"
-      "  t.n = r.varint();\n"
-      "  for (unsigned long i = 0; i < t.n; ++i) decode_cell(r);\n"
-      "  return t;\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::WireCodec> codecs;
-  EXPECT_EQ(wire_findings(program, &codecs).size(), 0U);
-  EXPECT_EQ(codecs.size(), 4U);
-}
-
-TEST(LintWiresym, DesyncedFieldOrderIsReportedAtTheReader) {
-  const Program program = Program::from_memory({{"w/desync.cpp",
-      "namespace fix {\n"
-      "void encode_row(ByteWriter& w, const Row& row) {\n"
-      "  w.u32(row.id);\n"
-      "  w.varint(row.count);\n"
-      "  w.f64(row.mean);\n"
-      "}\n"
-      "Row decode_row(ByteReader& r) {\n"
-      "  Row out;\n"
-      "  out.id = r.u32();\n"
-      "  out.mean = r.f64();\n"
-      "  out.count = r.varint();\n"
-      "  return out;\n"
-      "}\n"
-      "}\n"}});
-  const std::vector<lint::Finding> fs = wire_findings(program, nullptr);
-  ASSERT_EQ(count_rule(fs, "wire-symmetry"), 1U);
-  EXPECT_EQ(fs.front().file, "w/desync.cpp");
-  EXPECT_EQ(fs.front().line, 10U);  // first divergent read
-  EXPECT_NE(fs.front().message.find("varint"), std::string::npos);
-  EXPECT_NE(fs.front().message.find("f64"), std::string::npos);
-}
-
-TEST(LintWiresym, ExtraTrailingReadIsReported) {
-  const Program program = Program::from_memory({{"w/extra.cpp",
-      "namespace fix {\n"
-      "void encode_p(ByteWriter& w, const P& p) {\n"
-      "  w.u32(p.a);\n"
-      "}\n"
-      "P decode_p(ByteReader& r) {\n"
-      "  P p;\n"
-      "  p.a = r.u32();\n"
-      "  p.b = r.u64();\n"
-      "  return p;\n"
-      "}\n"
-      "}\n"}});
-  EXPECT_EQ(count_rule(wire_findings(program, nullptr), "wire-symmetry"), 1U);
-}
-
-TEST(LintWiresym, TagRangeWiderThanEncoderCasesIsReported) {
-  const Program program = Program::from_memory({{"w/tag.cpp",
-      "namespace fix {\n"
-      "void encode_ev(ByteWriter& w, const Ev& e) {\n"
-      "  w.u8(e.kind);\n"
-      "  switch (e.kind) {\n"
-      "    case 1: w.varint(e.a); break;\n"
-      "    case 2: w.svarint(e.b); break;\n"
-      "  }\n"
-      "}\n"
-      "Ev decode_ev(ByteReader& r) {\n"
-      "  Ev e;\n"
-      "  const unsigned int k = r.u8();\n"
-      "  if (k < 1 || k > 3) { throw k; }\n"
-      "  e.kind = k;\n"
-      "  switch (k) {\n"
-      "    case 1: e.a = r.varint(); break;\n"
-      "    case 2: e.b = r.svarint(); break;\n"
-      "  }\n"
-      "  return e;\n"
-      "}\n"
-      "}\n"}});
-  const std::vector<lint::Finding> fs = wire_findings(program, nullptr);
-  ASSERT_EQ(count_rule(fs, "wire-symmetry"), 1U);
-  EXPECT_EQ(fs.front().line, 12U);
-  EXPECT_NE(fs.front().message.find("3"), std::string::npos);
-  EXPECT_NE(fs.front().message.find("2"), std::string::npos);
-}
-
-TEST(LintWiresym, MultiReceiverFramingIsOpaqueNotUnpaired) {
-  // checked_block-style framing (two readers) must be excluded from
-  // comparison *and* from unpaired-codec reporting.
-  const Program program = Program::from_memory({{"w/frame.cpp",
-      "namespace fix {\n"
-      "void check_frame(const char* bytes) {\n"
-      "  ByteReader r(bytes);\n"
-      "  ByteReader tail(bytes);\n"
-      "  const unsigned int len = r.u32();\n"
-      "  const unsigned int crc = tail.u32();\n"
-      "}\n"
-      "}\n"}});
-  std::vector<lint::WireCodec> codecs;
-  EXPECT_EQ(wire_findings(program, &codecs).size(), 0U);
-  ASSERT_EQ(codecs.size(), 1U);
-  EXPECT_TRUE(codecs[0].opaque);
-}
-
-// ---------------------------------------------------------------------------
-// SARIF output for the v4 passes
+// SARIF output and expectation tags for the deep passes
 // ---------------------------------------------------------------------------
 
 TEST(LintFindings, SarifCarriesStableRuleIdsAndLines) {
   const std::vector<lint::Finding> fs = {
-      {"src/a.cpp", 42, "absint-violation", "witness [1023, 1023]"},
-      {"src/b.cpp", 7, "wire-symmetry", "field 2: writer varint, reader f64"},
-      {"src/a.cpp", 50, "absint-violation", "another"},
+      {"src/a.cpp", 42, "shard-ownership", "`readings` mutated in a region"},
+      {"src/b.cpp", 7, "nondet-taint", "clock read reaches reduce_runs"},
+      {"src/a.cpp", 50, "shard-ownership", "another"},
   };
   const std::string path =
       std::string(::testing::TempDir()) + "/ear_lint_sarif_test.json";
@@ -590,10 +323,10 @@ TEST(LintFindings, SarifCarriesStableRuleIdsAndLines) {
   const std::string sarif = ss.str();
   std::remove(path.c_str());
   // Rule ids are stable, deduplicated and referenced by index.
-  EXPECT_NE(sarif.find("\"id\": \"absint-violation\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"wire-symmetry\""), std::string::npos);
-  EXPECT_EQ(sarif.find("\"id\": \"absint-violation\""),
-            sarif.rfind("\"id\": \"absint-violation\""));
+  EXPECT_NE(sarif.find("\"id\": \"shard-ownership\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"id\": \"nondet-taint\""), std::string::npos);
+  EXPECT_EQ(sarif.find("\"id\": \"shard-ownership\""),
+            sarif.rfind("\"id\": \"shard-ownership\""));
   // Physical locations carry the finding's file and 1-based line.
   EXPECT_NE(sarif.find("\"startLine\": 42"), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
@@ -604,18 +337,18 @@ TEST(LintFindings, SarifCarriesStableRuleIdsAndLines) {
 TEST(LintFindings, ExpectationTagsAreHonouredPerPass) {
   const Program program = Program::from_memory({{"t/x.cpp",
       "int f();  // LINT-EXPECT: some-rule\n"
-      "int g();  // LINT-EXPECT-ABS: absint-violation\n"}});
+      "int g();  // LINT-EXPECT-DEEP: nondet-taint\n"}});
   const std::vector<lint::Finding> fs = {
       {"t/x.cpp", 1, "some-rule", "m"},
-      {"t/x.cpp", 2, "absint-violation", "m"},
+      {"t/x.cpp", 2, "nondet-taint", "m"},
   };
-  // Without the ABS tag its annotation is not collected, so the second
+  // Without the DEEP tag its annotation is not collected, so the second
   // finding counts as unexpected; with the tag everything lines up.
   EXPECT_EQ(lint::check_expectations(program.files()[0], fs,
                                      {"LINT-EXPECT:"}),
             1U);
   EXPECT_EQ(lint::check_expectations(program.files()[0], fs,
-                                     {"LINT-EXPECT:", "LINT-EXPECT-ABS:"}),
+                                     {"LINT-EXPECT:", "LINT-EXPECT-DEEP:"}),
             0U);
 }
 

@@ -43,12 +43,12 @@ TEST(ModelCache, DistinctConfigsLearnConcurrently) {
 
   Clock::time_point heavy_done;
   std::thread learner([&] {
-    cached_models(heavy);
+    (void)cached_models(heavy);
     heavy_done = Clock::now();
   });
   // Let the heavy learn get well underway before the light first-touch.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  cached_models(light);
+  (void)cached_models(light);
   const Clock::time_point light_done = Clock::now();
   learner.join();
 

@@ -73,8 +73,18 @@ sim::RunResult adversarial_result() {
                 {0.2, std::numeric_limits<double>::quiet_NaN(), 1.8, 295.0}};
   r.eargm_throttles = 5;
   r.eargm_final_limit = 3;
+  // Every counter distinct and non-zero: two equal fields would let a
+  // decoder that swaps their reads round-trip unnoticed.
   r.fault_report.msr_drops = 7;
+  r.fault_report.msr_locks = 13;
+  r.fault_report.snapshot_faults = 19;
+  r.fault_report.dropped_readings = 23;
+  r.fault_report.island_dropouts = 29;
   r.fault_report.verify_failures = 2;
+  r.fault_report.rejected_windows = 31;
+  r.fault_report.missed_readings = 37;
+  r.fault_report.reprobes = 41;
+  r.fault_report.fallbacks = 43;
   r.fault_report.reanchors = 11;
   r.fault_report.unsettled_nodes = 1;
   r.fault_events = {{1.25, 3, faults::FaultFamily::kMsrDrop},
@@ -237,6 +247,13 @@ TEST(CheckpointWire, TenByteVarintOverflowIsWireErrorNotUb) {
   const std::string ten(10, static_cast<char>(0xFF));
   ByteReader r(ten);
   EXPECT_THROW((void)r.varint(), WireError);
+
+  // With an eleventh byte present the loop bound alone must stop the
+  // decode: ten bytes alone would also end in WireError by running off
+  // the buffer, which would hide a loop that reads past bit 63.
+  const std::string eleven = ten + '\x01';
+  ByteReader bounded(eleven);
+  EXPECT_THROW((void)bounded.varint(), WireError);
 
   std::string nine(9, static_cast<char>(0x81));
   nine.push_back(static_cast<char>(0x01));  // terminator carrying bit 63

@@ -1,40 +1,29 @@
 // ear_lint — domain linter for the EAR simulator (driver).
 //
 // The analysis lives in tools/lint/ (token, source, rules, index, deep,
-// absint, wiresym, findings); this translation unit only parses flags,
-// feeds the Program through the passes and applies the allowlist/output
-// policy.
+// findings); this translation unit only parses flags, feeds the Program
+// through the passes and applies the allowlist/output policy.
 //
-//   ear_lint --root DIR [--allowlist FILE] [--json] [--sarif FILE]
-//            [--deep] [--abstract | --abstract-strict] [--wire]
-//            [--min-discharged N]
-//   ear_lint --self-test DIR [--deep] [--abstract] [--wire]
+//   ear_lint --root DIR [--allowlist FILE] [--json] [--sarif FILE] [--deep]
+//   ear_lint --self-test DIR [--deep]
 //
 // --deep runs the whole-program passes (nondet-taint, shard-ownership)
 // on top of the per-file rules; the per-file nondet-iteration rule is
 // skipped there because the taint pass subsumes it (same rule id, same
-// sites, plus cross-function flows). --abstract runs the interval
-// abstract interpreter (absint-violation; --abstract-strict also
-// reports absint-open) and --min-discharged N fails the run unless at
-// least N sites were discharged — a ratchet so refactors cannot
-// silently blind the pass. --wire runs the encoder/decoder symmetry
-// analysis (wire-symmetry). Allowlist entries for pass-gated rules are
-// exempt from staleness in runs that skip their pass, which can never
-// fire them; entries naming a rule no pass can ever fire are an error.
+// sites, plus cross-function flows). Allowlist entries for the deep-only
+// rules are exempt from staleness in shallow runs, which can never fire
+// them; entries naming a rule no pass can ever fire are an error.
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "lint/absint.hpp"
 #include "lint/deep.hpp"
 #include "lint/findings.hpp"
 #include "lint/index.hpp"
 #include "lint/rules.hpp"
 #include "lint/source.hpp"
-#include "lint/wiresym.hpp"
 
 namespace {
 
@@ -42,10 +31,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: ear_lint --root DIR [--allowlist FILE] [--json] "
                "[--sarif FILE] [--deep]\n"
-               "                [--abstract | --abstract-strict] [--wire] "
-               "[--min-discharged N]\n"
-               "       ear_lint --self-test DIR [--deep] [--abstract] "
-               "[--wire]\n");
+               "       ear_lint --self-test DIR [--deep]\n");
   return 2;
 }
 
@@ -56,22 +42,15 @@ const std::set<std::string>& known_rules() {
   static const std::set<std::string> kRules = {
       "raw-freq-api",     "raw-power-scalar",    "banned-call",
       "banned-io",        "include-hygiene",     "hw-mutation",
-      "nondet-iteration", "hot-path-string-map", "unchecked-status",
-      "nondet-taint",     "shard-ownership",     "absint-violation",
-      "absint-open",      "wire-symmetry"};
+      "nondet-iteration", "hot-path-string-map", "nondet-taint",
+      "shard-ownership"};
   return kRules;
 }
 
-/// The flag that must be set for `rule` to fire, or "" when the shallow
-/// scan can. An entry for a gated rule is not stale just because a run
-/// without its pass kept quiet.
-std::string gating_pass(const std::string& rule) {
-  if (rule == "nondet-taint" || rule == "shard-ownership") return "--deep";
-  if (rule == "absint-violation" || rule == "absint-open") {
-    return "--abstract";
-  }
-  if (rule == "wire-symmetry") return "--wire";
-  return "";
+/// True when only --deep can fire `rule`. An entry for such a rule is
+/// not stale just because a shallow run kept quiet.
+bool deep_only(const std::string& rule) {
+  return rule == "nondet-taint" || rule == "shard-ownership";
 }
 
 }  // namespace
@@ -83,10 +62,6 @@ int main(int argc, char** argv) {
   std::string sarif_path;
   bool json = false;
   bool deep = false;
-  bool abstract = false;
-  bool abstract_strict = false;
-  bool wire = false;
-  long min_discharged = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
@@ -101,16 +76,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--deep") {
       deep = true;
-    } else if (arg == "--abstract") {
-      abstract = true;
-    } else if (arg == "--abstract-strict") {
-      abstract = true;
-      abstract_strict = true;
-    } else if (arg == "--wire") {
-      wire = true;
-    } else if (arg == "--min-discharged" && i + 1 < argc) {
-      min_discharged = std::strtol(argv[++i], nullptr, 10);
-      abstract = true;  // the threshold is meaningless without the pass
     } else {
       return usage();
     }
@@ -137,8 +102,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> expect_tags = {"LINT-EXPECT:"};
   if (deep) expect_tags.emplace_back("LINT-EXPECT-DEEP:");
-  if (abstract) expect_tags.emplace_back("LINT-EXPECT-ABS:");
-  if (wire) expect_tags.emplace_back("LINT-EXPECT-WIRE:");
 
   lint::RuleOptions rule_opts;
   rule_opts.skip_nondet_iteration = deep;
@@ -146,8 +109,6 @@ int main(int argc, char** argv) {
   int exit_code = 0;
   std::size_t files_scanned = 0;
   std::vector<lint::Finding> reported;
-  lint::AbsintSummary abs_total;
-  lint::WiresymSummary wire_total;
 
   for (const std::string& root : roots) {
     if (!std::filesystem::is_directory(root)) {
@@ -161,29 +122,10 @@ int main(int argc, char** argv) {
     for (const lint::SourceFile& file : program.files()) {
       lint::scan_file(file, rule_opts, &findings);
     }
-    if (deep || abstract || wire) {
+    if (deep) {
       const lint::Index index = lint::build_index(program);
       const lint::CallGraph cg = lint::build_callgraph(program, index);
-      if (deep) {
-        lint::run_deep_passes(program, index, cg, &findings);
-      }
-      if (abstract) {
-        lint::AbsintOptions opts;
-        opts.strict = abstract_strict;
-        const lint::AbsintSummary s =
-            lint::run_absint_pass(program, index, cg, opts, &findings);
-        abs_total.sites += s.sites;
-        abs_total.discharged += s.discharged;
-        abs_total.violated += s.violated;
-        abs_total.open += s.open;
-      }
-      if (wire) {
-        const lint::WiresymSummary s =
-            lint::run_wiresym_pass(program, index, cg, &findings);
-        wire_total.codecs += s.codecs;
-        wire_total.pairs_compared += s.pairs_compared;
-        wire_total.pairs_skipped_opaque += s.pairs_skipped_opaque;
-      }
+      lint::run_deep_passes(program, index, cg, &findings);
     }
     lint::sort_findings(&findings);
 
@@ -220,12 +162,7 @@ int main(int argc, char** argv) {
   // A suppression that excuses nothing is stale and must be deleted, so
   // the allowlist can only shrink unless a reviewed change grows it.
   for (const lint::AllowEntry& e : allow) {
-    if (e.used) continue;
-    const std::string gate = gating_pass(e.rule);
-    const bool gate_ran = gate.empty() || (gate == "--deep" && deep) ||
-                          (gate == "--abstract" && abstract) ||
-                          (gate == "--wire" && wire);
-    if (!gate_ran) continue;
+    if (e.used || (deep_only(e.rule) && !deep)) continue;
     if (json) {
       lint::print_json_finding(
           {allowlist_path, e.source_line, "stale-allowlist",
@@ -249,29 +186,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ear_lint: %s\n", error.c_str());
       return 2;
     }
-  }
-
-  if (abstract) {
-    std::fprintf(stderr,
-                 "ear_lint: abstract: %zu sites, %zu discharged, %zu "
-                 "violated, %zu open\n",
-                 abs_total.sites, abs_total.discharged, abs_total.violated,
-                 abs_total.open);
-    if (min_discharged >= 0 &&
-        abs_total.discharged < static_cast<std::size_t>(min_discharged)) {
-      std::fprintf(stderr,
-                   "ear_lint: abstract pass discharged %zu site(s), "
-                   "below the --min-discharged floor of %ld\n",
-                   abs_total.discharged, min_discharged);
-      exit_code = 1;
-    }
-  }
-  if (wire) {
-    std::fprintf(stderr,
-                 "ear_lint: wire: %zu codecs, %zu pairs compared, %zu "
-                 "skipped (opaque framing)\n",
-                 wire_total.codecs, wire_total.pairs_compared,
-                 wire_total.pairs_skipped_opaque);
   }
 
   if (exit_code == 0 && !json && selftest_dir.empty()) {

@@ -58,12 +58,11 @@ bool write_sarif(const std::string& path, const std::vector<Finding>& findings,
 
 /// Compare findings against the expectation annotations in `file`.
 /// `tags` lists the annotation markers to honour — always
-/// "LINT-EXPECT:", plus "LINT-EXPECT-DEEP:" / "LINT-EXPECT-ABS:" /
-/// "LINT-EXPECT-WIRE:" when the corresponding pass ran, so each pass's
-/// fixtures stay quiet under self-tests that do not run it. (No tag is
-/// a prefix of another: the hyphen breaks the match, so tags never
-/// double-count.) Reports mismatches to stderr; returns their count
-/// (unexpected + missed).
+/// "LINT-EXPECT:", plus "LINT-EXPECT-DEEP:" when the deep passes ran, so
+/// their fixtures stay quiet under shallow self-tests. ("LINT-EXPECT:"
+/// is not a prefix of "LINT-EXPECT-DEEP:": the hyphen breaks the match,
+/// so tags never double-count.) Reports mismatches to stderr; returns
+/// their count (unexpected + missed).
 std::size_t check_expectations(const SourceFile& file,
                                const std::vector<Finding>& findings,
                                const std::vector<std::string>& tags);

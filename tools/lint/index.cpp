@@ -368,7 +368,6 @@ class FileIndexer {
     d.scope = scope_string(stack_, qualifier);
     d.file = file_idx_;
     d.line = t_[name_tok].line;
-    d.name_tok = name_tok;
     d.body_begin = body_begin;
     d.body_end = body_end;
     const std::size_t idx = out_->functions.size();

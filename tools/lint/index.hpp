@@ -31,7 +31,6 @@ struct FunctionDef {
   std::string scope;   // enclosing scope + written qualifier, `::`-joined
   std::size_t file;    // index into Program::files()
   std::size_t line;    // line of the name token
-  std::size_t name_tok;    // token index of the name
   std::size_t body_begin;  // token index of the body '{'
   std::size_t body_end;    // token index of the matching '}'
 };

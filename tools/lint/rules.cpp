@@ -150,66 +150,6 @@ void scan_hot_string_map(const std::string& rel,
   }
 }
 
-/// unchecked-status: a [[nodiscard]] daemon/MSR status API called as a
-/// bare statement. The call chain is walked back to its first token;
-/// if the token before that is a statement boundary the value was
-/// dropped. `(void)` casts, assignments, conditions and arguments all
-/// consume the value and stay quiet.
-void scan_unchecked_status(const std::string& rel,
-                           const std::vector<Token>& t,
-                           std::vector<Finding>* findings) {
-  static const std::set<std::string> kStatusApis = {
-      "reprobe", "uncore_writable", "uncore_ok", "verify_uncore_write",
-      "is_locked"};
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (t[i].kind != Token::Kind::kIdent ||
-        kStatusApis.count(t[i].text) == 0 || t[i + 1].text != "(")
-      continue;
-    const std::size_t close = match_forward(t, i + 1);
-    if (close == kNpos || close + 1 >= t.size() ||
-        t[close + 1].text != ";")
-      continue;
-    // Walk back over the postfix chain (`node.msr(0).is_locked`) to the
-    // first token of the full expression statement.
-    std::size_t s = i;
-    while (s >= 2 && (t[s - 1].text == "." || t[s - 1].text == "->")) {
-      std::size_t q = s - 2;
-      if (t[q].text == ")" || t[q].text == "]") {
-        const std::size_t open = match_backward(t, q);
-        if (open == kNpos) break;
-        q = open;
-        if (q >= 1 && t[q - 1].kind == Token::Kind::kIdent) --q;
-      } else if (t[q].kind != Token::Kind::kIdent) {
-        break;
-      }
-      s = q;
-    }
-    bool boundary = s == 0;
-    if (!boundary) {
-      const std::string& b = t[s - 1].text;
-      if (b == ";" || b == "{" || b == "}" || b == "else" || b == "do") {
-        boundary = true;
-      } else if (b == ")") {
-        // Either a control-flow header (`if (x) d.reprobe();` — still a
-        // dropped status) or a cast. `(void)` is the sanctioned explicit
-        // discard; any other cast consumes the value too.
-        const std::size_t open = match_backward(t, s - 1);
-        if (open != kNpos && open >= 1) {
-          const std::string& kw = t[open - 1].text;
-          boundary = kw == "if" || kw == "while" || kw == "for" ||
-                     kw == "switch";
-        }
-      }
-    }
-    if (boundary) {
-      findings->push_back(
-          {rel, t[i].line, "unchecked-status",
-           "status of `" + t[i].text +
-               "()` is dropped; check it or cast to (void) deliberately"});
-    }
-  }
-}
-
 void scan_file(const SourceFile& file, const RuleOptions& opts,
                std::vector<Finding>* findings) {
   const std::string& rel = file.rel;
@@ -282,7 +222,6 @@ void scan_file(const SourceFile& file, const RuleOptions& opts,
   if (!opts.skip_nondet_iteration) {
     scan_nondet_iteration(rel, file.tokens, findings);
   }
-  scan_unchecked_status(rel, file.tokens, findings);
   scan_hot_string_map(rel, file.tokens, findings);
   std::stable_sort(findings->begin(), findings->end(),
                    [](const Finding& a, const Finding& b) {

@@ -29,8 +29,6 @@
 //   hot-path-string-map
 //                    std::map/std::unordered_map keyed by std::string in
 //                    the hot simulation layers (sim/, dynais/).
-//   unchecked-status Discarded return value of the [[nodiscard]]
-//                    daemon/MSR status APIs as a bare statement.
 #pragma once
 
 #include <vector>

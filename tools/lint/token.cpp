@@ -230,19 +230,6 @@ std::size_t match_forward(const std::vector<Token>& t, std::size_t open) {
   return kNpos;
 }
 
-std::size_t match_backward(const std::vector<Token>& t, std::size_t close) {
-  const std::string& c = t[close].text;
-  const std::string open = c == ")" ? "(" : "[";
-  std::size_t depth = 0;
-  for (std::size_t i = close + 1; i-- > 0;) {
-    if (t[i].text == c)
-      ++depth;
-    else if (t[i].text == open && --depth == 0)
-      return i;
-  }
-  return kNpos;
-}
-
 std::size_t skip_template_args(const std::vector<Token>& t, std::size_t open) {
   std::size_t depth = 0;
   for (std::size_t i = open; i < t.size(); ++i) {

@@ -47,11 +47,6 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 [[nodiscard]] std::size_t match_forward(const std::vector<Token>& t,
                                         std::size_t open);
 
-/// Index of the token matching the closer at `close` (')' or ']'), or
-/// kNpos.
-[[nodiscard]] std::size_t match_backward(const std::vector<Token>& t,
-                                         std::size_t close);
-
 /// Skip a balanced template argument list starting at the '<' at `open`;
 /// returns the index just past the closing '>'. The tokenizer emits
 /// `>>` as one token, which in template context closes two levels.
