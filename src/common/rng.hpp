@@ -45,14 +45,14 @@ class Rng {
 
   constexpr std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    step();
     return result;
+  }
+
+  /// Advance the stream past `n` draws without producing them: the state
+  /// transition of next_u64() without its output scrambler.
+  constexpr void discard(std::uint64_t n) {
+    for (; n > 0; --n) step();
   }
 
   /// Uniform double in [0, 1).
@@ -86,6 +86,15 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+  constexpr void step() {
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
   }
   std::uint64_t s_[4] = {};
 };

@@ -1,8 +1,7 @@
 // Minimal JSON emitter for the service layer's artifact summaries.
 //
-// Deliberately a writer only: the artifacts are consumed by people,
-// plotting scripts and the bench-guard trajectory tooling, none of which
-// need a C++ JSON parser here. Doubles are emitted with
+// Deliberately a writer only: the artifacts are consumed by people and
+// plotting scripts, none of which need a C++ JSON parser here. Doubles are emitted with
 // common::exact_double (shortest round-trip form, locale-independent);
 // non-finite values, which JSON cannot represent as numbers, become the
 // quoted strings "nan" / "inf" / "-inf" — common::parse_exact_double

@@ -1,5 +1,9 @@
 #include "simhw/hw_ufs.hpp"
 
+#include <cmath>
+
+#include "common/contracts.hpp"
+
 namespace ear::simhw {
 
 Freq hw_ufs_steady_target(const NodeConfig& cfg, const HwUfsParams& params,
@@ -67,10 +71,8 @@ Freq HwUfsGovernor::evaluate(const UfsInputs& in,
   return current_;
 }
 
-double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
-                                       const UncoreRatioLimit& limit,
-                                       std::size_t periods) {
-  if (periods == 0) return 0.0;
+UfsStretchSummary HwUfsGovernor::summarise(
+    const UfsInputs& in, const UncoreRatioLimit& limit) const {
   const UncoreRange& range = cfg_->uncore;
   const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
 
@@ -86,54 +88,73 @@ double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
   // Only two outcomes exist per period: the steady target, or — when the
   // dither gate can open — one bin below it (the real loop hunts around
   // its setpoint, which is what makes measured averages land just below
-  // the limit, 2.39 vs 2.40). Precompute both windowed values; each
-  // period is then one rng draw and a select. A probability of zero (or
-  // less) can never flip a selection, so it closes the gate outright and
-  // the rng is left untouched — dither-free configurations are exactly
-  // as deterministic as the no-headroom case.
-  const Freq steady = window(target);
-  const bool can_dither =
-      target > range.min() && params_.dither_probability > 0.0;
-
-  // kHz values are integers well below 2^53 and at most a few hundred are
-  // summed, so every partial sum is exact and the total is bitwise
-  // identical to the per-period accumulation this replaces.
-  double sum_khz = 0.0;
-  if (!can_dither) {
-    // evaluate() consumes no draw in this case; neither do we.
-    sum_khz = static_cast<double>(steady.as_khz()) *
-              static_cast<double>(periods);
-    current_ = steady;
-    return sum_khz;
-  }
-  const Freq dithered = window(range.step_down(target));
-  Freq last = steady;
-  for (std::size_t i = 0; i < periods; ++i) {
-    last = rng_.uniform() < params_.dither_probability ? dithered : steady;
-    sum_khz += static_cast<double>(last.as_khz());
-  }
-  current_ = last;
-  return sum_khz;
-}
-
-UfsStretchSummary HwUfsGovernor::integrate_stretch(
-    const UfsInputs& in, const UncoreRatioLimit& limit) {
-  const UncoreRange& range = cfg_->uncore;
-  const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
-  const Freq lo = range.clamp(limit.min_freq);
-  const Freq hi = range.clamp(limit.max_freq);
-  const auto window = [&](Freq f) {
-    if (f < lo) f = lo;
-    if (f > hi) f = hi;
-    return f;
-  };
+  // the limit, 2.39 vs 2.40). A probability of zero, less or NaN can
+  // never flip a selection, so it closes the gate outright and the rng
+  // is left untouched — dither-free configurations are exactly as
+  // deterministic as the no-headroom case.
   UfsStretchSummary out;
   out.steady = window(target);
   out.can_dither = target > range.min() && params_.dither_probability > 0.0;
   out.dithered =
       out.can_dither ? window(range.step_down(target)) : out.steady;
-  current_ = out.steady;
   return out;
+}
+
+std::uint64_t HwUfsGovernor::dither_threshold() const {
+  // uniform() is k * 2^-53 with k the draw's top 53 bits, so uniform() < p
+  // holds exactly when k < p * 2^53 (a power-of-two scaling, exact for
+  // every p < 1), i.e. when k < ceil(p * 2^53). Every k passes once
+  // p >= 1.
+  constexpr double kSpan = 0x1p53;
+  const double p = params_.dither_probability;
+  return p >= 1.0 ? static_cast<std::uint64_t>(kSpan)
+                  : static_cast<std::uint64_t>(std::ceil(p * kSpan));
+}
+
+double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
+                                       const UncoreRatioLimit& limit,
+                                       std::size_t periods) {
+  if (periods == 0) return 0.0;
+  const UfsStretchSummary s = summarise(in, limit);
+  const std::uint64_t steady_khz = s.steady.as_khz();
+  // Every period adds at most steady_khz, so below 2^53 each partial sum
+  // of a period-by-period double accumulation is an exact integer, and
+  // the count converted once below is that sum bit for bit.
+  EAR_EXPECT_MSG(
+      static_cast<double>(periods) * static_cast<double>(steady_khz) < 0x1p53,
+      "periods x kHz must stay below 2^53 for an exact sum");
+
+  std::uint64_t dithers = 0;
+  current_ = s.steady;
+  if (s.can_dither) {
+    const std::uint64_t threshold = dither_threshold();
+    bool last = false;
+    for (std::size_t i = 0; i < periods; ++i) {
+      last = draw_dithers(threshold);
+      dithers += last ? 1 : 0;
+    }
+    if (last) current_ = s.dithered;
+  }
+  return static_cast<double>(dithers * s.dithered.as_khz() +
+                             (periods - dithers) * steady_khz);
+}
+
+void HwUfsGovernor::advance_periods(const UfsInputs& in,
+                                    const UncoreRatioLimit& limit,
+                                    std::size_t periods) {
+  if (periods == 0) return;
+  const UfsStretchSummary s = summarise(in, limit);
+  current_ = s.steady;
+  if (!s.can_dither) return;
+  rng_.discard(periods - 1);
+  if (draw_dithers(dither_threshold())) current_ = s.dithered;
+}
+
+UfsStretchSummary HwUfsGovernor::integrate_stretch(
+    const UfsInputs& in, const UncoreRatioLimit& limit) {
+  const UfsStretchSummary s = summarise(in, limit);
+  current_ = s.steady;
+  return s;
 }
 
 Freq HwUfsGovernor::settle_idle(const UncoreRatioLimit& limit) {

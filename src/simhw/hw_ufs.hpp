@@ -126,18 +126,28 @@ class HwUfsGovernor {
   /// pure function of the inputs, so it is computed once, and the rng
   /// consumes exactly the draws evaluate() would (one per period when the
   /// dither gate can open, none otherwise — a gate that cannot change the
-  /// selection, i.e. dither_probability <= 0, counts as closed and
+  /// selection, i.e. dither_probability <= 0 or NaN, counts as closed and
   /// consumes nothing). `current()` afterwards is the last period's
   /// selection. `periods == 0` is a no-op returning 0.
+  /// Precondition: `periods` times the steady selection in kHz is below
+  /// 2^53, so every partial sum is an exact double (docs/performance.md
+  /// §3, "The dither loop").
   double evaluate_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
                           std::size_t periods);
+
+  /// evaluate_periods without the sum: the same draws, the same final
+  /// `current()`, nothing returned. Only the last period's draw is
+  /// compared; the others just advance the stream. For sockets whose
+  /// average nobody reads.
+  void advance_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
+                       std::size_t periods);
 
   /// Closed-form stretch integration: summarise the per-period behaviour
   /// under constant inputs without advancing the RNG, and leave
   /// `current()` at the steady value (the overwhelmingly likely last
   /// selection). When the dither gate is closed this is *exactly* what
   /// `evaluate_periods` computes per period; when it is open the summary's
-  /// `expected_khz` replaces the per-period Bernoulli sum with its
+  /// `expected_freq` replaces the per-period Bernoulli sum with its
   /// expectation (the event core's documented tolerance source).
   UfsStretchSummary integrate_stretch(const UfsInputs& in,
                                       const UncoreRatioLimit& limit);
@@ -154,6 +164,17 @@ class HwUfsGovernor {
   [[nodiscard]] const HwUfsParams& params() const { return params_; }
 
  private:
+  /// The target, MSR window and dither gate every entry point shares.
+  [[nodiscard]] UfsStretchSummary summarise(
+      const UfsInputs& in, const UncoreRatioLimit& limit) const;
+  /// A period dithers when its draw's top 53 bits are below this:
+  /// ceil(p * 2^53), the integer form of `uniform() < p`. Only for an
+  /// open gate (p > 0).
+  [[nodiscard]] std::uint64_t dither_threshold() const;
+  [[nodiscard]] bool draw_dithers(std::uint64_t threshold) {
+    return (rng_.next_u64() >> 11) < threshold;
+  }
+
   const NodeConfig* cfg_;
   HwUfsParams params_;
   common::Rng rng_;

@@ -89,9 +89,13 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   // within each period) leaves every stream — and thus every selection —
   // unchanged. The last socket drives the reported value, matching the
   // interleaved loop this replaces; other sockets track identically
-  // because EAR applies node-level workloads symmetrically.
-  double sum_khz = 0.0;
-  for (auto& g : governors_) sum_khz = g.evaluate_periods(in, limit, periods);
+  // because EAR applies node-level workloads symmetrically, so they only
+  // advance their streams and keep their last selection.
+  for (std::size_t s = 0; s + 1 < governors_.size(); ++s) {
+    governors_[s].advance_periods(in, limit, periods);
+  }
+  const double sum_khz =
+      governors_.back().evaluate_periods(in, limit, periods);
   return Freq::khz(static_cast<std::uint64_t>(
       sum_khz / static_cast<double>(periods)));
 }

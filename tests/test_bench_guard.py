@@ -139,91 +139,6 @@ class BenchGuardTest(GuardTestBase):
         self.assertIn("bad input", r.stderr)
 
 
-class TrajectoryTest(GuardTestBase):
-    """The per-machine JSONL trajectory mode used by the artifact store."""
-
-    def traj_path(self):
-        return os.path.join(self.tmp.name, "bench", "ci-box.jsonl")
-
-    def test_trajectory_requires_machine(self):
-        r = self.run_guard(
-            self.write("report.json", bench_report()),
-            self.write("baseline.json", baseline()),
-            "--trajectory", self.traj_path(),
-        )
-        self.assertEqual(r.returncode, 2, r.stderr)
-        self.assertIn("--machine", r.stderr)
-
-    def test_first_run_creates_history(self):
-        r = self.run_guard(
-            self.write("report.json", bench_report()),
-            self.write("baseline.json", baseline()),
-            "--trajectory", self.traj_path(), "--machine", "ci-box",
-        )
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("no prior runs", r.stdout)
-        with open(self.traj_path()) as f:
-            entries = [json.loads(line) for line in f]
-        self.assertEqual(len(entries), 1)
-        self.assertEqual(entries[0]["machine"], "ci-box")
-        self.assertAlmostEqual(entries[0]["ratio"], 4.0)
-
-    def test_history_accumulates_and_drift_is_advisory(self):
-        report = self.write("report.json", bench_report())
-        base = self.write("baseline.json", baseline())
-        for _ in range(3):
-            r = self.run_guard(report, base, "--trajectory",
-                               self.traj_path(), "--machine", "ci-box")
-            self.assertEqual(r.returncode, 0, r.stderr)
-        # Ratio jumps to 7x vs a 4.0 median: above the 1.5x drift limit
-        # but below the 2x hard-fail limit, so advisory mode still
-        # passes while naming the drift.
-        drifted = self.write("drifted.json", bench_report(10.0, 70.0))
-        r = self.run_guard(drifted, base, "--trajectory",
-                           self.traj_path(), "--machine", "ci-box")
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("DRIFT", r.stderr)
-        with open(self.traj_path()) as f:
-            self.assertEqual(len(f.readlines()), 4)
-
-    def test_drift_enforced_is_exit_1(self):
-        report = self.write("report.json", bench_report())
-        base = self.write("baseline.json", baseline())
-        self.run_guard(report, base, "--trajectory", self.traj_path(),
-                       "--machine", "ci-box")
-        drifted = self.write("drifted.json", bench_report(10.0, 70.0))
-        r = self.run_guard(drifted, base, "--trajectory", self.traj_path(),
-                           "--machine", "ci-box", "--trajectory-enforce")
-        self.assertEqual(r.returncode, 1, r.stderr)
-        self.assertIn("DRIFT", r.stderr)
-
-    def test_other_machines_history_is_ignored(self):
-        report = self.write("report.json", bench_report())
-        base = self.write("baseline.json", baseline())
-        self.run_guard(report, base, "--trajectory", self.traj_path(),
-                       "--machine", "other-box")
-        # A 7x ratio would drift vs other-box's 4.0 median, but ci-box
-        # has no history of its own so there is nothing to drift from.
-        drifted = self.write("drifted.json", bench_report(10.0, 70.0))
-        r = self.run_guard(drifted, base, "--trajectory", self.traj_path(),
-                           "--machine", "ci-box", "--trajectory-enforce")
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("no prior runs", r.stdout)
-
-    def test_corrupt_history_line_is_skipped_not_fatal(self):
-        report = self.write("report.json", bench_report())
-        base = self.write("baseline.json", baseline())
-        self.run_guard(report, base, "--trajectory", self.traj_path(),
-                       "--machine", "ci-box")
-        with open(self.traj_path(), "a") as f:
-            f.write('{"machine": "ci-box", "ratio": 4.')  # killed mid-append
-        r = self.run_guard(report, base, "--trajectory", self.traj_path(),
-                           "--machine", "ci-box")
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("skipped 1 unparseable", r.stderr)
-        self.assertNotIn("Traceback", r.stderr)
-
-
 def event_core_report(speedup=11.0, nodes=1000, host_cpus=1,
                       scale_eff=0.07, schema="event_core_baseline_v1"):
     """A minimal event_core_baseline_v1 document with one entry."""
@@ -314,25 +229,19 @@ class EventCoreGuardTest(GuardTestBase):
         self.assertEqual(r.returncode, 1, r.stderr)
         self.assertIn("scale efficiency", r.stderr)
 
-    def test_null_walls_on_narrow_host_pass_with_trajectory(self):
+    def test_null_walls_on_narrow_host_pass(self):
         # bench_cluster_scale writes null for worker counts above the
-        # host's CPUs; the guard and the trajectory append accept them.
+        # host's CPUs; the guard accepts them.
         report = event_core_report(host_cpus=4, scale_eff=None)
         report["entries"][0]["scale_core_s"]["8"] = None
-        traj = os.path.join(self.tmp.name, "bench", "ci-box.jsonl")
         r = self.run_guard(
             self.write("report.json", report),
             self.write("baseline.json", event_core_report()),
-            "--event-core", "--trajectory", traj, "--machine", "ci-box",
+            "--event-core",
         )
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("not enforced", r.stdout)
         self.assertIn("bench_guard: OK", r.stdout)
-        with open(traj) as f:
-            entries = [json.loads(line) for line in f]
-        self.assertEqual(len(entries), 1)
-        self.assertEqual(entries[0]["host_cpus"], 4)
-        self.assertIsNone(entries[0]["scale_eff_8"])
 
     def test_good_scale_eff_passes_on_wide_host(self):
         r = self.run_guard(
@@ -343,81 +252,6 @@ class EventCoreGuardTest(GuardTestBase):
         )
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("scale efficiency", r.stdout)
-
-
-class TrajectoryKindTest(GuardTestBase):
-    """The 'kind' tag keeps DynAIS and event-core series separate in one
-    per-machine history file; pre-tag rows default to dynais."""
-
-    def traj_path(self):
-        return os.path.join(self.tmp.name, "bench", "ci-box.jsonl")
-
-    def test_event_core_rows_are_tagged(self):
-        r = self.run_guard(
-            self.write("report.json", event_core_report()),
-            self.write("baseline.json", event_core_report()),
-            "--event-core",
-            "--trajectory", self.traj_path(), "--machine", "ci-box",
-        )
-        self.assertEqual(r.returncode, 0, r.stderr)
-        with open(self.traj_path()) as f:
-            entries = [json.loads(line) for line in f]
-        self.assertEqual(entries[0]["kind"], "event_core")
-        self.assertAlmostEqual(entries[0]["ratio"], 11.0)
-
-    def test_series_do_not_mix(self):
-        # Seed the file with an event-core row (ratio 11.0) and an
-        # untagged legacy row (defaults to dynais, ratio 4.0); each mode
-        # must see only its own series' median.
-        os.makedirs(os.path.dirname(self.traj_path()))
-        with open(self.traj_path(), "w") as f:
-            f.write(json.dumps({"machine": "ci-box", "kind": "event_core",
-                                "ratio": 11.0}) + "\n")
-            f.write(json.dumps({"machine": "ci-box", "ratio": 4.0}) + "\n")
-        r = self.run_guard(
-            self.write("report.json", bench_report()),  # ratio 4.0
-            self.write("baseline.json", baseline()),
-            "--trajectory", self.traj_path(), "--machine", "ci-box",
-            "--trajectory-enforce",
-        )
-        # Against a mixed median the 4.0 dynais ratio would pass or fail
-        # arbitrarily; against its own 4.0 median it cleanly passes.
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("median ratio 4.00", r.stdout)
-        r = self.run_guard(
-            self.write("ec.json", event_core_report(speedup=11.0)),
-            self.write("ecb.json", event_core_report(speedup=11.0)),
-            "--event-core",
-            "--trajectory", self.traj_path(), "--machine", "ci-box",
-            "--trajectory-enforce",
-        )
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("median speedup 11.00", r.stdout)
-
-    def test_event_core_drift_is_falling_speedup(self):
-        base = self.write("baseline.json", event_core_report(speedup=11.0))
-        for _ in range(3):
-            r = self.run_guard(
-                self.write("report.json", event_core_report(speedup=11.0)),
-                base, "--event-core",
-                "--trajectory", self.traj_path(), "--machine", "ci-box",
-            )
-            self.assertEqual(r.returncode, 0, r.stderr)
-        # 6.0x is above the 5.5x hard floor but below 11.0/1.5 = 7.3x:
-        # drift (advisory) without a hard FAIL.
-        r = self.run_guard(
-            self.write("slow.json", event_core_report(speedup=6.0)),
-            base, "--event-core",
-            "--trajectory", self.traj_path(), "--machine", "ci-box",
-        )
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("DRIFT", r.stderr)
-        r = self.run_guard(
-            self.write("slow.json", event_core_report(speedup=6.0)),
-            base, "--event-core", "--trajectory", self.traj_path(),
-            "--machine", "ci-box", "--trajectory-enforce",
-        )
-        self.assertEqual(r.returncode, 1, r.stderr)
 
 
 if __name__ == "__main__":

@@ -136,6 +136,15 @@ TEST(Rng, Below) {
   EXPECT_EQ(r.below(0), 0u);
 }
 
+TEST(Rng, DiscardSkipsExactlyNDraws) {
+  for (std::uint64_t n : {0u, 1u, 2u, 399u}) {
+    Rng drawn(17), skipped(17);
+    for (std::uint64_t i = 0; i < n; ++i) (void)drawn.next_u64();
+    skipped.discard(n);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(skipped.next_u64(), drawn.next_u64());
+  }
+}
+
 TEST(Error, CheckMacros) {
   EXPECT_NO_THROW(EAR_CHECK(1 + 1 == 2));
   EXPECT_THROW(EAR_CHECK(false), InvariantError);

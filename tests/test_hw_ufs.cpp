@@ -6,6 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/contracts.hpp"
+
 namespace ear::simhw {
 namespace {
 
@@ -187,6 +197,198 @@ TEST(HwUfsGovernor, CurrentTracksLastEvaluation) {
                               .min_freq = Freq::ghz(1.2)};
   gov.evaluate(base_inputs(), open);
   EXPECT_EQ(gov.current(), Freq::ghz(2.4));
+}
+
+// --- The dither loop against its per-period spec -------------------------
+//
+// evaluate_periods counts dithered periods with an integer compare on the
+// raw draw and converts the sum once; advance_periods skips everything but
+// the last draw. The oracle below is the spec both must match, written
+// out period by period: one uniform() draw per period while the gate is
+// open, `uniform() < p ? dithered : steady`, summed in a double.
+
+struct SpecLoop {
+  const NodeConfig& cfg;
+  HwUfsParams params;
+  common::Rng rng;
+  Freq current;
+
+  SpecLoop(const NodeConfig& c, HwUfsParams p, std::uint64_t seed)
+      : cfg(c), params(p), rng(seed), current(c.uncore.max()) {}
+
+  double run(const UfsInputs& in, const UncoreRatioLimit& limit,
+             std::size_t periods) {
+    const UncoreRange& range = cfg.uncore;
+    const Freq target = hw_ufs_steady_target(cfg, params, in);
+    const Freq lo = range.clamp(limit.min_freq);
+    const Freq hi = range.clamp(limit.max_freq);
+    const auto window = [&](Freq f) {
+      if (f < lo) f = lo;
+      if (f > hi) f = hi;
+      return f;
+    };
+    const bool gate =
+        target > range.min() && params.dither_probability > 0.0;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < periods; ++i) {
+      current = gate && rng.uniform() < params.dither_probability
+                    ? window(range.step_down(target))
+                    : window(target);
+      sum += static_cast<double>(current.as_khz());
+    }
+    return sum;
+  }
+};
+
+struct DitherCase {
+  double p;
+  std::uint64_t seed;
+  UfsInputs in;
+  UncoreRatioLimit limit;
+  std::size_t periods;
+};
+
+std::string describe(const DitherCase& c) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "p=" << c.p << " seed=" << c.seed
+     << " active=" << c.in.active_cores
+     << " eff=" << c.in.effective_core_freq.as_khz()
+     << " window=[" << c.limit.min_freq.as_khz() << ","
+     << c.limit.max_freq.as_khz() << "] periods=" << c.periods;
+  return os.str();
+}
+
+const UncoreRatioLimit kOpen{.max_freq = Freq::ghz(2.4),
+                             .min_freq = Freq::ghz(1.2)};
+const UncoreRatioLimit kPinned{.max_freq = Freq::ghz(1.7),
+                               .min_freq = Freq::ghz(1.7)};
+const UncoreRatioLimit kCapping{.max_freq = Freq::ghz(2.0),
+                                .min_freq = Freq::ghz(1.2)};
+
+UfsInputs tracking_inputs() {  // AVX-throttled: target 2.0 GHz
+  UfsInputs in = base_inputs();
+  in.effective_core_freq = Freq::ghz(2.2);
+  in.bw_utilisation = 0.47;
+  return in;
+}
+
+UfsInputs idle_inputs() {  // rule 1: floor target, gate closed
+  UfsInputs in = base_inputs();
+  in.active_cores = 0;
+  return in;
+}
+
+/// Run one case through evaluate_periods, advance_periods and the spec,
+/// then a follow-up call on an open gate that exposes any difference in
+/// stream position. Empty on agreement, else what differed.
+std::string mismatch(const DitherCase& c) {
+  const NodeConfig node = cfg();
+  HwUfsParams params;
+  params.dither_probability = c.p;
+  HwUfsGovernor counted(node, params, c.seed);
+  HwUfsGovernor advanced(node, params, c.seed);
+  SpecLoop spec(node, params, c.seed);
+
+  const double got = counted.evaluate_periods(c.in, c.limit, c.periods);
+  advanced.advance_periods(c.in, c.limit, c.periods);
+  const double want = spec.run(c.in, c.limit, c.periods);
+  if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want)) {
+    return "sum " + std::to_string(got) + " != spec " + std::to_string(want);
+  }
+  if (counted.current() != spec.current) return "current() != spec";
+  if (advanced.current() != spec.current) return "advance current() != spec";
+
+  constexpr std::size_t kFollowUp = 97;
+  const double want_next = spec.run(base_inputs(), kOpen, kFollowUp);
+  const double got_next = counted.evaluate_periods(base_inputs(), kOpen,
+                                                   kFollowUp);
+  const double adv_next = advanced.evaluate_periods(base_inputs(), kOpen,
+                                                    kFollowUp);
+  if (std::bit_cast<std::uint64_t>(got_next) !=
+      std::bit_cast<std::uint64_t>(want_next)) {
+    return "stream position differs from spec";
+  }
+  if (std::bit_cast<std::uint64_t>(adv_next) !=
+      std::bit_cast<std::uint64_t>(want_next)) {
+    return "advance stream position differs from spec";
+  }
+  return {};
+}
+
+void expect_all_agree(const std::vector<DitherCase>& cases) {
+  std::size_t failures = 0;
+  std::string first;
+  for (const DitherCase& c : cases) {
+    const std::string why = mismatch(c);
+    if (why.empty()) continue;
+    if (failures++ == 0) first = describe(c) + ": " + why;
+  }
+  EXPECT_EQ(failures, 0u) << "of " << cases.size() << " cases; first: "
+                          << first;
+}
+
+TEST(HwUfsDitherLoop, MatchesPerPeriodSpec) {
+  std::vector<std::size_t> counts = {0, 1, 2, 399, 400, 401};
+  common::Rng pick(2024);
+  for (int i = 0; i < 6; ++i) counts.push_back(3 + pick.below(3000));
+  const double ps[] = {-0.1, 0.0, 0.12, 0.5, 1.0, 1.5,
+                       std::numeric_limits<double>::quiet_NaN()};
+  std::vector<DitherCase> cases;
+  for (const std::uint64_t seed : {1ULL, 99ULL, 0xC0FFEEULL}) {
+    for (const double p : ps) {
+      for (const UfsInputs& in :
+           {base_inputs(), tracking_inputs(), idle_inputs()}) {
+        for (const UncoreRatioLimit& limit : {kOpen, kPinned, kCapping}) {
+          for (const std::size_t n : counts) {
+            cases.push_back({p, seed, in, limit, n});
+          }
+        }
+      }
+    }
+  }
+  expect_all_agree(cases);
+}
+
+TEST(HwUfsDitherLoop, ThresholdIsExactAtTheDraws) {
+  // p equal to a draw the stream produces must not dither on that draw
+  // (strict <); p one ulp above a draw below 0.5 must (ceil, not floor:
+  // there p * 2^53 is not an integer).
+  std::vector<DitherCase> cases;
+  for (const std::uint64_t seed : {1ULL, 99ULL, 0xC0FFEEULL}) {
+    common::Rng peek(seed);
+    bool found_low = false;
+    for (std::size_t j = 0; j < 64; ++j) {
+      const double u = peek.uniform();
+      for (const UfsInputs& in : {base_inputs(), tracking_inputs()}) {
+        for (const std::size_t n : {j + 1, j + 2, std::size_t{400}}) {
+          cases.push_back({u, seed, in, kOpen, n});
+          if (u < 0.5) {
+            cases.push_back({std::nextafter(u, 1.0), seed, in, kOpen, n});
+            found_low = true;
+          }
+        }
+      }
+    }
+    ASSERT_TRUE(found_low);
+  }
+  expect_all_agree(cases);
+}
+
+TEST(HwUfsDitherLoop, PeriodCountMustKeepTheSumExact) {
+  const NodeConfig node = cfg();
+  HwUfsParams params;
+  params.dither_probability = 0.0;  // gate closed: no loop to wait for
+  HwUfsGovernor gov(node, params, 1);
+  const std::uint64_t khz = Freq::ghz(2.4).as_khz();
+  const std::size_t most = ((std::uint64_t{1} << 53) - 1) / khz;
+  EXPECT_EQ(gov.evaluate_periods(base_inputs(), kOpen, most),
+            static_cast<double>(most * khz));
+  if (!common::contracts_enabled()) {
+    GTEST_SKIP() << "contracts compiled out in this configuration";
+  }
+  EXPECT_THROW((void)gov.evaluate_periods(base_inputs(), kOpen, most + 1),
+               common::ContractViolation);
 }
 
 }  // namespace

@@ -14,16 +14,6 @@ Inputs:
   * the committed baseline ``bench/BENCH_hotpath_baseline.json`` holding
     the pre-PR and post-PR reference numbers
 
-Trajectory mode (``--trajectory FILE --machine NAME``) additionally
-appends the run's key numbers to a per-machine JSONL history file —
-typically ``<artifact-store>/bench/<machine>.jsonl`` inside an
-``ear_sim serve`` artifact store — and compares the current ratio
-against the median of that machine's own history. The history check is
-advisory by default (it prints a drift warning); ``--trajectory-enforce``
-turns the drift warning into a failing exit code. Because the history is
-keyed by machine, the comparison never mixes numbers from different
-hardware.
-
 Event-core mode (``--event-core``) reinterprets both positional inputs
 as ``event_core_baseline_v1`` JSON (the ``bench_cluster_scale
 --event-diff --diff-out`` output) and guards the event-vs-reference
@@ -35,18 +25,12 @@ it solely when the *current* report's ``host_cpus`` is at least the
 worker count (a 2-core CI runner records the walls but cannot fail on
 them).
 
-Trajectory entries are tagged with a ``kind`` field ("dynais" or
-"event_core"); history rows written before the tag existed default to
-"dynais", so old per-machine histories keep working and the two series
-never mix.
-
 Exit code 0 = within bounds, 1 = regression, 2 = bad input.
 Stdlib only; runs anywhere CI has a python3.
 """
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -64,52 +48,6 @@ def load_benchmarks(path):
             raise ValueError(f"unknown time_unit {unit!r} for {b.get('name')}")
         out[b["name"]] = float(b["real_time"]) * scale
     return out
-
-
-def load_trajectory(path):
-    """Read a per-machine JSONL history; skip lines that do not parse.
-
-    A half-written trailing line (the writer died mid-append) must not
-    poison the whole history, so bad lines are counted and reported but
-    otherwise ignored.
-    """
-    entries, skipped = [], 0
-    try:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if isinstance(entry, dict) and isinstance(
-                    entry.get("ratio"), (int, float)
-                ):
-                    entries.append(entry)
-                else:
-                    skipped += 1
-    except OSError:
-        pass  # no history yet: first run on this machine
-    return entries, skipped
-
-
-def append_trajectory(path, entry):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "a") as f:
-        f.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def load_event_core(path, label):
@@ -233,66 +171,7 @@ def run_event_core(args):
                 file=sys.stderr,
             )
 
-    drift = False
-    if args.trajectory:
-        history, skipped = load_trajectory(args.trajectory)
-        if skipped:
-            print(
-                f"bench_guard: trajectory {args.trajectory}: skipped "
-                f"{skipped} unparseable line(s)",
-                file=sys.stderr,
-            )
-        mine = [
-            e for e in history
-            if e.get("machine") == args.machine
-            and e.get("kind", "dynais") == "event_core"
-        ]
-        if mine:
-            hist_median = median([float(e["ratio"]) for e in mine])
-            # Speedup is better-is-higher, so drift means falling below
-            # the machine's own median, not rising above it.
-            drift_limit = hist_median / args.trajectory_drift_factor
-            print(
-                f"bench_guard: trajectory[{args.machine}/event_core]: "
-                f"{len(mine)} prior run(s), median speedup "
-                f"{hist_median:.2f}x, drift floor {drift_limit:.2f}x"
-            )
-            if now_speedup < drift_limit:
-                drift = True
-                print(
-                    f"bench_guard: DRIFT — speedup {now_speedup:.2f}x "
-                    f"fell below 1/{args.trajectory_drift_factor:g}x the "
-                    f"median of {len(mine)} prior run(s) on "
-                    f"{args.machine}",
-                    file=sys.stderr,
-                )
-        else:
-            print(
-                f"bench_guard: trajectory[{args.machine}/event_core]: "
-                "no prior runs; recording first entry"
-            )
-        append_trajectory(
-            args.trajectory,
-            {
-                "machine": args.machine,
-                "kind": "event_core",
-                "ratio": now_speedup,
-                "nodes": cur["nodes"],
-                "ref_core_s": cur.get("ref_core_s"),
-                "event_core_s": cur.get("event_core_s"),
-                "scale_eff_8": eff,
-                "host_cpus": host_cpus,
-            },
-        )
-
     if failed:
-        return 1
-    if drift and args.trajectory_enforce:
-        print(
-            "bench_guard: FAIL — trajectory drift with "
-            "--trajectory-enforce",
-            file=sys.stderr,
-        )
         return 1
     print("bench_guard: OK")
     return 0
@@ -330,38 +209,7 @@ def main():
         help="event-core mode: minimum 8-worker scale efficiency, "
         "enforced only when the host has >= 8 cpus (default: 0.5)",
     )
-    ap.add_argument(
-        "--trajectory",
-        metavar="FILE",
-        help="per-machine JSONL history to read and append "
-        "(e.g. <store>/bench/<machine>.jsonl)",
-    )
-    ap.add_argument(
-        "--machine",
-        help="machine name recorded with each trajectory entry "
-        "(required with --trajectory)",
-    )
-    ap.add_argument(
-        "--trajectory-drift-factor",
-        type=float,
-        default=1.5,
-        help="flag drift when the current ratio exceeds the machine's "
-        "median history ratio by more than this factor (default: 1.5)",
-    )
-    ap.add_argument(
-        "--trajectory-enforce",
-        action="store_true",
-        help="turn the advisory trajectory drift warning into exit 1",
-    )
     args = ap.parse_args()
-
-    if args.trajectory and not args.machine:
-        print(
-            "bench_guard: --trajectory requires --machine so history "
-            "entries stay keyed to one piece of hardware",
-            file=sys.stderr,
-        )
-        return 2
 
     if args.event_core:
         return run_event_core(args)
@@ -438,64 +286,11 @@ def main():
         print(f"bench_guard:   BM_CampaignSweep: "
               f"{bench['BM_CampaignSweep'] / 1e6:.3f} ms")
 
-    drift = False
-    if args.trajectory:
-        history, skipped = load_trajectory(args.trajectory)
-        if skipped:
-            print(
-                f"bench_guard: trajectory {args.trajectory}: skipped "
-                f"{skipped} unparseable line(s)",
-                file=sys.stderr,
-            )
-        mine = [
-            e for e in history
-            if e.get("machine") == args.machine
-            and e.get("kind", "dynais") == "dynais"
-        ]
-        if mine:
-            hist_median = median([float(e["ratio"]) for e in mine])
-            drift_limit = hist_median * args.trajectory_drift_factor
-            print(
-                f"bench_guard: trajectory[{args.machine}]: "
-                f"{len(mine)} prior run(s), median ratio "
-                f"{hist_median:.2f}, drift limit {drift_limit:.2f}"
-            )
-            if now_ratio > drift_limit:
-                drift = True
-                print(
-                    f"bench_guard: DRIFT — ratio {now_ratio:.2f} exceeds "
-                    f"{args.trajectory_drift_factor:g}x the median of "
-                    f"{len(mine)} prior run(s) on {args.machine}",
-                    file=sys.stderr,
-                )
-        else:
-            print(
-                f"bench_guard: trajectory[{args.machine}]: no prior "
-                "runs; recording first entry"
-            )
-        append_trajectory(
-            args.trajectory,
-            {
-                "machine": args.machine,
-                "kind": "dynais",
-                "ratio": now_ratio,
-                "steady_ns": bench["BM_DynaisPush"],
-                "worst_ns": bench["BM_DynaisPushNonPeriodic"],
-            },
-        )
-
     if now_ratio > limit:
         print(
             "bench_guard: FAIL — the DynAIS worst-case path regressed "
             f"more than {args.max_ratio_factor:g}x relative to the "
             "steady-state push on this machine",
-            file=sys.stderr,
-        )
-        return 1
-    if drift and args.trajectory_enforce:
-        print(
-            "bench_guard: FAIL — trajectory drift with "
-            "--trajectory-enforce",
             file=sys.stderr,
         )
         return 1
