@@ -6,18 +6,18 @@
 //
 //   bench_cluster_scale [--nodes 10,100,1000,10000] [--jobs N]
 //                       [--budget-per-node W] [--out FILE.csv]
-//                       [--core reference|event]
 //                       [--event-diff] [--diff-out FILE.json]
 //
 // --out writes a CSV report (the CI facility-smoke job uploads it).
 // --event-diff appends the event-vs-reference sweep: for every size the
-// facility runs once on each engine single-threaded (speedup is the
-// wall-clock ratio, so the machine cancels out), then the event core
-// runs again at 2/4/8 workers — only as many as the host has CPUs —
-// over an 8-island build to measure scaling. The sweep is also a
-// differential check: every N-worker result must equal the 1-worker
-// result in every simulated field, and facility energy and makespan
-// must stay within the documented 2% of the reference loop.
+// facility runs single-threaded on the event core and on the reference
+// loop, the test oracle (speedup is the wall-clock ratio, so the machine
+// cancels out), then the event core runs again at 2/4/8 workers — only
+// as many as the host has CPUs — over an 8-island build to measure
+// scaling. The sweep is also a differential check: every N-worker
+// result must equal the 1-worker result in every simulated field, and
+// facility energy and makespan must stay within the documented 2% of
+// the reference loop.
 // --diff-out writes the JSON that bench_guard.py --event-core checks
 // against bench/BENCH_event_core_baseline.json in CI; worker counts the
 // host cannot run are written as null.
@@ -35,6 +35,7 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "oracles/facility_reference.hpp"
 #include "sim/facility.hpp"
 
 namespace {
@@ -73,18 +74,20 @@ namespace {
 constexpr double kEventTolerance = 0.02;
 
 /// One facility run and its whole-run wall seconds. The core wall
-/// (result.walls.core_s) excludes facility assembly — identical code on
-/// both engines — so the core ratio isolates what the engines implement
-/// differently.
+/// (result.walls.core_s) excludes facility assembly — the same work in
+/// the event core and the reference loop — so the core ratio isolates
+/// what the round loops do differently.
 struct TimedRun {
   ear::sim::FacilityResult result;
   double total_s = 0.0;
 };
 
-TimedRun time_facility(const ear::sim::FacilityConfig& cfg) {
+using Engine = ear::sim::FacilityResult (*)(const ear::sim::FacilityConfig&);
+
+TimedRun time_facility(Engine engine, const ear::sim::FacilityConfig& cfg) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  TimedRun run{ear::sim::run_facility(cfg), 0.0};
+  TimedRun run{engine(cfg), 0.0};
   run.total_s = std::chrono::duration<double>(Clock::now() - t0).count();
   return run;
 }
@@ -117,8 +120,6 @@ int main(int argc, char** argv) {
   // every scale while staying physically reachable.
   const double budget_per_node = args.get("budget-per-node", 200.0);
   const std::string out_path = args.get("out", std::string());
-  const sim::SimCore core =
-      sim::parse_sim_core(args.get("core", std::string("reference")));
   const bool event_diff = args.flag("event-diff");
   const std::string diff_out = args.get("diff-out", std::string());
 
@@ -149,7 +150,6 @@ int main(int argc, char** argv) {
         sim::make_facility_config(nodes, islands, job_count, bench::kSeed);
     cfg.budget = {static_cast<double>(nodes) * budget_per_node};
     cfg.sim_jobs = jobs;
-    cfg.core = core;
 
     const auto t0 = Clock::now();
     const sim::FacilityResult r = sim::run_facility(cfg);
@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
           << r.backfills << ',' << wall << ',' << throughput << ','
           << r.violations.size() << '\n';
     }
-    failures += report_violations(r, sim::sim_core_name(core), nodes);
+    failures += report_violations(r, "event", nodes);
   }
   table.print();
   std::printf(
@@ -230,23 +230,22 @@ int main(int argc, char** argv) {
         job.work.iter_seconds *= busy_scale;
       }
 
-      cfg.core = sim::SimCore::kReference;
-      const TimedRun ref_1t = time_facility(cfg);
+      const TimedRun ref_1t =
+          time_facility(sim::oracle::run_facility_reference, cfg);
       failures += report_violations(ref_1t.result, "reference 1w", nodes);
-      cfg.core = sim::SimCore::kEvent;
-      const TimedRun ev_1t = time_facility(cfg);
+      const TimedRun ev_1t = time_facility(sim::run_facility, cfg);
       failures += report_violations(ev_1t.result, "event 1w", nodes);
       const double ref_core_s = ref_1t.result.walls.core_s;
       const double ev_core_s = ev_1t.result.walls.core_s;
       const double speedup =
           ev_1t.total_s > 0.0 ? ref_1t.total_s / ev_1t.total_s : 0.0;
-      // Core-loop ratio: facility assembly is byte-identical shared code
-      // on both engines, so the FacilityWalls core wall isolates the
-      // round loops themselves — the quantity the event core changes.
+      // Core-loop ratio: facility assembly is the same work on both
+      // sides, so the FacilityWalls core wall isolates the round loops
+      // themselves — the quantity the event core changes.
       const double speedup_core =
           ev_core_s > 0.0 ? ref_core_s / ev_core_s : 0.0;
 
-      // The dither gate is open here, so the engines agree within the
+      // The dither gate is open here, so the two agree within the
       // documented envelope on facility totals. Per-job energy is not
       // compared: under the cap it drifts well past 2% at 1000 nodes.
       const double energy_diff = rel_diff(ev_1t.result.facility_energy_j,
@@ -268,7 +267,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < 3; ++i) {
         if (workers[i] > host_cpus) continue;
         cfg.sim_jobs = workers[i];
-        TimedRun ev_n = time_facility(cfg);
+        TimedRun ev_n = time_facility(sim::run_facility, cfg);
         const std::string what = "event " + std::to_string(workers[i]) + "w";
         failures += report_violations(ev_n.result, what.c_str(), nodes);
         scale_core_s[i] = ev_n.result.walls.core_s;

@@ -8,6 +8,7 @@
 
 #include "dynais/dynais.hpp"
 #include "metrics/accumulator.hpp"
+#include "oracles/reference_dynais.hpp"
 #include "policies/min_energy_eufs.hpp"
 #include "policies/registry.hpp"
 #include "sim/campaign.hpp"
@@ -45,7 +46,7 @@ BENCHMARK(BM_DynaisPushNonPeriodic);
 void BM_DynaisReferenceWorstCase(benchmark::State& state) {
   // The pre-optimisation detector on the same all-distinct stream as
   // BM_DynaisPushNonPeriodic: the in-repo "before" of the rewrite.
-  dynais::ReferenceDynais dyn;
+  dynais::oracle::ReferenceDynais dyn;
   std::uint32_t e = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(dyn.push(e++));

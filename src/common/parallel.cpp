@@ -1,15 +1,18 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <exception>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
+
+#include "common/error.hpp"
 
 namespace ear::common {
+
+namespace {
+
+/// Spins between yields while waiting on the epoch or the done count.
+constexpr std::size_t kSpinLimit = 4096;
+
+}  // namespace
 
 std::size_t default_jobs() {
   if (const char* env = std::getenv("EAR_SIM_JOBS")) {
@@ -27,48 +30,88 @@ std::size_t resolve_jobs(std::size_t requested) {
   return requested > 0 ? requested : default_jobs();
 }
 
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t jobs, std::size_t grain) {
-  const std::size_t threads = std::min(resolve_jobs(jobs), n);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
+Crew::Crew(std::size_t threads) : helpers_(threads - 1) {
+  EAR_CHECK(threads >= 1);
+  threads_.reserve(helpers_);
+  try {
+    for (std::size_t h = 0; h < helpers_; ++h) {
+      threads_.emplace_back([this] { worker(); });
+    }
+  } catch (...) {
+    stop();  // a std::thread destroyed unjoined would terminate
+    throw;
   }
-  const std::size_t step = grain == 0 ? 1 : grain;
+}
 
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
+Crew::~Crew() { stop(); }
 
-  auto drain = [&] {
+void Crew::stop() {
+  quit_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  for (std::thread& t : threads_) t.join();
+}
+
+void Crew::run(std::size_t n, const Body& body) {
+  body_ = &body;
+  n_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  claim();
+  std::size_t spins = 0;
+  while (done_.load(std::memory_order_acquire) < helpers_) {
+    if (++spins > kSpinLimit) {
+      std::this_thread::yield();
+      spins = 0;
+    }
+  }
+  if (error_) {
+    std::exception_ptr e = error_;
+    error_ = nullptr;
+    std::rethrow_exception(e);
+  }
+}
+
+void Crew::claim() {
+  try {
     for (;;) {
-      const std::size_t begin =
-          next.fetch_add(step, std::memory_order_relaxed);
-      if (begin >= n) return;
-      const std::size_t end = std::min(begin + step, n);
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          body(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (!first_error) first_error = std::current_exception();
-          }
-          next.store(n, std::memory_order_relaxed);  // stop claiming work
-          return;
-        }
+      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n_) return;
+      (*body_)(i);
+    }
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(err_mu_);
+      if (!error_) error_ = std::current_exception();
+    }
+    next_.store(n_, std::memory_order_relaxed);  // stop claiming work
+  }
+}
+
+void Crew::worker() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    std::uint64_t e = seen;
+    std::size_t spins = 0;
+    while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
+      if (++spins > kSpinLimit) {
+        std::this_thread::yield();
+        spins = 0;
       }
     }
-  };
+    seen = e;
+    if (quit_.load(std::memory_order_relaxed)) return;
+    claim();
+    done_.fetch_add(1, std::memory_order_release);
+  }
+}
 
-  std::vector<std::thread> helpers;
-  helpers.reserve(threads - 1);
-  for (std::size_t t = 0; t + 1 < threads; ++t) helpers.emplace_back(drain);
-  drain();  // the caller works too
-  for (auto& h : helpers) h.join();
-
-  if (first_error) std::rethrow_exception(first_error);
+void parallel_for(std::size_t n,
+                  const std::function<void(std::size_t)>& body,
+                  std::size_t jobs) {
+  if (n == 0) return;
+  Crew crew(std::min(resolve_jobs(jobs), n));
+  crew.run(n, body);
 }
 
 }  // namespace ear::common

@@ -15,17 +15,15 @@
 // sequence of level-0 loop signatures (hashes of one period), detecting
 // outer loops whose bodies are themselves loops.
 //
-// Two interchangeable level detectors are provided:
-//
-//  * `LevelDetector` — the production detector. It maintains one rolling
-//    match-run counter per candidate period (the length of the streak of
-//    consecutive events that each match the event one period earlier), so
-//    a non-loop event costs O(max_period) instead of the reference's
-//    O(max_period² · min_repeats) rescan. The ring buffer is rounded up
-//    to a power of two so indexing is a mask, not a `%`.
-//  * `ReferenceLevelDetector` — the original rescan implementation, kept
-//    as the executable specification. The differential tests drive both
-//    with identical streams and assert identical outputs.
+// `LevelDetector` maintains one rolling match-run counter per candidate
+// period (the length of the streak of consecutive events that each match
+// the event one period earlier), so a non-loop event costs O(max_period)
+// instead of a rescan's O(max_period² · min_repeats). The ring buffer is
+// rounded up to a power of two so indexing is a mask, not a `%`. The
+// original rescan detector is the executable specification; it lives
+// with the test oracles (tests/oracles/reference_dynais.hpp), and the
+// differential tests drive both with identical streams and assert
+// identical outputs.
 #pragma once
 
 #include <cstddef>
@@ -103,32 +101,15 @@ class LevelDetector {
   std::uint32_t signature_ = 0;
 };
 
-/// Single-level periodicity detector (reference rescan implementation).
-/// Semantics are the specification for `LevelDetector`; kept for
-/// differential testing and as the readable statement of the algorithm.
-class ReferenceLevelDetector {
- public:
-  explicit ReferenceLevelDetector(const Config& cfg);
+/// Throws unless `cfg` is a valid level-detector config: a window of at
+/// least 4 events that holds min_repeats+1 periods of the largest body.
+void validate(const Config& cfg);
 
-  Status push(std::uint32_t event);
-
-  [[nodiscard]] std::size_t period() const { return period_; }
-  [[nodiscard]] bool in_loop() const { return period_ > 0; }
-  [[nodiscard]] std::uint32_t loop_signature() const { return signature_; }
-
-  void reset();
-
- private:
-  [[nodiscard]] bool periodic_with(std::size_t p) const;
-  [[nodiscard]] std::uint32_t hash_last(std::size_t n) const;
-
-  Config cfg_;
-  std::vector<std::uint32_t> buf_;  // circular
-  std::size_t count_ = 0;
-  std::size_t period_ = 0;
-  std::size_t since_iteration_ = 0;
-  std::uint32_t signature_ = 0;
-};
+/// Loop signatures hash one loop body with 32-bit FNV-1a: start from
+/// kFnvOffset and fold each event in with fnv_step (its four bytes, low
+/// byte first).
+inline constexpr std::uint32_t kFnvOffset = 2166136261u;
+[[nodiscard]] std::uint32_t fnv_step(std::uint32_t h, std::uint32_t v);
 
 /// The full hierarchical detector EARL uses, parameterised on the level
 /// detector so the reference implementation can drive the identical
@@ -194,6 +175,5 @@ class BasicDynais {
 };
 
 using Dynais = BasicDynais<LevelDetector>;
-using ReferenceDynais = BasicDynais<ReferenceLevelDetector>;
 
 }  // namespace ear::dynais

@@ -8,7 +8,7 @@
 // a multi-round stretch can be integrated without consulting the plan,
 // and rounds with no active spec skip the fault phase entirely — without
 // changing which (spec, target, round) draws happen, since those only
-// ever occur inside activity windows in both engines.
+// ever occur inside activity windows (in the reference loop too).
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,10 @@
-#include "sim/event_core.hpp"
+#include "sim/facility.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,114 +55,9 @@ std::size_t round_at_or_after(double s, double round_s) {
   return static_cast<std::size_t>(std::ceil(s / round_s));
 }
 
-/// Persistent advance workers behind an epoch spin-barrier.
-///
-/// A condition-variable pool costs ~10 us per wake; with a live
-/// federation every window is a single control round, so the facility
-/// dispatches hundreds of times per run and the wake cost would rival
-/// the advance work itself. Workers spin briefly (yielding periodically
-/// to stay polite on shared hosts) on an epoch counter instead, bringing
-/// a dispatch down to about a microsecond. Inside an epoch every thread,
-/// the caller included, claims items from a shared counter the way
-/// common::parallel_for does, so a busy island is spread over the crew
-/// instead of holding up one worker. A crew of one thread has no helpers
-/// and runs the same claim loop serially.
-class ShardCrew {
- public:
-  /// `threads` = helpers + 1 (the caller); `body(i)` must be safe to run
-  /// concurrently for distinct i.
-  ShardCrew(std::size_t threads, std::function<void(std::size_t)> body)
-      : helpers_(threads - 1), body_(std::move(body)) {
-    EAR_CHECK(threads >= 1);
-    for (std::size_t h = 0; h < helpers_; ++h) {
-      threads_.emplace_back([this] { worker(); });
-    }
-  }
-
-  ~ShardCrew() {
-    quit_.store(true, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    for (std::thread& t : threads_) t.join();
-  }
-
-  ShardCrew(const ShardCrew&) = delete;
-  ShardCrew& operator=(const ShardCrew&) = delete;
-
-  /// Run body(i) for every i in [0, n), claimed one at a time by the
-  /// crew; returns after every thread stops claiming. Rethrows the first
-  /// exception any item produced.
-  void run(std::size_t n) {
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    claim();
-    std::size_t spins = 0;
-    while (done_.load(std::memory_order_acquire) < helpers_) {
-      if (++spins > kSpinLimit) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
- private:
-  static constexpr std::size_t kSpinLimit = 4096;
-
-  void claim() {
-    try {
-      for (;;) {
-        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_) return;
-        body_(i);
-      }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(err_mu_);
-        if (!error_) error_ = std::current_exception();
-      }
-      next_.store(n_, std::memory_order_relaxed);  // stop claiming work
-    }
-  }
-
-  void worker() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::uint64_t e = seen;
-      std::size_t spins = 0;
-      while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-        if (++spins > kSpinLimit) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-      }
-      seen = e;
-      if (quit_.load(std::memory_order_relaxed)) return;
-      claim();
-      done_.fetch_add(1, std::memory_order_release);
-    }
-  }
-
-  std::size_t helpers_;
-  std::function<void(std::size_t)> body_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> next_{0};
-  std::atomic<std::size_t> done_{0};
-  std::atomic<bool> quit_{false};
-  std::size_t n_ = 0;
-  std::mutex err_mu_;
-  std::exception_ptr error_;
-  std::vector<std::thread> threads_;  // last: the workers use the above
-};
-
 }  // namespace
 
-FacilityResult run_facility_event(const FacilityConfig& cfg) {
+FacilityResult run_facility(const FacilityConfig& cfg) {
   EAR_CHECK_MSG(!cfg.islands.empty(), "facility needs at least one island");
   EAR_CHECK_MSG(cfg.round_s > 0.0, "control round must be positive");
   EAR_CHECK_MSG(cfg.max_sim_s > cfg.round_s, "max_sim_s too small");
@@ -191,18 +81,27 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     sh.slots.resize(sh.size);
     sh.done_round.assign(sh.size, kNoRound);
   }
+  // Parallel work items: fixed-size node chunks of every shard in
+  // shard-index order. One crew serves the whole run — the island build
+  // below and every window's advance.
+  std::vector<NodeChunk> chunks;
+  for (const Shard& sh : shards) {
+    for (std::size_t lo = 0; lo < sh.size; lo += kChunkNodes) {
+      chunks.push_back({sh.index, lo, std::min(lo + kChunkNodes, sh.size)});
+    }
+  }
+  common::Crew crew(
+      std::min(common::resolve_jobs(cfg.sim_jobs), chunks.size()));
+
   // Island hardware builds concurrently: every stream in a cluster is
   // rooted at the island seed, so the result is bitwise-independent of
   // the worker count (and of whether the build ran concurrently at all).
-  common::parallel_for(
-      shards.size(),
-      [&](std::size_t i) {
-        clusters[i] = std::make_unique<simhw::Cluster>(
-            cfg.islands[i].node_config, cfg.islands[i].nodes,
-            shards[i].seed, cfg.noise, cfg.ufs);
-        shards[i].cluster = clusters[i].get();
-      },
-      cfg.sim_jobs, /*grain=*/1);
+  crew.run(shards.size(), [&](std::size_t i) {
+    clusters[i] = std::make_unique<simhw::Cluster>(
+        cfg.islands[i].node_config, cfg.islands[i].nodes, shards[i].seed,
+        cfg.noise, cfg.ufs);
+    shards[i].cluster = clusters[i].get();
+  });
 
   std::vector<eard::NodeDaemon> daemons;
   daemons.reserve(total_nodes);
@@ -282,21 +181,12 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
-  // Persistent spin-barrier crew for the parallel phase (see ShardCrew),
-  // claiming fixed-size node chunks of every shard in shard-index order.
-  // The window each chunk advances through is published to the workers
-  // by the epoch increment inside run() (release/acquire pairing).
-  std::vector<NodeChunk> chunks;
-  for (const Shard& sh : shards) {
-    for (std::size_t lo = 0; lo < sh.size; lo += kChunkNodes) {
-      chunks.push_back({sh.index, lo, std::min(lo + kChunkNodes, sh.size)});
-    }
-  }
-  ShardCrew crew(std::min(common::resolve_jobs(cfg.sim_jobs), chunks.size()),
-                 [&shards, &chunks](std::size_t c) {
-                   const NodeChunk& ch = chunks[c];
-                   shards[ch.shard].advance_nodes(ch.lo, ch.hi);
-                 });
+  // The window each chunk advances through is published to the crew by
+  // the epoch increment inside Crew::run (release/acquire pairing).
+  const common::Crew::Body advance = [&shards, &chunks](std::size_t c) {
+    const NodeChunk& ch = chunks[c];
+    shards[ch.shard].advance_nodes(ch.lo, ch.hi);
+  };
 
   double last_fault_end_s = 0.0;
   for (const auto& f : cfg.fault_plan.specs) {
@@ -402,7 +292,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     // here comes from a node-local stream. Buffer sizing before it and
     // completion posting after it stay serial.
     for (Shard& sh : shards) sh.begin_window(round, window);
-    crew.run(chunks.size());
+    crew.run(chunks.size(), advance);
     for (Shard& sh : shards) sh.post_completions();
 
     // Serial merge: replay the window round-by-round in shard-index
@@ -453,8 +343,8 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
         }
       }
 
-      // Fault tier: rounds outside every activity window are draw-free
-      // in both engines, so the schedule gate skips only dead scans.
+      // Fault tier: rounds outside every activity window draw nothing (in
+      // the reference loop too), so the schedule gate skips dead scans.
       if (fault_sched.any_active(r)) {
         for (const auto& f : cfg.fault_plan.specs) {
           if (!f.active_at(rnow)) continue;

@@ -39,21 +39,8 @@
 
 namespace ear::sim {
 
-/// Simulation engine selection. kReference is the original
-/// round/tick loop, kept verbatim as the executable specification;
-/// kEvent is the event-driven sharded core that integrates closed-form
-/// through phase-stable stretches. The two produce bitwise-identical
-/// results whenever the UFS dither gate is closed (dither_probability
-/// == 0), and tolerance-bounded results otherwise (see
-/// docs/performance.md).
-enum class SimCore {
-  kReference,
-  kEvent,
-};
-
-/// Parse "reference" / "event" (CLI --core values); throws ConfigError.
-[[nodiscard]] SimCore parse_sim_core(const std::string& name);
-[[nodiscard]] const char* sim_core_name(SimCore core);
+/// Kept only because perfbench/driver.cpp assigns FacilityConfig::core.
+enum class SimCore { kEvent };
 
 /// One homogeneous partition of the facility.
 struct FacilityIsland {
@@ -83,10 +70,10 @@ struct FacilityConfig {
   simhw::NoiseModel noise{};
   /// UFS governor parameters for every node. dither_probability == 0
   /// closes the dither gate, which makes the event core bitwise-equal to
-  /// the reference loop (and both engines draw-free in the governor).
+  /// the reference loop (and both draw-free in the governor).
   simhw::HwUfsParams ufs{};
-  /// Engine: reference round loop or event-driven sharded core.
-  SimCore core = SimCore::kReference;
+  /// Unread: run_facility is the only engine (see SimCore).
+  SimCore core = SimCore::kEvent;
   /// Hard stop; reaching it with unfinished jobs is a violation.
   double max_sim_s = 36000.0;
   /// Documented cap slack: persistent overruns beyond this are a
@@ -95,11 +82,10 @@ struct FacilityConfig {
   std::size_t overrun_grace = 30;
 };
 
-/// Host-side wall-clock instrumentation, filled by both engines. Not
-/// part of the simulated result (differential tests ignore it): build
-/// covers facility assembly (clusters, daemons, federation) — identical
-/// code on either engine — and core covers the round loop itself, the
-/// part the engines implement differently.
+/// Host-side wall-clock instrumentation. Not part of the simulated
+/// result (differential tests ignore it): build covers facility assembly
+/// (clusters, daemons, federation) and core covers the round loop
+/// itself — the part the reference loop implements differently.
 struct FacilityWalls {
   double build_s = 0.0;
   double core_s = 0.0;
@@ -168,15 +154,36 @@ struct FacilityResult {
                          const FacilityResult&) = default;
 };
 
-/// Run the facility to completion (or max_sim_s). Deterministic for a
-/// given config at any sim_jobs value. Dispatches on cfg.core.
+/// Run the facility to completion (or max_sim_s) on the event-driven
+/// sharded core (src/sim/event_core.cpp, src/sim/shard.*). Deterministic
+/// for a given config at any sim_jobs value.
+///
+/// Same contract as the reference round loop — the executable
+/// specification in tests/oracles/facility_reference.hpp — but instead
+/// of stepping every node through every 10 ms governor period of every
+/// control round, the engine:
+///
+///   * integrates each node's energy/time analytically through
+///     phase-stable stretches (simhw::SimNode::execute_stretch —
+///     memoised iteration kernel + closed-form UFS governor
+///     integration);
+///   * advances shard-local state (one shard per island, per-shard RNG
+///     streams rooted at mix_seed(seed, island)) in parallel on one
+///     common::Crew, workers claiming fixed-size node chunks, through
+///     multi-round *windows* whenever no control-plane event (job
+///     arrival, fault boundary, EARGM cap round, pending admission) can
+///     fall inside the window;
+///   * merges cross-shard effects serially in shard-index order at
+///     barrier rounds, replaying readings, fault draws and job
+///     completions round-by-round from per-round snapshots — the exact
+///     order and arithmetic of the reference loop.
+///
+/// Equivalence: bitwise-identical to the reference loop whenever the UFS
+/// dither gate is closed (cfg.ufs.dither_probability == 0 — neither
+/// draws governor randomness then); tolerance-bounded otherwise (the
+/// Bernoulli per-period dither average is replaced by its expectation;
+/// see docs/performance.md for the bound).
 [[nodiscard]] FacilityResult run_facility(const FacilityConfig& cfg);
-
-/// The original round/tick loop — the executable specification the
-/// event core is differentially tested against. Always available
-/// regardless of cfg.core.
-[[nodiscard]] FacilityResult run_facility_reference(
-    const FacilityConfig& cfg);
 
 /// Synthesize a heterogeneous facility + job mix: `nodes` total nodes
 /// over `islands` partitions cycling the three node types, and

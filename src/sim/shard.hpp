@@ -23,7 +23,7 @@
 // range's slots, done rounds and snapshot columns (every node's RNG
 // streams are its own), while buffer sizes, the job list and the event
 // queue are touched only serially, by the merge thread. Handover
-// synchronises through ShardCrew's epoch barrier: the epoch increment
+// synchronises through common::Crew's epoch barrier: the epoch increment
 // publishes the window to the workers and the done count hands the
 // node ranges back.
 #pragma once
@@ -44,9 +44,9 @@ inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 inline constexpr std::size_t kNoRound =
     std::numeric_limits<std::size_t>::max();
 
-/// Per-node execution/accounting state for the round loops (shared by the
-/// reference loop and the event core; the reference keeps one flat array,
-/// the event core one array per shard).
+/// Per-node execution/accounting state: the node's job, remaining work
+/// and power-reading bookkeeping (one array per shard; the reference loop
+/// in tests/oracles keeps one flat array).
 struct NodeSlot {
   std::size_t job = kNoJob;
   simhw::WorkDemand demand{};

@@ -11,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "oracles/reference_dynais.hpp"
 
 namespace ear::dynais {
 namespace {
+
+using oracle::ReferenceDynais;
+using oracle::ReferenceLevelDetector;
 
 void expect_identical(const Config& cfg,
                       const std::vector<std::uint32_t>& events) {

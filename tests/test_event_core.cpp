@@ -1,12 +1,12 @@
 // Differential suite for the event-driven sharded facility core: the
-// reference round loop is the executable specification, and the event
-// core must reproduce it bitwise whenever the UFS dither gate is closed
-// (dither_probability == 0 — neither engine draws governor randomness
-// then), across uncapped/capped x quiet/faulted configurations. With
-// dithering enabled the engines agree within a documented tolerance
-// (the event core replaces the Bernoulli per-period average with its
-// expectation; see docs/performance.md).
-#include "sim/event_core.hpp"
+// reference round loop (tests/oracles) is the executable specification,
+// and the event core must reproduce it bitwise whenever the UFS dither
+// gate is closed (dither_probability == 0 — neither draws governor
+// randomness then), across uncapped/capped x quiet/faulted
+// configurations. With dithering enabled the two agree within a
+// documented tolerance (the event core replaces the Bernoulli
+// per-period average with its expectation; see docs/performance.md).
+#include "sim/facility.hpp"
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,8 @@
 #include <cstddef>
 #include <initializer_list>
 
-#include "common/error.hpp"
-#include "sim/facility.hpp"
+#include "faults/fault_plan.hpp"
+#include "oracles/facility_reference.hpp"
 #include "sim/shard.hpp"
 
 namespace ear::sim {
@@ -82,9 +82,10 @@ FacilityConfig wide_islands(std::size_t nodes, std::size_t islands,
   return cfg;
 }
 
-FacilityResult run_core(FacilityConfig cfg, SimCore core) {
-  cfg.core = core;
-  return run_facility(cfg);
+/// The event core against the oracle on the same config.
+void expect_matches_reference(const FacilityConfig& cfg) {
+  expect_bitwise_equal(run_facility(cfg),
+                       oracle::run_facility_reference(cfg));
 }
 
 void add_chaos(FacilityConfig& cfg) {
@@ -102,56 +103,61 @@ void add_chaos(FacilityConfig& cfg) {
 }
 
 TEST(EventCore, BitwiseEqualUncappedQuiet) {
-  const FacilityConfig cfg = dither_free(24, 3, 10, 3);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_matches_reference(dither_free(24, 3, 10, 3));
   // Shards of several chunks, and drain windows longer than one round.
-  const FacilityConfig wide = wide_islands(1024, 2, 29);
-  expect_bitwise_equal(run_core(wide, SimCore::kEvent),
-                       run_core(wide, SimCore::kReference));
+  expect_matches_reference(wide_islands(1024, 2, 29));
 }
 
 TEST(EventCore, BitwiseEqualCappedQuiet) {
   FacilityConfig cfg = dither_free(16, 2, 10, 5);
   cfg.budget = {16 * 200.0};  // binds between idle floor and busy draw
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_matches_reference(cfg);
+  // The CLI smoke run (`ear_sim facility --nodes 16 --islands 2
+  // --job-count 8`): the synthesiser's default cap, on all cores.
+  FacilityConfig cli = dither_free(16, 2, 8, 1);
+  cli.sim_jobs = 0;
+  expect_matches_reference(cli);
 }
 
 TEST(EventCore, BitwiseEqualUncappedFaulted) {
   FacilityConfig cfg = dither_free(16, 2, 10, 7);
   add_chaos(cfg);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_matches_reference(cfg);
 }
 
 TEST(EventCore, BitwiseEqualCappedFaulted) {
   FacilityConfig cfg = dither_free(16, 2, 12, 11);
   cfg.budget = {16 * 200.0};
   add_chaos(cfg);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_matches_reference(cfg);
+  // The CLI chaos smoke run: seed 7 under the example plan of node and
+  // island dropouts, on all cores.
+  FacilityConfig cli = dither_free(16, 2, 8, 7);
+  cli.sim_jobs = 0;
+  cli.fault_plan =
+      faults::load_fault_plan(EAR_EXAMPLES_DIR "/facility_chaos.plan");
+  ASSERT_EQ(cli.fault_plan.specs.size(), 3u);
+  expect_matches_reference(cli);
 }
 
 TEST(EventCore, BitwiseEqualStrictFifo) {
   FacilityConfig cfg = dither_free(24, 3, 12, 13);
   cfg.backfill = false;
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_matches_reference(cfg);
 }
 
 TEST(EventCore, BitwiseEqualWedgedHorizon) {
-  // Horizon too short to drain: both engines must wedge on the same
-  // round with the same violation text — under a cap, where windows are
-  // one round, and uncapped, where the horizon lands in a drain window
-  // that must stop at it.
+  // Horizon too short to drain: the event core and the oracle must
+  // wedge on the same round with the same violation text — under a cap,
+  // where windows are one round, and uncapped, where the horizon lands
+  // in a drain window that must stop at it.
   FacilityConfig capped = dither_free(8, 2, 8, 17);
   capped.max_sim_s = 40.0;
   FacilityConfig drain = wide_islands(384, 1, 31);
   drain.max_sim_s = 140.0;
   for (const FacilityConfig& cfg : {capped, drain}) {
-    const FacilityResult ev = run_core(cfg, SimCore::kEvent);
-    const FacilityResult ref = run_core(cfg, SimCore::kReference);
+    const FacilityResult ev = run_facility(cfg);
+    const FacilityResult ref = oracle::run_facility_reference(cfg);
     EXPECT_FALSE(ref.violations.empty());
     expect_bitwise_equal(ev, ref);
   }
@@ -161,7 +167,6 @@ TEST(EventCore, BitwiseEqualWedgedHorizon) {
 /// expecting bitwise-equal results; returns the one-worker result.
 FacilityResult expect_same_at_workers(
     FacilityConfig cfg, std::initializer_list<std::size_t> workers) {
-  cfg.core = SimCore::kEvent;
   cfg.sim_jobs = 1;
   const FacilityResult base = run_facility(cfg);
   for (const std::size_t jobs : workers) {
@@ -209,8 +214,8 @@ TEST(EventCore, DitheredRunsAgreeWithinDocumentedTolerance) {
   // 2% is the enforced envelope, measured drift is well under it).
   const FacilityConfig cfg = make_facility_config(16, 2, 10, 23);
   ASSERT_GT(cfg.ufs.dither_probability, 0.0);
-  const FacilityResult ev = run_core(cfg, SimCore::kEvent);
-  const FacilityResult ref = run_core(cfg, SimCore::kReference);
+  const FacilityResult ev = run_facility(cfg);
+  const FacilityResult ref = oracle::run_facility_reference(cfg);
 
   EXPECT_TRUE(ev.violations.empty());
   EXPECT_TRUE(ref.violations.empty());
@@ -239,14 +244,6 @@ TEST(EventCore, EventQueueOrdersByRoundThenKindThenPayload) {
   EXPECT_EQ(q.pop().payload, 2u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_round(), EventQueue::npos);
-}
-
-TEST(EventCore, ParseSimCoreRoundTrips) {
-  EXPECT_EQ(parse_sim_core("reference"), SimCore::kReference);
-  EXPECT_EQ(parse_sim_core("event"), SimCore::kEvent);
-  EXPECT_STREQ(sim_core_name(SimCore::kEvent), "event");
-  EXPECT_STREQ(sim_core_name(SimCore::kReference), "reference");
-  EXPECT_THROW((void)parse_sim_core("warp"), common::ConfigError);
 }
 
 }  // namespace

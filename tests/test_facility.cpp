@@ -86,9 +86,10 @@ void expect_bitwise_across_worker_counts(std::size_t nodes) {
 }
 
 TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
-  // The node advance claims 16-node chunks: 16 nodes run it on one
-  // thread, 64 spread it over several, so only the larger facility lets
-  // TSan see a write to shared state from inside that loop.
+  // The event core's crew claims one chunk of up to 128 nodes per
+  // island: 16 nodes over 2 islands and 64 over 2 both make 2 chunks,
+  // so each input advances on two threads and TSan sees any write to
+  // shared state from inside that loop.
   expect_bitwise_across_worker_counts(16);
   expect_bitwise_across_worker_counts(64);
 }

@@ -191,10 +191,10 @@ TEST(LintDeep, SubsumedIterationRuleKeepsItsId) {
 
 namespace mutant {
 
-// A miniature of sim/facility.cpp's round loop: per-slot readings are
-// written from the parallel region, then merged serially. `serial`
-// toggles whether the merge stays outside the region (shipped shape)
-// or is hoisted into it (the mutant the annotation must catch).
+// A miniature of a facility round: per-slot readings are written from
+// the parallel region, then merged serially. `serial` toggles whether
+// the merge stays outside the region (the event core's shape) or is
+// hoisted into it (the mutant the annotation must catch).
 std::string facility_round(bool serial) {
   const std::string merge =
       "    readings[g] = slots[g];\n"

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,6 +68,47 @@ TEST(ParallelFor, ResultsIndependentOfJobCount) {
     return out;
   };
   EXPECT_EQ(compute(1), compute(4));
+}
+
+TEST(Crew, ReusedAcrossRunsCoversEachIndexOncePerRun) {
+  Crew crew(4);
+  for (const std::size_t n : {std::size_t{1000}, std::size_t{3},
+                              std::size_t{0}, std::size_t{257}}) {
+    std::vector<std::atomic<int>> hits(n);
+    crew.run(n, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n " << n << ", index " << i;
+    }
+  }
+}
+
+TEST(Crew, ThrowingRunRethrowsAndLeavesNoStaleError) {
+  Crew crew(4);
+  EXPECT_THROW(crew.run(100,
+                        [](std::size_t i) {
+                          if (i == 17) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  std::atomic<std::size_t> calls{0};
+  EXPECT_NO_THROW(crew.run(64, [&](std::size_t) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+  }));
+  EXPECT_EQ(calls.load(), 64u);
+}
+
+TEST(Crew, OneThreadRunsInOrderOnTheCaller) {
+  Crew crew(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  crew.run(6, [&](std::size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(on_caller);
 }
 
 }  // namespace

@@ -22,11 +22,12 @@
 // All run/sweep commands accept --jobs N (0 = all cores); the
 // EAR_SIM_JOBS environment variable sets the default. Results are
 // bitwise independent of the job count.
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/args.hpp"
 #include "common/error.hpp"
@@ -69,13 +70,9 @@ int usage() {
       "        (also spelled: ear_sim --chaos --faults PLAN)\n"
       "  facility [--nodes N] [--islands K] [--job-count J] [--budget W]\n"
       "        [--seed S] [--round S] [--faults PLAN] [--no-backfill]\n"
-      "        [--jobs N] [--check] [--core reference|event|both]\n"
-      "        [--dither P]\n"
+      "        [--jobs N] [--check]\n"
       "        heterogeneous islands + job queue + EARGM federation\n"
-      "        (--budget 0 = uncapped; --check fails on violations;\n"
-      "         --core event = event-driven sharded engine, both = run\n"
-      "         the two engines and diff them — bitwise when --dither 0;\n"
-      "         --dither sets the UFS dither probability)\n"
+      "        (--budget 0 = uncapped; --check fails on violations)\n"
       "  serve --spec FILE --store DIR [--jobs N] [--fresh]\n"
       "        [--halt-after N] [--slot-delay-ms MS]\n"
       "        crash-safe sweep service: run the spec's grid into a\n"
@@ -316,6 +313,16 @@ int cmd_chaos(const common::ArgParser& args) {
 }
 
 int cmd_facility(const common::ArgParser& args) {
+  for (const std::string& name : args.option_names()) {
+    static const std::vector<std::string> known = {
+        "nodes", "islands", "job-count", "seed", "budget", "round",
+        "faults", "no-backfill", "jobs", "check"};
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "ear_sim facility: unknown option --%s\n",
+                   name.c_str());
+      return usage();
+    }
+  }
   const auto nodes =
       static_cast<std::size_t>(args.get("nodes", std::int64_t{64}));
   const auto islands =
@@ -335,59 +342,15 @@ int cmd_facility(const common::ArgParser& args) {
   if (!plan_path.empty()) {
     cfg.fault_plan = faults::load_fault_plan(plan_path);
   }
-  cfg.ufs.dither_probability =
-      args.get("dither", cfg.ufs.dither_probability);
-
-  const std::string core = args.get("core", std::string("reference"));
-  if (core == "both") {
-    // In-process differential: the reference loop is the executable
-    // spec; with the dither gate closed the event core must match it
-    // bitwise, otherwise within the documented tolerance.
-    sim::FacilityConfig ev_cfg = cfg;
-    ev_cfg.core = sim::SimCore::kEvent;
-    cfg.core = sim::SimCore::kReference;
-    const sim::FacilityResult ref = sim::run_facility(cfg);
-    const sim::FacilityResult ev = sim::run_facility(ev_cfg);
-    sim::print_facility_report(ref);
-    const bool bitwise = cfg.ufs.dither_probability == 0.0;
-    double worst_rel = 0.0;
-    std::size_t mismatches = 0;
-    for (std::size_t j = 0; j < ref.jobs.size(); ++j) {
-      const double a = ev.jobs[j].energy_j;
-      const double b = ref.jobs[j].energy_j;
-      if (b != 0.0) worst_rel = std::max(worst_rel, std::fabs(a - b) /
-                                                        std::fabs(b));
-      if (a != b || ev.jobs[j].end_s != ref.jobs[j].end_s) ++mismatches;
-    }
-    const bool rounds_equal = ev.rounds == ref.rounds;
-    const bool energy_equal =
-        ev.facility_energy_j == ref.facility_energy_j;
-    const bool ok = bitwise
-                        ? (mismatches == 0 && rounds_equal && energy_equal)
-                        : worst_rel <= 0.02;
-    std::printf(
-        "event-vs-reference: %zu/%zu jobs %s, rounds %zu vs %zu, "
-        "facility energy rel diff %.3e, worst job rel diff %.3e -> %s\n",
-        ref.jobs.size() - mismatches, ref.jobs.size(),
-        bitwise ? "bitwise-equal" : "compared", ev.rounds, ref.rounds,
-        ref.facility_energy_j != 0.0
-            ? std::fabs(ev.facility_energy_j - ref.facility_energy_j) /
-                  std::fabs(ref.facility_energy_j)
-            : 0.0,
-        worst_rel, ok ? "OK" : "DIVERGED");
-    if (args.flag("check") && (!ok || !ref.violations.empty())) return 1;
-    return 0;
-  }
-  cfg.core = sim::parse_sim_core(core);
 
   const sim::FacilityResult result = sim::run_facility(cfg);
   sim::print_facility_report(result);
   std::printf("%s: %zu jobs over %zu nodes in %zu islands, %zu rounds, "
-              "%zu invariant violation(s) [%s core]\n",
+              "%zu invariant violation(s)\n",
               result.violations.empty() ? "facility campaign clean"
                                         : "FACILITY FAILURE",
               result.jobs.size(), nodes, islands, result.rounds,
-              result.violations.size(), sim::sim_core_name(cfg.core));
+              result.violations.size());
   if (args.flag("check") && !result.violations.empty()) return 1;
   return 0;
 }
