@@ -81,30 +81,3 @@ namespace detail {
 #define EAR_UNREACHABLE(msg)                                              \
   ::ear::common::detail::contract_failed("unreachable", "control reached", \
                                          __FILE__, __LINE__, (msg))
-
-// ---------------------------------------------------------------------------
-// Shard-ownership annotations (checked by `ear_lint --deep`).
-//
-// These expand to nothing — they are declarations of concurrency
-// discipline, placed immediately before a variable declaration, that
-// the whole-program shard-ownership pass enforces statically:
-//
-//   EAR_SHARD_LOCAL      per-slot ownership: inside a parallel region
-//                        the variable may only be mutated through a
-//                        subscript (each task owns its own slot), never
-//                        as a whole container.
-//   EAR_GUARDED_BY(mu)   mutations inside a parallel region must be
-//                        lexically covered by a lock_guard/unique_lock/
-//                        scoped_lock on `mu`.
-//   EAR_REDUCED_SERIAL   never mutated inside a parallel region; the
-//                        reduction/merge happens serially after the
-//                        parallel phase, which is what keeps it bitwise
-//                        deterministic.
-//
-// Keeping them as real macros (not comments) means the annotation is a
-// token the linter sees after preprocessing-agnostic tokenisation, and
-// that the compiler verifies the spelling exists.
-// ---------------------------------------------------------------------------
-#define EAR_SHARD_LOCAL
-#define EAR_GUARDED_BY(mu)
-#define EAR_REDUCED_SERIAL

@@ -25,7 +25,6 @@
 #include <span>
 #include <vector>
 
-#include "common/contracts.hpp"
 #include "eargm/eargm.hpp"
 
 namespace ear::eargm {
@@ -104,8 +103,8 @@ class FederatedEargm {
   // The cap re-split is a serial reduction over the islands' last-known
   // aggregates; neither vector may be touched from a parallel region
   // (facility rounds fan node stepping out over a pool).
-  EAR_REDUCED_SERIAL std::vector<double> budgets_w_;
-  EAR_REDUCED_SERIAL std::vector<double> last_known_island_w_;
+  std::vector<double> budgets_w_;
+  std::vector<double> last_known_island_w_;
   std::size_t total_nodes_ = 0;
   double facility_w_ = 0.0;
   std::size_t redists_ = 0;

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <utility>
 
-#include "common/contracts.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 
@@ -57,12 +56,11 @@ const std::vector<CampaignResult>& Campaign::run() {
   std::vector<Task> tasks;
   // Each worker writes exactly its own (point, run) slot; anything
   // cross-slot (run_seconds) goes under `mu`.
-  EAR_SHARD_LOCAL std::vector<std::vector<RunResult>> slots(points_.size());
-  EAR_SHARD_LOCAL std::vector<std::vector<std::string>> error_slots(
-      points_.size());
+  std::vector<std::vector<RunResult>> slots(points_.size());
+  std::vector<std::vector<std::string>> error_slots(points_.size());
   // 1 = the slot's result is valid (preloaded or computed this run()).
   // Workers only ever touch their own (point, run) element.
-  EAR_SHARD_LOCAL std::vector<std::vector<char>> done(points_.size());
+  std::vector<std::vector<char>> done(points_.size());
   for (std::size_t p = 0; p < points_.size(); ++p) {
     slots[p].resize(points_[p].runs);
     error_slots[p].resize(points_[p].runs);
@@ -102,7 +100,7 @@ const std::vector<CampaignResult>& Campaign::run() {
               return a.run < b.run;
             });
 
-  EAR_GUARDED_BY(mu) std::vector<double> run_seconds(points_.size(), 0.0);
+  std::vector<double> run_seconds(points_.size(), 0.0);
   std::vector<std::atomic<std::size_t>> remaining(points_.size());
   for (std::size_t p = 0; p < points_.size(); ++p) {
     remaining[p].store(points_[p].runs, std::memory_order_relaxed);

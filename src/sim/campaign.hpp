@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/contracts.hpp"
 #include "common/stats.hpp"
 #include "sim/runner.hpp"
 
@@ -139,7 +138,7 @@ class Campaign {
   std::vector<Preloaded> preloaded_;
   // Filled by the serial run-index-order reduction after the pool
   // drains; never touched from the parallel phase.
-  EAR_REDUCED_SERIAL std::vector<CampaignResult> results_;
+  std::vector<CampaignResult> results_;
   double wall_s_ = 0.0;
   bool interrupted_ = false;
 };

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/contracts.hpp"
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -178,7 +178,7 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
 
   // Serial cross-shard state: the readings buffer and the fault stream
   // are reduced/drawn in shard-index order at barrier merges only.
-  EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
+  std::vector<double> readings(total_nodes, 0.0);
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
   // The window each chunk advances through is published to the crew by

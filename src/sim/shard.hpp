@@ -33,7 +33,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/contracts.hpp"
 #include "common/units.hpp"
 #include "simhw/cluster.hpp"
 #include "simhw/demand.hpp"
@@ -110,25 +109,25 @@ struct Shard {
   std::size_t window_first_round = 0;
   std::size_t window_rounds = 0;
 
-  EAR_SHARD_LOCAL std::vector<NodeSlot> slots;
+  std::vector<NodeSlot> slots;
   /// Round in which each node drained its current job (kNoRound while
   /// work remains); reset at admission.
-  EAR_SHARD_LOCAL std::vector<std::size_t> done_round;
+  std::vector<std::size_t> done_round;
   /// Running jobs whose completion event is not yet posted.
-  EAR_SHARD_LOCAL std::vector<ShardJob> jobs;
+  std::vector<ShardJob> jobs;
   /// Phase-change events (exact completion rounds) for the merge.
-  EAR_SHARD_LOCAL EventQueue events;
+  EventQueue events;
   /// Per-(window round, local node) INM energy / clock snapshots: the
   /// serial merge replays readings and completions from these, so a
   /// mid-window termination never observes over-advanced node state.
-  EAR_SHARD_LOCAL std::vector<double> win_inm_j;
-  EAR_SHARD_LOCAL std::vector<double> win_clock_s;
+  std::vector<double> win_inm_j;
+  std::vector<double> win_clock_s;
   /// Per-(window round, local node) power readings, computed inside the
   /// parallel phase with the reference loop's exact arithmetic
   /// (delta-energy over delta-clock against the previous round, holding
   /// the last finite reading when the clock did not move). The serial
   /// merge only loads and sums these, keeping the barrier O(nodes) adds.
-  EAR_SHARD_LOCAL std::vector<double> win_reading_w;
+  std::vector<double> win_reading_w;
 
   /// Reset slots' prev-energy/clock bookkeeping to the snapshots of
   /// window round `w` — used when termination lands mid-window, so the

@@ -1,11 +1,16 @@
 // Chaos-mode acceptance tests: an unarmed fault layer is invisible, the
-// fault timeline is deterministic and job-count-independent, the policy
-// matrix survives a multi-family plan with zero invariant violations, and
-// a mid-run register lock degrades cleanly with a bounded time penalty.
+// fault timeline is deterministic, job-count-independent and
+// independent of the thread that runs it, the policy matrix survives a
+// multi-family plan with zero invariant violations, and a mid-run
+// register lock degrades cleanly with a bounded time penalty.
 #include "sim/chaos.hpp"
 
+#include <cstddef>
+#include <latch>
 #include <memory>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +74,37 @@ TEST(Chaos, FaultTimelineIsDeterministic) {
   EXPECT_EQ(a.fault_events, b.fault_events);
   EXPECT_EQ(a.total_time_s, b.total_time_s);
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);
+}
+
+TEST(Chaos, RunIndependentOfCallingThread) {
+  // No seed or draw may depend on which thread runs the experiment. The
+  // worker-count test below cannot show that on its own: the crew may
+  // hand every task to the calling thread. Here four threads, all live
+  // at once (so their ids differ), run the config the test thread ran.
+  ExperimentConfig cfg{.app = workload::make_app("bqcd"),
+                       .earl = settings_me_eufs(),
+                       .seed = 7};
+  cfg.fault_plan = mixed_plan();
+  const RunResult here = run_experiment(cfg);
+
+  std::vector<RunResult> elsewhere(4);
+  std::latch all_started(static_cast<std::ptrdiff_t>(elsewhere.size()));
+  std::vector<std::thread> threads;
+  for (RunResult& r : elsewhere) {
+    threads.emplace_back([&cfg, &r, &all_started] {
+      all_started.arrive_and_wait();
+      r = run_experiment(cfg);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_GT(here.fault_report.injected(), 0u);
+  for (const RunResult& r : elsewhere) {
+    EXPECT_TRUE(here.fault_report == r.fault_report);
+    EXPECT_EQ(here.fault_events, r.fault_events);
+    EXPECT_EQ(here.total_time_s, r.total_time_s);
+    EXPECT_EQ(here.total_energy_j, r.total_energy_j);
+  }
 }
 
 TEST(Chaos, ReportIndependentOfWorkerThreadCount) {

@@ -1,35 +1,12 @@
 #include "lint/findings.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 
 namespace lint {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void sort_findings(std::vector<Finding>* findings) {
   std::stable_sort(findings->begin(), findings->end(),
@@ -91,89 +68,21 @@ void print_text_finding(const Finding& f) {
                f.rule.c_str(), f.message.c_str());
 }
 
-void print_json_finding(const Finding& f) {
-  std::printf("{\"file\":\"%s\",\"rule\":\"%s\",\"line\":%zu,"
-              "\"message\":\"%s\"}\n",
-              json_escape(f.file).c_str(), json_escape(f.rule).c_str(),
-              f.line, json_escape(f.message).c_str());
-}
-
-bool write_sarif(const std::string& path, const std::vector<Finding>& findings,
-                 std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot open SARIF output: " + path;
-    return false;
-  }
-  // Rule table first, in first-seen order, so results can reference
-  // rules by index.
-  std::vector<std::string> rules;
-  std::map<std::string, std::size_t> rule_index;
-  for (const Finding& f : findings) {
-    if (rule_index.emplace(f.rule, rules.size()).second) {
-      rules.push_back(f.rule);
-    }
-  }
-  out << "{\n"
-      << "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [{\n"
-      << "    \"tool\": {\"driver\": {\n"
-      << "      \"name\": \"ear_lint\",\n"
-      << "      \"informationUri\": "
-         "\"https://github.com/ear-eufs/ear-eufs\",\n"
-      << "      \"rules\": [";
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    out << (i ? "," : "") << "\n        {\"id\": \"" << json_escape(rules[i])
-        << "\"}";
-  }
-  out << (rules.empty() ? "" : "\n      ") << "]\n"
-      << "    }},\n"
-      << "    \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    out << (i ? "," : "") << "\n      {\n"
-        << "        \"ruleId\": \"" << json_escape(f.rule) << "\",\n"
-        << "        \"ruleIndex\": " << rule_index[f.rule] << ",\n"
-        << "        \"level\": \"error\",\n"
-        << "        \"message\": {\"text\": \"" << json_escape(f.message)
-        << "\"},\n"
-        << "        \"locations\": [{\"physicalLocation\": {\n"
-        << "          \"artifactLocation\": {\"uri\": \""
-        << json_escape(f.file) << "\"},\n"
-        << "          \"region\": {\"startLine\": "
-        << (f.line == 0 ? 1 : f.line) << "}\n"
-        << "        }}]\n"
-        << "      }";
-  }
-  out << (findings.empty() ? "" : "\n    ") << "]\n"
-      << "  }]\n"
-      << "}\n";
-  if (!out) {
-    *error = "write failed: " + path;
-    return false;
-  }
-  return true;
-}
-
 std::size_t check_expectations(const SourceFile& file,
-                               const std::vector<Finding>& findings,
-                               const std::vector<std::string>& tags) {
+                               const std::vector<Finding>& findings) {
+  static const std::string kTag = "LINT-EXPECT:";
   std::multiset<std::pair<std::size_t, std::string>> expected;
-  const auto collect = [&](const std::string& tag) {
-    for (std::size_t i = 0; i < file.raw_lines.size(); ++i) {
-      const std::string& raw = file.raw_lines[i];
-      std::size_t pos = 0;
-      while ((pos = raw.find(tag, pos)) != std::string::npos) {
-        pos += tag.size();
-        std::istringstream rules(raw.substr(pos));
-        std::string rule;
-        rules >> rule;
-        if (!rule.empty()) expected.insert({i + 1, rule});
-      }
+  for (std::size_t i = 0; i < file.raw_lines.size(); ++i) {
+    const std::string& raw = file.raw_lines[i];
+    std::size_t pos = 0;
+    while ((pos = raw.find(kTag, pos)) != std::string::npos) {
+      pos += kTag.size();
+      std::istringstream rules(raw.substr(pos));
+      std::string rule;
+      rules >> rule;
+      if (!rule.empty()) expected.insert({i + 1, rule});
     }
-  };
-  for (const std::string& tag : tags) collect(tag);
+  }
   std::size_t mismatches = 0;
   for (const Finding& f : findings) {
     if (f.file != file.rel) continue;

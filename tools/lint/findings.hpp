@@ -1,19 +1,13 @@
-// ear_lint finding pipeline: the allowlist, the output formats and the
+// ear_lint finding pipeline: the allowlist, the text report and the
 // LINT-EXPECT self-test comparison.
 //
 // Suppressions live in an explicit allowlist file (one
 // `path:rule[:substring]` per line); an allowlist entry that no longer
 // matches anything is itself an error, so suppressions cannot outlive
-// the code they excuse. Entries for the interprocedural (--deep) rules
-// are exempt from staleness in shallow runs, which never fire them.
-//
-// Output formats: human text (stderr), one JSON object per finding line
-// (--json, stdout) and SARIF 2.1.0 (--sarif FILE) for code-scanning
-// upload.
+// the code they excuse.
 #pragma once
 
 #include <cstddef>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -48,23 +42,13 @@ bool parse_allowlist(const std::string& path, std::vector<AllowEntry>* out,
 bool allowed(const Finding& f, const std::string& raw_line,
              std::vector<AllowEntry>* allow);
 
+/// One finding as `file:line: [rule] message` on stderr.
 void print_text_finding(const Finding& f);
-void print_json_finding(const Finding& f);
 
-/// Write all findings as a SARIF 2.1.0 log to `path`. Returns false and
-/// sets `error` on I/O failure.
-bool write_sarif(const std::string& path, const std::vector<Finding>& findings,
-                 std::string* error);
-
-/// Compare findings against the expectation annotations in `file`.
-/// `tags` lists the annotation markers to honour — always
-/// "LINT-EXPECT:", plus "LINT-EXPECT-DEEP:" when the deep passes ran, so
-/// their fixtures stay quiet under shallow self-tests. ("LINT-EXPECT:"
-/// is not a prefix of "LINT-EXPECT-DEEP:": the hyphen breaks the match,
-/// so tags never double-count.) Reports mismatches to stderr; returns
-/// their count (unexpected + missed).
+/// Compare findings against the `LINT-EXPECT: <rule>` annotations in
+/// `file`. Reports mismatches to stderr; returns their count
+/// (unexpected + missed).
 std::size_t check_expectations(const SourceFile& file,
-                               const std::vector<Finding>& findings,
-                               const std::vector<std::string>& tags);
+                               const std::vector<Finding>& findings);
 
 }  // namespace lint

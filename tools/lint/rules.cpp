@@ -43,8 +43,10 @@ bool io_layer_file(const std::string& rel) {
   return rel.rfind("common/log", 0) == 0 || rel.rfind("common/table", 0) == 0;
 }
 
-}  // namespace
-
+/// nondet-iteration: pass 1 collects names declared (anywhere in this
+/// file) with an unordered_{map,set} type; pass 2 walks every range-for
+/// over one and inspects the loop body's token stream for an
+/// accumulator or an append.
 void scan_nondet_iteration(const std::string& rel,
                            const std::vector<Token>& t,
                            std::vector<Finding>* findings) {
@@ -150,8 +152,9 @@ void scan_hot_string_map(const std::string& rel,
   }
 }
 
-void scan_file(const SourceFile& file, const RuleOptions& opts,
-               std::vector<Finding>* findings) {
+}  // namespace
+
+void scan_file(const SourceFile& file, std::vector<Finding>* findings) {
   const std::string& rel = file.rel;
   const bool is_header = file.is_header();
   const std::vector<std::string> lines = split_lines(file.stripped);
@@ -219,9 +222,7 @@ void scan_file(const SourceFile& file, const RuleOptions& opts,
   }
 
   // The dataflow rules walk the token stream of the whole file.
-  if (!opts.skip_nondet_iteration) {
-    scan_nondet_iteration(rel, file.tokens, findings);
-  }
+  scan_nondet_iteration(rel, file.tokens, findings);
   scan_hot_string_map(rel, file.tokens, findings);
   std::stable_sort(findings->begin(), findings->end(),
                    [](const Finding& a, const Finding& b) {

@@ -1,4 +1,7 @@
-// ear_lint per-file rules — the v2 rule set plus raw-power-scalar.
+// ear_lint rules. Each one sees a single file: a rule that needs a
+// second translation unit to decide is a job for the tests and the
+// sanitizer builds (docs/development.md, "Lint audit by planted
+// mutants").
 //
 // Regex line rules (comment-stripped lines):
 //   raw-freq-api     Frequency-valued scalars (identifiers ending in
@@ -23,9 +26,7 @@
 //
 // Token dataflow rules (shapes that span lines):
 //   nondet-iteration Range-for over an unordered_{map,set} whose body
-//                    feeds an accumulator or sequence. Skipped in deep
-//                    mode, where the interprocedural nondet-taint pass
-//                    subsumes it.
+//                    feeds an accumulator or sequence.
 //   hot-path-string-map
 //                    std::map/std::unordered_map keyed by std::string in
 //                    the hot simulation layers (sim/, dynais/).
@@ -38,26 +39,8 @@
 
 namespace lint {
 
-struct RuleOptions {
-  /// Deep mode: the taint pass subsumes nondet-iteration, so the
-  /// intraprocedural rule stays quiet to avoid double-reporting.
-  bool skip_nondet_iteration = false;
-};
-
 /// Run every per-file rule over `file`, appending findings (sorted by
 /// line before returning).
-void scan_file(const SourceFile& file, const RuleOptions& opts,
-               std::vector<Finding>* findings);
-
-/// The intraprocedural nondet-iteration scan: range-for over an
-/// unordered container whose body accumulates or appends. Pass 1
-/// collects names declared (anywhere in this file) with an
-/// unordered_{map,set} type; pass 2 walks every range-for and inspects
-/// the loop body's token stream. Exposed so the deep taint pass can
-/// subsume the rule: it re-emits these findings under the same id and
-/// treats the enclosing functions as nondeterminism sources.
-void scan_nondet_iteration(const std::string& rel,
-                           const std::vector<Token>& t,
-                           std::vector<Finding>* findings);
+void scan_file(const SourceFile& file, std::vector<Finding>* findings);
 
 }  // namespace lint

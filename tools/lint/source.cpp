@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
+#include <utility>
 
 namespace fs = std::filesystem;
 
@@ -22,47 +22,13 @@ bool lintable(const fs::path& p) {
   return ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc";
 }
 
-const std::regex kLocalInclude(R"re(#\s*include\s*"([^"]+)")re");
-
 }  // namespace
 
 bool SourceFile::is_header() const {
   return has_suffix(rel, ".hpp") || has_suffix(rel, ".h");
 }
 
-SourceFile Program::make_file(std::string rel, std::string text) {
-  SourceFile f;
-  f.rel = std::move(rel);
-  f.text = std::move(text);
-  f.raw_lines = split_lines(f.text);
-  f.stripped = strip_comments_and_strings(f.text);
-  f.tokens = tokenize(f.stripped);
-  // Quoted includes come from the *raw* lines (the stripper blanks
-  // string contents) but are gated on the stripped line so a
-  // commented-out include contributes no edge.
-  const std::vector<std::string> stripped_lines = split_lines(f.stripped);
-  for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
-    std::smatch m;
-    if (stripped_lines[i].find("include") == std::string::npos) continue;
-    if (i < f.raw_lines.size() &&
-        std::regex_search(f.raw_lines[i], m, kLocalInclude)) {
-      f.includes.push_back(m[1].str());
-    }
-  }
-  return f;
-}
-
-Program Program::from_memory(
-    std::vector<std::pair<std::string, std::string>> files) {
-  Program p;
-  for (auto& [rel, text] : files) {
-    p.files_.push_back(make_file(std::move(rel), std::move(text)));
-  }
-  p.finalize();
-  return p;
-}
-
-Program Program::from_directory(const std::string& root) {
+std::vector<SourceFile> load_sources(const std::string& root) {
   std::vector<fs::path> paths;
   for (const auto& entry : fs::recursive_directory_iterator(root)) {
     if (entry.is_regular_file() && lintable(entry.path()))
@@ -70,57 +36,20 @@ Program Program::from_directory(const std::string& root) {
   }
   std::sort(paths.begin(), paths.end());
 
-  Program p;
+  std::vector<SourceFile> files;
   for (const fs::path& path : paths) {
     std::ifstream in(path);
     std::ostringstream buf;
     buf << in.rdbuf();
-    p.files_.push_back(
-        make_file(fs::relative(path, root).generic_string(), buf.str()));
+    const std::string text = buf.str();
+    SourceFile f;
+    f.rel = fs::relative(path, root).generic_string();
+    f.raw_lines = split_lines(text);
+    f.stripped = strip_comments_and_strings(text);
+    f.tokens = tokenize(f.stripped);
+    files.push_back(std::move(f));
   }
-  p.finalize();
-  return p;
-}
-
-void Program::finalize() {
-  // Direct edges: a written include "a/b.hpp" matches the program file
-  // whose rel path equals it or ends with "/"+it (roots are scanned from
-  // the include search directory, so equality is the common case).
-  const std::size_t n = files_.size();
-  std::vector<std::vector<std::size_t>> direct(n);
-  for (std::size_t f = 0; f < n; ++f) {
-    for (const std::string& inc : files_[f].includes) {
-      for (std::size_t g = 0; g < n; ++g) {
-        if (g == f) continue;
-        const std::string& rel = files_[g].rel;
-        if (rel == inc || has_suffix(rel, "/" + inc)) {
-          direct[f].push_back(g);
-        }
-      }
-    }
-  }
-  // Transitive closure by BFS per file (the file sets are small — a few
-  // hundred files — so the quadratic worst case is irrelevant).
-  visible_.assign(n, {});
-  for (std::size_t f = 0; f < n; ++f) {
-    std::vector<char> seen(n, 0);
-    std::vector<std::size_t> stack(direct[f]);
-    while (!stack.empty()) {
-      const std::size_t g = stack.back();
-      stack.pop_back();
-      if (seen[g] || g == f) continue;
-      seen[g] = 1;
-      visible_[f].push_back(g);
-      for (std::size_t h : direct[g]) stack.push_back(h);
-    }
-    std::sort(visible_[f].begin(), visible_[f].end());
-  }
-}
-
-bool Program::is_visible(std::size_t from, std::size_t target) const {
-  if (from == target) return true;
-  const auto& v = visible_[from];
-  return std::binary_search(v.begin(), v.end(), target);
+  return files;
 }
 
 }  // namespace lint

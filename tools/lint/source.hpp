@@ -1,16 +1,9 @@
-// ear_lint source layer: the scanned file set and its include graph.
+// ear_lint source layer: the scanned file set.
 //
-// The whole-program passes need more than one file at a time: a
-// Program owns every lintable file under the scan roots, pre-stripped
-// and pre-tokenized, plus the quoted-include graph between them. The
-// include closure is what makes cross-TU reasoning *header-aware*: a
-// call in b.cpp only resolves to a definition in a.cpp when a
-// declaration for it is visible to b.cpp through its includes (or the
-// definition itself is) — without that gate, same-named functions in
-// unrelated TUs would alias and the call graph would over-approximate.
+// Every rule is per-file, so a scan root loads into a flat list of
+// files, each pre-stripped and pre-tokenized once for all the rules.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -20,45 +13,15 @@ namespace lint {
 
 struct SourceFile {
   std::string rel;   // path relative to the scan root (generic slashes)
-  std::string text;  // raw contents
   std::vector<std::string> raw_lines;
   std::string stripped;
   std::vector<Token> tokens;
-  /// Quoted include paths exactly as written in the file.
-  std::vector<std::string> includes;
 
   [[nodiscard]] bool is_header() const;
 };
 
-class Program {
- public:
-  /// Pre-process one file (strip, tokenize, collect quoted includes).
-  static SourceFile make_file(std::string rel, std::string text);
-
-  /// Build from (rel path, text) pairs — the in-memory path used by the
-  /// unit tests and the mutant fixtures.
-  static Program from_memory(
-      std::vector<std::pair<std::string, std::string>> files);
-
-  /// Load every lintable file (.hpp/.h/.cpp/.cc) under `root`,
-  /// deterministically sorted by relative path.
-  static Program from_directory(const std::string& root);
-
-  [[nodiscard]] const std::vector<SourceFile>& files() const {
-    return files_;
-  }
-  /// Transitive quoted-include closure: indices of files visible to
-  /// files()[f] (not including f itself).
-  [[nodiscard]] const std::vector<std::size_t>& visible(std::size_t f) const {
-    return visible_[f];
-  }
-  [[nodiscard]] bool is_visible(std::size_t from, std::size_t target) const;
-
- private:
-  void finalize();  // resolve includes and compute the closure
-
-  std::vector<SourceFile> files_;
-  std::vector<std::vector<std::size_t>> visible_;
-};
+/// Load every lintable file (.hpp/.h/.cpp/.cc) under `root`,
+/// deterministically sorted by relative path.
+[[nodiscard]] std::vector<SourceFile> load_sources(const std::string& root);
 
 }  // namespace lint
