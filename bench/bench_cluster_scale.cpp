@@ -9,6 +9,10 @@
 //                       [--event-diff] [--diff-out FILE.json]
 //
 // --out writes a CSV report (the CI facility-smoke job uploads it).
+// The peak RSS column (peak_rss_mb in the CSV) is getrusage's
+// process-lifetime high-water mark after each size, so list --nodes in
+// ascending order: a row then reports its own size's peak, not an
+// earlier, larger one's.
 // --event-diff appends the event-vs-reference sweep: for every size the
 // facility runs single-threaded on the event core and on the reference
 // loop, the test oracle (speedup is the wall-clock ratio, so the machine
@@ -24,6 +28,8 @@
 //
 // Exits 1 when any run reports a violation or the differential fails.
 #include "bench_util.hpp"
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
@@ -101,6 +107,14 @@ std::size_t report_violations(const ear::sim::FacilityResult& r,
   return r.violations.size();
 }
 
+/// Peak resident set of the process so far, in MB (getrusage reports
+/// KB on Linux).
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 double rel_diff(double a, double b) {
   return b != 0.0 ? std::fabs(a - b) / std::fabs(b) : std::fabs(a);
 }
@@ -130,14 +144,14 @@ int main(int argc, char** argv) {
   table.columns({"nodes", "islands", "jobs", "rounds", "makespan (s)",
                  "peak (kW)", "budget (kW)", "overrun rds", "worst over "
                  "(kW)", "mean wait (s)", "backfills", "wall (s)",
-                 "node-rounds/s", "violations"});
+                 "node-rounds/s", "peak RSS (MB)", "violations"});
   std::ofstream csv;
   if (!out_path.empty()) {
     csv.open(out_path);
     if (!csv) throw common::ConfigError("cannot open " + out_path);
     csv << "nodes,islands,jobs,rounds,makespan_s,peak_w,budget_w,"
            "overrun_rounds,worst_overrun_w,mean_wait_s,backfills,"
-           "wall_s,node_rounds_per_s,violations\n";
+           "wall_s,node_rounds_per_s,peak_rss_mb,violations\n";
   }
 
   std::size_t failures = 0;
@@ -158,6 +172,7 @@ int main(int argc, char** argv) {
     const double node_rounds =
         static_cast<double>(nodes) * static_cast<double>(r.rounds);
     const double throughput = wall > 0.0 ? node_rounds / wall : 0.0;
+    const double rss_mb = peak_rss_mb();
 
     table.add_row({std::to_string(nodes), std::to_string(islands),
                    std::to_string(r.jobs.size()), std::to_string(r.rounds),
@@ -170,6 +185,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.backfills),
                    common::AsciiTable::num(wall, 2),
                    common::AsciiTable::num(throughput, 0),
+                   common::AsciiTable::num(rss_mb, 1),
                    std::to_string(r.violations.size())});
     if (csv.is_open()) {
       csv << nodes << ',' << islands << ',' << r.jobs.size() << ','
@@ -177,7 +193,7 @@ int main(int argc, char** argv) {
           << r.budget_w << ',' << r.cap_overrun_rounds << ','
           << r.worst_overrun_w << ',' << r.mean_wait_s() << ','
           << r.backfills << ',' << wall << ',' << throughput << ','
-          << r.violations.size() << '\n';
+          << rss_mb << ',' << r.violations.size() << '\n';
     }
     failures += report_violations(r, "event", nodes);
   }

@@ -1,10 +1,16 @@
 #include "sim/facility.hpp"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,14 +46,65 @@ struct NodeChunk {
   std::size_t hi = 0;
 };
 
-/// Per-running-job bookkeeping (admission order).
+/// Per-running-job bookkeeping (admission order). The job's nodes point
+/// their slots at `demand`.
 struct RunningJob {
   std::size_t job = 0;
   std::size_t island = 0;
   std::vector<std::size_t> local_nodes;
+  simhw::WorkDemand demand{};
   double start_inm_j = 0.0;
   bool live = false;
 };
+
+/// Most bytes one facility node can cost: its hardware, daemon and slot,
+/// its done round and reading, and a worst-case window of snapshot
+/// columns (INM energy, clock and reading per round).
+constexpr std::uint64_t kBytesPerNode =
+    sizeof(simhw::SimNode) + sizeof(NodeSlot) + sizeof(eard::NodeDaemon) +
+    sizeof(std::size_t) + sizeof(double) + 3 * kMaxWindow * sizeof(double);
+
+/// Memory a run may use: physical memory, lowered by any finite
+/// address-space or data-segment soft limit.
+std::uint64_t memory_limit_bytes() {
+  std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = sysconf(_SC_PAGE_SIZE);
+  if (pages > 0 && page_bytes > 0) {
+    limit = static_cast<std::uint64_t>(pages) *
+            static_cast<std::uint64_t>(page_bytes);
+  }
+  for (const int resource : {RLIMIT_AS, RLIMIT_DATA}) {
+    rlimit rl{};
+    if (getrlimit(resource, &rl) == 0 && rl.rlim_cur != RLIM_INFINITY) {
+      limit = std::min<std::uint64_t>(limit, rl.rlim_cur);
+    }
+  }
+  return limit;
+}
+
+/// Refuse a facility whose nodes cannot fit in memory with a clear
+/// error, before anything is allocated per node, rather than leave it
+/// to the OOM killer. Overflow-safe: the node count saturates and the
+/// estimate is compared by division.
+void check_footprint(const FacilityConfig& cfg) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t nodes = 0;
+  for (const FacilityIsland& island : cfg.islands) {
+    nodes = island.nodes > kMax - nodes ? kMax : nodes + island.nodes;
+  }
+  const std::uint64_t limit = memory_limit_bytes();
+  if (nodes <= limit / kBytesPerNode) return;
+  constexpr double kGb = 1e9;
+  const double need_gb =
+      static_cast<double>(nodes) * static_cast<double>(kBytesPerNode) / kGb;
+  throw common::ConfigError(
+      "facility of " + std::to_string(nodes) + " nodes needs an estimated " +
+      common::AsciiTable::num(need_gb, 1) + " GB (" +
+      std::to_string(kBytesPerNode) + " B per node), above the " +
+      common::AsciiTable::num(static_cast<double>(limit) / kGb, 1) +
+      " GB memory limit");
+}
 
 /// First round whose start time r * round_s is at or after `s`.
 std::size_t round_at_or_after(double s, double round_s) {
@@ -61,6 +118,7 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
   EAR_CHECK_MSG(!cfg.islands.empty(), "facility needs at least one island");
   EAR_CHECK_MSG(cfg.round_s > 0.0, "control round must be positive");
   EAR_CHECK_MSG(cfg.max_sim_s > cfg.round_s, "max_sim_s too small");
+  check_footprint(cfg);
   const auto wall_t0 = std::chrono::steady_clock::now();
 
   // Hardware: one shard per island. Node streams are rooted at
@@ -203,7 +261,9 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
   std::size_t consecutive_over = 0;
   const double slack_w = cfg.budget.value * cfg.cap_slack_pct / 100.0;
 
-  std::vector<RunningJob> running;  // admission order
+  // Admission order. A deque, because slots point at the demands inside
+  // and push_back never moves existing elements.
+  std::deque<RunningJob> running;
   std::vector<std::size_t> job_running(queue.jobs().size(), kNoJob);
   std::size_t live_jobs = 0;
   bool finished = false;
@@ -234,19 +294,18 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
       workload::SyntheticSpec spec = job.work;
       spec.active_cores =
           std::min(spec.active_cores, node_cfg.total_cores());
-      const simhw::WorkDemand demand =
-          workload::make_demand(node_cfg, spec);
-
       Shard& sh = shards[start.island];
-      RunningJob rj{.job = start.job,
-                    .island = start.island,
-                    .local_nodes = std::move(start.local_nodes),
-                    .start_inm_j = 0.0,
-                    .live = true};
+      job_running[start.job] = running.size();
+      RunningJob& rj = running.emplace_back(
+          RunningJob{.job = start.job,
+                     .island = start.island,
+                     .local_nodes = std::move(start.local_nodes),
+                     .demand = workload::make_demand(node_cfg, spec),
+                     .start_inm_j = 0.0,
+                     .live = true});
       for (std::size_t local : rj.local_nodes) {
         NodeSlot& slot = sh.slots[local];
-        slot.job = start.job;
-        slot.demand = demand;
+        slot.demand = &rj.demand;
         slot.iters_left = spec.iterations;
         sh.done_round[local] = spec.iterations == 0 ? round : kNoRound;
         rj.start_inm_j += sh.cluster->node(local).inm().exact().value;
@@ -257,8 +316,6 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
       o.island = start.island;
       o.nodes = rj.local_nodes.size();
       o.start_s = now;
-      job_running[start.job] = running.size();
-      running.push_back(std::move(rj));
       ++live_jobs;
     }
 
@@ -392,7 +449,7 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
         double end_inm = 0.0;
         for (std::size_t local : rj.local_nodes) {
           end_inm += sh.win_inm_j[w * sh.size + local];
-          sh.slots[local].job = kNoJob;
+          sh.slots[local].demand = nullptr;
         }
         FacilityJobOutcome& o = out.jobs[rj.job];
         o.end_s = rend;

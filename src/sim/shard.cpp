@@ -60,12 +60,12 @@ void Shard::advance_nodes(std::size_t lo, std::size_t hi) {
       // round boundary and then sits out the following rounds, and
       // execute_stretch's hoisted setup is pure waste on those (~45% of
       // all node-rounds in the capped busy-regime bench).
-      if (slot.job != kNoJob && slot.iters_left > 0 &&
+      if (slot.demand != nullptr && slot.iters_left > 0 &&
           node.clock().value < round_end) {
         // One phase-stable stretch: closed-form governor integration in
         // place of the reference loop's iteration-at-a-time stepping.
         const simhw::StretchSummary s =
-            node.execute_stretch(slot.demand, slot.iters_left, round_end);
+            node.execute_stretch(*slot.demand, slot.iters_left, round_end);
         slot.iters_left -= s.iterations;
         if (slot.iters_left == 0) done_round[n] = window_first_round + w;
       }

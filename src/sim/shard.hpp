@@ -44,11 +44,11 @@ inline constexpr std::size_t kNoRound =
     std::numeric_limits<std::size_t>::max();
 
 /// Per-node execution/accounting state: the node's job, remaining work
-/// and power-reading bookkeeping (one array per shard; the reference loop
-/// in tests/oracles keeps one flat array).
+/// and power-reading bookkeeping (one array per shard).
 struct NodeSlot {
-  std::size_t job = kNoJob;
-  simhw::WorkDemand demand{};
+  /// The running job's demand, held once per job by the facility loop;
+  /// null while the node is free.
+  const simhw::WorkDemand* demand = nullptr;
   std::size_t iters_left = 0;
   double prev_inm_j = 0.0;
   double prev_clock_s = 0.0;

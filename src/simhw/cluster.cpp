@@ -1,6 +1,7 @@
 #include "simhw/cluster.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -10,10 +11,12 @@ namespace ear::simhw {
 Cluster::Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
                  NoiseModel noise, HwUfsParams ufs) {
   EAR_CHECK_MSG(count > 0, "a cluster needs at least one node");
+  const auto spec = std::make_shared<const NodeSpec>(
+      NodeSpec{.config = cfg, .noise = noise, .ufs = ufs});
   common::SplitMix64 seeder(seed);
   nodes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    nodes_.emplace_back(cfg, seeder.next(), noise, ufs);
+    nodes_.emplace_back(spec, seeder.next());
   }
 }
 

@@ -11,6 +11,8 @@ namespace ear::simhw {
 class Cluster {
  public:
   /// Build `count` nodes from the same config, independently seeded.
+  /// The config, noise model and UFS tuning are copied once into a
+  /// NodeSpec that every node shares.
   Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
           NoiseModel noise = {}, HwUfsParams ufs = {});
 

@@ -68,10 +68,14 @@ struct PowerModel {
   std::size_t gpu_count = 0;
 };
 
+/// Most sockets a simulated node may have. Per-socket state (MSR file,
+/// UFS loop, RAPL package counter) lives inline in arrays of this size.
+inline constexpr std::size_t kMaxSockets = 2;
+
 /// Complete static node description.
 struct NodeConfig {
   std::string name;
-  std::size_t sockets = 2;
+  std::size_t sockets = 2;  // 1..kMaxSockets
   std::size_t cores_per_socket = 20;
   PstateTable pstates;
   UncoreRange uncore;

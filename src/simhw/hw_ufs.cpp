@@ -61,20 +61,14 @@ Freq hw_ufs_steady_target(const NodeConfig& cfg, const HwUfsParams& params,
   return range.clamp(target);
 }
 
-HwUfsGovernor::HwUfsGovernor(const NodeConfig& cfg, HwUfsParams params,
-                             std::uint64_t seed)
-    : cfg_(&cfg), params_(params), rng_(seed), current_(cfg.uncore.max()) {}
+namespace {
 
-Freq HwUfsGovernor::evaluate(const UfsInputs& in,
-                             const UncoreRatioLimit& limit) {
-  evaluate_periods(in, limit, 1);
-  return current_;
-}
-
-UfsStretchSummary HwUfsGovernor::summarise(
-    const UfsInputs& in, const UncoreRatioLimit& limit) const {
-  const UncoreRange& range = cfg_->uncore;
-  const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
+/// The target, MSR window and dither gate every entry point shares.
+UfsStretchSummary summarise(const NodeConfig& cfg, const HwUfsParams& params,
+                            const UfsInputs& in,
+                            const UncoreRatioLimit& limit) {
+  const UncoreRange& range = cfg.uncore;
+  const Freq target = hw_ufs_steady_target(cfg, params, in);
 
   // Respect the MSR window (this is how explicit UFS overrides the loop).
   const Freq lo = range.clamp(limit.min_freq);
@@ -94,28 +88,35 @@ UfsStretchSummary HwUfsGovernor::summarise(
   // deterministic as the no-headroom case.
   UfsStretchSummary out;
   out.steady = window(target);
-  out.can_dither = target > range.min() && params_.dither_probability > 0.0;
+  out.can_dither = target > range.min() && params.dither_probability > 0.0;
   out.dithered =
       out.can_dither ? window(range.step_down(target)) : out.steady;
   return out;
 }
 
-std::uint64_t HwUfsGovernor::dither_threshold() const {
+/// A period dithers when its draw's top 53 bits are below this:
+/// ceil(p * 2^53), the integer form of `uniform() < p`. Only for an
+/// open gate (p > 0).
+std::uint64_t dither_threshold(const HwUfsParams& params) {
   // uniform() is k * 2^-53 with k the draw's top 53 bits, so uniform() < p
   // holds exactly when k < p * 2^53 (a power-of-two scaling, exact for
   // every p < 1), i.e. when k < ceil(p * 2^53). Every k passes once
   // p >= 1.
   constexpr double kSpan = 0x1p53;
-  const double p = params_.dither_probability;
+  const double p = params.dither_probability;
   return p >= 1.0 ? static_cast<std::uint64_t>(kSpan)
                   : static_cast<std::uint64_t>(std::ceil(p * kSpan));
 }
 
-double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
-                                       const UncoreRatioLimit& limit,
-                                       std::size_t periods) {
+}  // namespace
+
+double UfsLoopState::evaluate_periods(const NodeConfig& cfg,
+                                      const HwUfsParams& params,
+                                      const UfsInputs& in,
+                                      const UncoreRatioLimit& limit,
+                                      std::size_t periods) {
   if (periods == 0) return 0.0;
-  const UfsStretchSummary s = summarise(in, limit);
+  const UfsStretchSummary s = summarise(cfg, params, in, limit);
   const std::uint64_t steady_khz = s.steady.as_khz();
   // Every period adds at most steady_khz, so below 2^53 each partial sum
   // of a period-by-period double accumulation is an exact integer, and
@@ -127,7 +128,7 @@ double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
   std::uint64_t dithers = 0;
   current_ = s.steady;
   if (s.can_dither) {
-    const std::uint64_t threshold = dither_threshold();
+    const std::uint64_t threshold = dither_threshold(params);
     bool last = false;
     for (std::size_t i = 0; i < periods; ++i) {
       last = draw_dithers(threshold);
@@ -139,32 +140,36 @@ double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
                              (periods - dithers) * steady_khz);
 }
 
-void HwUfsGovernor::advance_periods(const UfsInputs& in,
-                                    const UncoreRatioLimit& limit,
-                                    std::size_t periods) {
+void UfsLoopState::advance_periods(const NodeConfig& cfg,
+                                   const HwUfsParams& params,
+                                   const UfsInputs& in,
+                                   const UncoreRatioLimit& limit,
+                                   std::size_t periods) {
   if (periods == 0) return;
-  const UfsStretchSummary s = summarise(in, limit);
+  const UfsStretchSummary s = summarise(cfg, params, in, limit);
   current_ = s.steady;
   if (!s.can_dither) return;
   rng_.discard(periods - 1);
-  if (draw_dithers(dither_threshold())) current_ = s.dithered;
+  if (draw_dithers(dither_threshold(params))) current_ = s.dithered;
 }
 
-UfsStretchSummary HwUfsGovernor::integrate_stretch(
-    const UfsInputs& in, const UncoreRatioLimit& limit) {
-  const UfsStretchSummary s = summarise(in, limit);
+UfsStretchSummary UfsLoopState::integrate_stretch(
+    const NodeConfig& cfg, const HwUfsParams& params, const UfsInputs& in,
+    const UncoreRatioLimit& limit) {
+  const UfsStretchSummary s = summarise(cfg, params, in, limit);
   current_ = s.steady;
   return s;
 }
 
-Freq HwUfsGovernor::settle_idle(const UncoreRatioLimit& limit) {
+Freq UfsLoopState::settle_idle(const NodeConfig& cfg,
+                               const UncoreRatioLimit& limit) {
   // hw_ufs_steady_target with active_cores == 0 returns range.min()
   // before touching any other input, and a floor target can never open
   // the dither gate (target > range.min() is false), so every period
   // selects window(range.min()) and the rng consumes nothing — the same
   // value evaluate_periods returns per period at idle, for any period
   // count, with the same final current_.
-  const UncoreRange& range = cfg_->uncore;
+  const UncoreRange& range = cfg.uncore;
   Freq f = range.min();
   const Freq lo = range.clamp(limit.min_freq);
   const Freq hi = range.clamp(limit.max_freq);
@@ -172,6 +177,16 @@ Freq HwUfsGovernor::settle_idle(const UncoreRatioLimit& limit) {
   if (f > hi) f = hi;
   current_ = f;
   return f;
+}
+
+HwUfsGovernor::HwUfsGovernor(const NodeConfig& cfg, HwUfsParams params,
+                             std::uint64_t seed)
+    : cfg_(cfg), params_(params), state_(cfg.uncore.max(), seed) {}
+
+Freq HwUfsGovernor::evaluate(const UfsInputs& in,
+                             const UncoreRatioLimit& limit) {
+  evaluate_periods(in, limit, 1);
+  return current();
 }
 
 }  // namespace ear::simhw

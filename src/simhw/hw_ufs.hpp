@@ -108,7 +108,76 @@ struct UfsStretchSummary {
   }
 };
 
-/// One governor instance per socket.
+/// One socket's control-loop state: its dither stream and the selection
+/// of the last period. That is all of the loop that differs between
+/// sockets, so a node keeps one inline per socket; the node description
+/// and tuning it runs against are shared by every node of an island and
+/// passed in by reference.
+class UfsLoopState {
+ public:
+  UfsLoopState(Freq initial, std::uint64_t seed)
+      : rng_(seed), current_(initial) {}
+
+  /// Evaluate `periods` consecutive control-loop periods under constant
+  /// inputs and return the sum of the selected frequencies in kHz.
+  /// Bitwise identical to evaluating one period at a time and summing
+  /// `current().as_khz()` into a double: the steady-state target is a
+  /// pure function of the inputs, so it is computed once, and the rng
+  /// consumes exactly the draws the per-period loop would (one per period
+  /// when the dither gate can open, none otherwise — a gate that cannot
+  /// change the selection, i.e. dither_probability <= 0 or NaN, counts as
+  /// closed and consumes nothing). `current()` afterwards is the last
+  /// period's selection. `periods == 0` is a no-op returning 0.
+  /// Precondition: `periods` times the steady selection in kHz is below
+  /// 2^53, so every partial sum is an exact double (docs/performance.md
+  /// §3, "The dither loop").
+  double evaluate_periods(const NodeConfig& cfg, const HwUfsParams& params,
+                          const UfsInputs& in, const UncoreRatioLimit& limit,
+                          std::size_t periods);
+
+  /// evaluate_periods without the sum: the same draws, the same final
+  /// `current()`, nothing returned. Only the last period's draw is
+  /// compared; the others just advance the stream. For sockets whose
+  /// average nobody reads.
+  void advance_periods(const NodeConfig& cfg, const HwUfsParams& params,
+                       const UfsInputs& in, const UncoreRatioLimit& limit,
+                       std::size_t periods);
+
+  /// Closed-form stretch integration: summarise the per-period behaviour
+  /// under constant inputs without advancing the RNG, and leave
+  /// `current()` at the steady value (the overwhelmingly likely last
+  /// selection). When the dither gate is closed this is *exactly* what
+  /// `evaluate_periods` computes per period; when it is open the summary's
+  /// `expected_freq` replaces the per-period Bernoulli sum with its
+  /// expectation (the event core's documented tolerance source).
+  UfsStretchSummary integrate_stretch(const NodeConfig& cfg,
+                                      const HwUfsParams& params,
+                                      const UfsInputs& in,
+                                      const UncoreRatioLimit& limit);
+
+  /// Idle fast path: with no active cores the steady target is the range
+  /// floor (rule 1) and the dither gate is structurally closed (the
+  /// target cannot sit above the floor), so any number of periods
+  /// settles on one pure function of the MSR window — no rng, no input
+  /// vector. Bitwise identical to evaluate_periods with an idle input at
+  /// any period count (proved against idle() in test_node.cpp).
+  Freq settle_idle(const NodeConfig& cfg, const UncoreRatioLimit& limit);
+
+  [[nodiscard]] Freq current() const { return current_; }
+
+ private:
+  /// A period dithers when its draw's top 53 bits are below `threshold`
+  /// (see dither_threshold in hw_ufs.cpp).
+  [[nodiscard]] bool draw_dithers(std::uint64_t threshold) {
+    return (rng_.next_u64() >> 11) < threshold;
+  }
+
+  common::Rng rng_;
+  Freq current_;
+};
+
+/// A standalone governor for one socket: the loop state together with
+/// its own copy of the node description and tuning.
 class HwUfsGovernor {
  public:
   HwUfsGovernor(const NodeConfig& cfg, HwUfsParams params,
@@ -119,66 +188,24 @@ class HwUfsGovernor {
   /// 0x620 window.
   Freq evaluate(const UfsInputs& in, const UncoreRatioLimit& limit);
 
-  /// Evaluate `periods` consecutive control-loop periods under constant
-  /// inputs and return the sum of the selected frequencies in kHz.
-  /// Bitwise identical to calling evaluate() `periods` times and summing
-  /// `current().as_khz()` into a double: the steady-state target is a
-  /// pure function of the inputs, so it is computed once, and the rng
-  /// consumes exactly the draws evaluate() would (one per period when the
-  /// dither gate can open, none otherwise — a gate that cannot change the
-  /// selection, i.e. dither_probability <= 0 or NaN, counts as closed and
-  /// consumes nothing). `current()` afterwards is the last period's
-  /// selection. `periods == 0` is a no-op returning 0.
-  /// Precondition: `periods` times the steady selection in kHz is below
-  /// 2^53, so every partial sum is an exact double (docs/performance.md
-  /// §3, "The dither loop").
+  /// UfsLoopState::evaluate_periods over this governor's config.
   double evaluate_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
-                          std::size_t periods);
-
-  /// evaluate_periods without the sum: the same draws, the same final
-  /// `current()`, nothing returned. Only the last period's draw is
-  /// compared; the others just advance the stream. For sockets whose
-  /// average nobody reads.
-  void advance_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
-                       std::size_t periods);
-
-  /// Closed-form stretch integration: summarise the per-period behaviour
-  /// under constant inputs without advancing the RNG, and leave
-  /// `current()` at the steady value (the overwhelmingly likely last
-  /// selection). When the dither gate is closed this is *exactly* what
-  /// `evaluate_periods` computes per period; when it is open the summary's
-  /// `expected_freq` replaces the per-period Bernoulli sum with its
-  /// expectation (the event core's documented tolerance source).
-  UfsStretchSummary integrate_stretch(const UfsInputs& in,
-                                      const UncoreRatioLimit& limit);
-
-  /// Idle fast path: with no active cores the steady target is the range
-  /// floor (rule 1) and the dither gate is structurally closed (the
-  /// target cannot sit above the floor), so any number of periods
-  /// settles on one pure function of the MSR window — no rng, no input
-  /// vector. Bitwise identical to evaluate_periods with an idle input at
-  /// any period count (proved against idle() in test_node.cpp).
-  Freq settle_idle(const UncoreRatioLimit& limit);
-
-  [[nodiscard]] Freq current() const { return current_; }
-  [[nodiscard]] const HwUfsParams& params() const { return params_; }
-
- private:
-  /// The target, MSR window and dither gate every entry point shares.
-  [[nodiscard]] UfsStretchSummary summarise(
-      const UfsInputs& in, const UncoreRatioLimit& limit) const;
-  /// A period dithers when its draw's top 53 bits are below this:
-  /// ceil(p * 2^53), the integer form of `uniform() < p`. Only for an
-  /// open gate (p > 0).
-  [[nodiscard]] std::uint64_t dither_threshold() const;
-  [[nodiscard]] bool draw_dithers(std::uint64_t threshold) {
-    return (rng_.next_u64() >> 11) < threshold;
+                          std::size_t periods) {
+    return state_.evaluate_periods(cfg_, params_, in, limit, periods);
   }
 
-  const NodeConfig* cfg_;
+  /// UfsLoopState::advance_periods over this governor's config.
+  void advance_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
+                       std::size_t periods) {
+    state_.advance_periods(cfg_, params_, in, limit, periods);
+  }
+
+  [[nodiscard]] Freq current() const { return state_.current(); }
+
+ private:
+  NodeConfig cfg_;
   HwUfsParams params_;
-  common::Rng rng_;
-  Freq current_;
+  UfsLoopState state_;
 };
 
 }  // namespace ear::simhw

@@ -46,11 +46,25 @@ UncoreRatioLimit UncoreRatioLimit::decode(std::uint64_t raw) {
   };
 }
 
+const MsrFile::SideEntry* MsrFile::find_side(std::uint32_t addr) const {
+  for (const SideEntry& e : side_) {
+    if (e.addr == addr) return &e;
+  }
+  return nullptr;
+}
+
+MsrFile::SideEntry& MsrFile::side_entry(std::uint32_t addr) {
+  for (SideEntry& e : side_) {
+    if (e.addr == addr) return e;
+  }
+  return side_.emplace_back(SideEntry{.addr = addr});
+}
+
 std::uint64_t MsrFile::read(std::uint32_t addr) const {
   if (addr == kMsrUncoreRatioLimit) return uncore_raw_;
   if (addr == kMsrEnergyPerfBias) return epb_raw_;
-  const auto it = regs_.find(addr);
-  return it == regs_.end() ? 0 : it->second;
+  const SideEntry* e = find_side(addr);
+  return e == nullptr ? 0 : e->value;
 }
 
 void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
@@ -75,20 +89,22 @@ void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
   if (interceptor_ != nullptr && !interceptor_->allow_write(addr, value)) {
     return;
   }
-  if (locked_.count(addr) != 0) return;  // silently dropped
-  regs_[addr] = value;
+  if (is_locked(addr)) return;  // silently dropped
   if (addr == kMsrUncoreRatioLimit) {
     uncore_raw_ = value;
     uncore_decoded_ = UncoreRatioLimit::decode(value);
   } else if (addr == kMsrEnergyPerfBias) {
     epb_raw_ = value;
+  } else {
+    side_entry(addr).value = value;
   }
 }
 
-void MsrFile::lock(std::uint32_t addr) { locked_.insert(addr); }
+void MsrFile::lock(std::uint32_t addr) { side_entry(addr).locked = true; }
 
 bool MsrFile::is_locked(std::uint32_t addr) const {
-  return locked_.count(addr) != 0;
+  const SideEntry* e = find_side(addr);
+  return e != nullptr && e->locked;
 }
 
 UncoreRatioLimit MsrFile::uncore_limit() const { return uncore_decoded_; }

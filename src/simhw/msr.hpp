@@ -9,8 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/units.hpp"
 
@@ -55,6 +54,11 @@ class MsrWriteInterceptor {
 /// cleared MSR; writes create them. Registers may be *locked* (as BIOSes
 /// lock UNCORE_RATIO_LIMIT on some platforms): writes to a locked
 /// register are silently dropped — software must read back to notice.
+///
+/// The two registers the simulator models (UNCORE_RATIO_LIMIT and
+/// ENERGY_PERF_BIAS) live inline; any other register and every lock go
+/// to a side table that stays empty in normal runs, so a register file
+/// owns no heap memory unless a test or a fault plan asks for more.
 class MsrFile {
  public:
   [[nodiscard]] std::uint64_t read(std::uint32_t addr) const;
@@ -79,19 +83,24 @@ class MsrFile {
   [[nodiscard]] std::uint64_t write_count() const { return writes_; }
 
  private:
-  std::unordered_map<std::uint32_t, std::uint64_t> regs_;
-  std::unordered_set<std::uint32_t> locked_;
-  std::uint64_t writes_ = 0;
-  MsrWriteInterceptor* interceptor_ = nullptr;
-  // Hot-register mirror. The governor and stretch paths read
-  // UNCORE_RATIO_LIMIT and ENERGY_PERF_BIAS once per control step, and
-  // the unordered_map find dominates those reads; landed writes keep
-  // these fields coherent with regs_ so reads of the two hot addresses
-  // (and the decoded uncore window) never touch the map. Zero-initial
-  // values match the "unknown registers read as 0" contract.
+  /// An unmodelled register's value, or a lock (on any register).
+  struct SideEntry {
+    std::uint32_t addr = 0;
+    bool locked = false;
+    std::uint64_t value = 0;  // unused for the two inline registers
+  };
+  [[nodiscard]] const SideEntry* find_side(std::uint32_t addr) const;
+  SideEntry& side_entry(std::uint32_t addr);
+
+  // The modelled registers. The governor and stretch paths read them once
+  // per control step, so UNCORE_RATIO_LIMIT is also kept decoded. Zero
+  // initial values match the "unknown registers read as 0" contract.
   std::uint64_t uncore_raw_ = 0;
   UncoreRatioLimit uncore_decoded_{};
   std::uint64_t epb_raw_ = 0;
+  std::uint64_t writes_ = 0;
+  MsrWriteInterceptor* interceptor_ = nullptr;
+  std::vector<SideEntry> side_;
 };
 
 }  // namespace ear::simhw

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -30,60 +31,62 @@ PowerBreakdown scale(PowerBreakdown p, double factor) {
 
 SimNode::SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise,
                  HwUfsParams ufs)
-    : cfg_(std::move(cfg)),
-      noise_(noise),
+    : SimNode(std::make_shared<const NodeSpec>(NodeSpec{
+                  .config = std::move(cfg), .noise = noise, .ufs = ufs}),
+              seed) {}
+
+SimNode::SimNode(std::shared_ptr<const NodeSpec> spec, std::uint64_t seed)
+    : spec_(std::move(spec)),
       rng_(seed),
-      memo_(cfg_),
-      pstate_(cfg_.pstates.nominal_pstate()),
-      rapl_(cfg_.sockets) {
+      memo_(spec_->config),
+      pstate_(spec_->config.pstates.nominal_pstate()),
+      rapl_(spec_->config.sockets) {
+  const NodeConfig& cfg = spec_->config;
+  EAR_CHECK_MSG(cfg.sockets >= 1 && cfg.sockets <= kMaxSockets,
+                "a node has 1 to kMaxSockets sockets");
   common::SplitMix64 seeder(seed ^ 0x5eed);
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
-    msrs_.emplace_back();
+  for (Socket& s : sockets()) {
     // After boot the register holds the full supported window.
-    msrs_.back().set_uncore_limit(
-        {.max_freq = cfg_.uncore.max(), .min_freq = cfg_.uncore.min()});
-    governors_.emplace_back(cfg_, ufs, seeder.next());
+    s.msr.set_uncore_limit(
+        {.max_freq = cfg.uncore.max(), .min_freq = cfg.uncore.min()});
+    s.ufs = UfsLoopState(cfg.uncore.max(), seeder.next());
   }
-  last_inputs_ = UfsInputs{.requested_core_freq = cpu_freq(),
-                           .effective_core_freq = cpu_freq(),
-                           .bw_utilisation = 0.5,
-                           .active_cores = 0,
-                           .epb = 6};
 }
 
 void SimNode::set_cpu_pstate(Pstate p) {
-  EAR_CHECK_MSG(p < cfg_.pstates.size(), "pstate out of range");
+  EAR_CHECK_MSG(p < config().pstates.size(), "pstate out of range");
   pstate_ = p;
 }
 
 MsrFile& SimNode::msr(std::size_t socket) {
-  EAR_CHECK(socket < msrs_.size());
-  return msrs_[socket];
+  EAR_CHECK(socket < config().sockets);
+  return sockets_[socket].msr;
 }
 
 const MsrFile& SimNode::msr(std::size_t socket) const {
-  EAR_CHECK(socket < msrs_.size());
-  return msrs_[socket];
+  EAR_CHECK(socket < config().sockets);
+  return sockets_[socket].msr;
 }
 
 void SimNode::set_uncore_limit_all(const UncoreRatioLimit& limit) {
-  for (auto& m : msrs_) m.set_uncore_limit(limit);
+  for (Socket& s : sockets()) s.msr.set_uncore_limit(limit);
 }
 
 UncoreRatioLimit SimNode::uncore_limit() const {
-  return msrs_.front().uncore_limit();
+  return sockets_.front().msr.uncore_limit();
 }
 
-Freq SimNode::uncore_freq() const { return governors_.front().current(); }
+Freq SimNode::uncore_freq() const { return sockets_.front().ufs.current(); }
 
 Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
+  const NodeConfig& cfg = spec_->config;
+  const HwUfsParams& params = spec_->ufs;
   // The loop re-evaluates every ~10 ms; average its output across the
   // periods an iteration spans (bounded to keep long iterations cheap —
   // beyond a few hundred periods the average has converged anyway).
-  const double period = governors_.front().params().evaluation_period_s;
   const auto periods = static_cast<std::size_t>(std::clamp(
-      duration.value / period, 1.0, 400.0));
-  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
+      duration.value / params.evaluation_period_s, 1.0, 400.0));
+  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
   // Each socket's governor has its own rng stream, so batching all of one
   // governor's periods before the next (instead of interleaving sockets
   // within each period) leaves every stream — and thus every selection —
@@ -91,20 +94,22 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   // interleaved loop this replaces; other sockets track identically
   // because EAR applies node-level workloads symmetrically, so they only
   // advance their streams and keep their last selection.
-  for (std::size_t s = 0; s + 1 < governors_.size(); ++s) {
-    governors_[s].advance_periods(in, limit, periods);
+  const std::span<Socket> all = sockets();
+  for (Socket& s : all.first(all.size() - 1)) {
+    s.ufs.advance_periods(cfg, params, in, limit, periods);
   }
   const double sum_khz =
-      governors_.back().evaluate_periods(in, limit, periods);
+      all.back().ufs.evaluate_periods(cfg, params, in, limit, periods);
   return Freq::khz(static_cast<std::uint64_t>(
       sum_khz / static_cast<double>(periods)));
 }
 
 IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
+  const NodeConfig& cfg = spec_->config;
   const Freq f_cpu = cpu_freq();
   // Effective clock the governor keys on: VPI-weighted blend of the
   // requested frequency and the AVX512 licence cap.
-  const Freq f_cap = cfg_.pstates.avx512_effective(f_cpu);
+  const Freq f_cap = cfg.pstates.avx512_effective(f_cpu);
   const Freq f_eff = Freq::khz(static_cast<std::uint64_t>(
       (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
       demand.vpi * static_cast<double>(f_cap.as_khz())));
@@ -112,32 +117,32 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   UfsInputs inputs{
       .requested_core_freq = f_cpu,
       .effective_core_freq = f_eff,
-      .bw_utilisation = last_inputs_.bw_utilisation,
+      .bw_utilisation = last_bw_utilisation_,
       .relaxed_fraction = demand.relaxed_wait_fraction,
       .active_cores = demand.active_cores,
-      .epb = msrs_.front().read(kMsrEnergyPerfBias),
+      .epb = sockets_.front().msr.read(kMsrEnergyPerfBias),
   };
   if (inputs.epb == 0) inputs.epb = 6;  // unprogrammed MSR -> default bias
 
   // First pass: estimate duration at the governor's current setting to
   // know how many control periods the iteration spans.
   const PerfResult estimate =
-      memo_.evaluate(cfg_, demand, f_cpu, governors_.front().current());
+      memo_.evaluate(cfg, demand, f_cpu, sockets_.front().ufs.current());
   const Freq f_imc = run_governor(inputs, estimate.iter_time);
 
-  PerfResult perf = memo_.evaluate(cfg_, demand, f_cpu, f_imc);
+  PerfResult perf = memo_.evaluate(cfg, demand, f_cpu, f_imc);
 
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
   const double tnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, noise_.time_sigma));
+      std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.time_sigma));
   perf.iter_time.value *= tnoise;
   perf.gbps = perf.iter_time.value > 0.0
                   ? perf.bytes / perf.iter_time.value / 1e9
                   : 0.0;
 
-  PowerBreakdown power = evaluate_power(cfg_, demand, perf, f_cpu, f_imc);
+  PowerBreakdown power = evaluate_power(cfg, demand, perf, f_cpu, f_imc);
   const double pnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, noise_.power_sigma));
+      std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.power_sigma));
   power = scale(power, pnoise);
 
   const Secs dt = perf.iter_time;
@@ -146,9 +151,9 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   // Energy counters.
   const Joules pkg_each =
       power.package() * dt;  // split evenly across sockets
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
+  for (std::size_t s = 0; s < cfg.sockets; ++s) {
     rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                static_cast<double>(cfg_.sockets)});
+                                static_cast<double>(cfg.sockets)});
   }
   rapl_.deposit_dram(power.dram * dt);
   inm_.deposit(energy, dt);
@@ -156,17 +161,17 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   // PMU counters (node aggregated).
   const double active = static_cast<double>(demand.active_cores);
   const double idle =
-      static_cast<double>(cfg_.total_cores() - demand.active_cores);
+      static_cast<double>(cfg.total_cores() - demand.active_cores);
   counters_.instructions += perf.instructions_per_core * active;
   counters_.cycles += perf.cycles_per_core * active;
   counters_.avx512_ops +=
       demand.vpi * demand.instructions_per_core * active;
   counters_.cas_transactions += perf.bytes / 64.0;
-  const double total = static_cast<double>(cfg_.total_cores());
+  const double total = static_cast<double>(cfg.total_cores());
   // Reported core clock: AVX512 licence throttling shows up in the
   // APERF-style average (the paper's DGEMM reads 2.19 against a 2.40
   // request), and idle cores dilute it on mostly-idle nodes.
-  const Freq f_licenced = cfg_.pstates.avx512_effective(f_cpu);
+  const Freq f_licenced = cfg.pstates.avx512_effective(f_cpu);
   const double active_khz =
       (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
       demand.vpi * static_cast<double>(f_licenced.as_khz());
@@ -183,8 +188,7 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
 
   clock_ += dt;
-  inputs.bw_utilisation = perf.bw_utilisation;
-  last_inputs_ = inputs;
+  last_bw_utilisation_ = perf.bw_utilisation;
 
   return IterationOutcome{.perf = perf,
                           .power = power,
@@ -196,24 +200,25 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
                                         std::size_t max_iters,
                                         double stop_before_s) {
   StretchSummary out;
+  const NodeConfig& cfg = spec_->config;
+  const HwUfsParams& params = spec_->ufs;
 
   // Hoisted invariants: the caller guarantees no control-plane mutation
   // mid-stretch, so everything the governor keys on except the bandwidth
   // feedback is fixed for the whole stretch.
   const Freq f_cpu = cpu_freq();
-  const Freq f_cap = cfg_.pstates.avx512_effective(f_cpu);
+  const Freq f_cap = cfg.pstates.avx512_effective(f_cpu);
   const Freq f_eff = Freq::khz(static_cast<std::uint64_t>(
       (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
       demand.vpi * static_cast<double>(f_cap.as_khz())));
-  std::uint64_t epb = msrs_.front().read(kMsrEnergyPerfBias);
+  std::uint64_t epb = sockets_.front().msr.read(kMsrEnergyPerfBias);
   if (epb == 0) epb = 6;  // unprogrammed MSR -> default bias
-  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
-  const double dither_p = governors_.front().params().dither_probability;
+  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
 
   const double active = static_cast<double>(demand.active_cores);
   const double idle_cores =
-      static_cast<double>(cfg_.total_cores() - demand.active_cores);
-  const double total = static_cast<double>(cfg_.total_cores());
+      static_cast<double>(cfg.total_cores() - demand.active_cores);
+  const double total = static_cast<double>(cfg.total_cores());
   const double active_khz =
       (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
       demand.vpi * static_cast<double>(f_cap.as_khz());
@@ -238,7 +243,7 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
     UfsInputs inputs{
         .requested_core_freq = f_cpu,
         .effective_core_freq = f_eff,
-        .bw_utilisation = last_inputs_.bw_utilisation,
+        .bw_utilisation = last_bw_utilisation_,
         .relaxed_fraction = demand.relaxed_wait_fraction,
         .active_cores = demand.active_cores,
         .epb = epb,
@@ -249,13 +254,15 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
       // tracks exactly as the per-period loop would; the last socket
       // drives the value, like run_governor.
       UfsStretchSummary s{};
-      for (auto& g : governors_) s = g.integrate_stretch(inputs, limit);
+      for (Socket& k : sockets()) {
+        s = k.ufs.integrate_stretch(cfg, params, inputs, limit);
+      }
       // Dither-free this is bitwise run_governor's khz(sum/periods): the
       // sum is exactly steady*periods, so the quotient is exact and the
       // truncation lands on the same integer. Dithered, the Bernoulli
       // per-period average is replaced by its expectation.
-      f_imc = s.expected_freq(dither_p);
-      base = memo_.evaluate(cfg_, demand, f_cpu, f_imc);
+      f_imc = s.expected_freq(params.dither_probability);
+      base = memo_.evaluate(cfg, demand, f_cpu, f_imc);
       cached = true;
     }
 
@@ -263,23 +270,23 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
     // draws in the same order, same accumulation arithmetic.
     PerfResult perf = base;
     const double tnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, noise_.time_sigma));
+        std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.time_sigma));
     perf.iter_time.value *= tnoise;
     perf.gbps = perf.iter_time.value > 0.0
                     ? perf.bytes / perf.iter_time.value / 1e9
                     : 0.0;
 
-    PowerBreakdown power = evaluate_power(cfg_, demand, perf, f_cpu, f_imc);
+    PowerBreakdown power = evaluate_power(cfg, demand, perf, f_cpu, f_imc);
     const double pnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, noise_.power_sigma));
+        std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.power_sigma));
     power = scale(power, pnoise);
 
     const Secs dt = perf.iter_time;
     const Joules energy = power.total() * dt;
     const Joules pkg_each = power.package() * dt;
-    for (std::size_t s = 0; s < cfg_.sockets; ++s) {
+    for (std::size_t s = 0; s < cfg.sockets; ++s) {
       rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                  static_cast<double>(cfg_.sockets)});
+                                  static_cast<double>(cfg.sockets)});
     }
     rapl_.deposit_dram(power.dram * dt);
     inm_.deposit(energy, dt);
@@ -296,8 +303,7 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
     counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
 
     clock_ += dt;
-    inputs.bw_utilisation = perf.bw_utilisation;
-    last_inputs_ = inputs;
+    last_bw_utilisation_ = perf.bw_utilisation;
     ++out.iterations;
     out.uncore_freq = f_imc;
   }
@@ -307,6 +313,7 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
 void SimNode::idle(Secs dt) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0) return;
+  const NodeConfig& cfg = spec_->config;
   WorkDemand nothing{};
   nothing.active_cores = 0;
   PerfResult perf{};
@@ -320,12 +327,12 @@ void SimNode::idle(Secs dt) {
                 .epb = 6},
       dt);
   const PowerBreakdown power =
-      evaluate_power(cfg_, nothing, perf, cpu_freq(), f_imc);
+      evaluate_power(cfg, nothing, perf, cpu_freq(), f_imc);
   const Joules energy = power.total() * dt;
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
+  for (std::size_t s = 0; s < cfg.sockets; ++s) {
     rapl_.deposit_pkg(
         s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg_.sockets)});
+                  static_cast<double>(cfg.sockets)});
   }
   rapl_.deposit_dram(power.dram * dt);
   inm_.deposit(energy, dt);
@@ -340,6 +347,7 @@ void SimNode::idle(Secs dt) {
 void SimNode::idle_cached(Secs dt) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0) return;
+  const NodeConfig& cfg = spec_->config;
   const Freq f_cpu = cpu_freq();
   // The governor must run unconditionally: it owns the per-socket UFS
   // state (current frequency, limit windowing) that uncore_freq() and
@@ -347,26 +355,26 @@ void SimNode::idle_cached(Secs dt) {
   // of run_governor — draw-free, bitwise the same result and state for
   // any period count — without the per-period input vector and
   // averaging. The last socket drives the value, like run_governor.
-  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
+  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
   Freq f_imc{};
-  for (auto& g : governors_) f_imc = g.settle_idle(limit);
+  for (Socket& s : sockets()) f_imc = s.ufs.settle_idle(cfg, limit);
   if (!idle_memo_valid_ || idle_memo_f_cpu_.as_khz() != f_cpu.as_khz() ||
       idle_memo_f_imc_.as_khz() != f_imc.as_khz()) {
     WorkDemand nothing{};
     nothing.active_cores = 0;
     PerfResult perf{};
     perf.iter_time = dt;  // unused by the idle breakdown (no GPU work)
-    idle_memo_power_ = evaluate_power(cfg_, nothing, perf, f_cpu, f_imc);
+    idle_memo_power_ = evaluate_power(cfg, nothing, perf, f_cpu, f_imc);
     idle_memo_f_cpu_ = f_cpu;
     idle_memo_f_imc_ = f_imc;
     idle_memo_valid_ = true;
   }
   const PowerBreakdown& power = idle_memo_power_;
   const Joules energy = power.total() * dt;
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
+  for (std::size_t s = 0; s < cfg.sockets; ++s) {
     rapl_.deposit_pkg(
         s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg_.sockets)});
+                  static_cast<double>(cfg.sockets)});
   }
   rapl_.deposit_dram(power.dram * dt);
   inm_.deposit(energy, dt);

@@ -1,14 +1,20 @@
 // SimNode: one simulated compute node.
 //
-// Owns the per-socket MSR files, the hardware UFS governors, the PMU
+// Owns the per-socket MSR files and hardware UFS loop state, the PMU
 // counters and the RAPL/INM energy counters. The simulation engine drives
 // it one application iteration at a time; EARL/EARD talk to it only
 // through the same narrow interfaces they would use on real hardware
 // (P-state request, MSR writes, counter reads).
+//
+// A node stores only what differs between nodes. The island-wide
+// description (NodeSpec) is one shared immutable copy, and the
+// per-socket state sits inline, so building a node allocates nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -47,17 +53,33 @@ struct StretchSummary {
                                 // iteration (default when none ran)
 };
 
+/// What every node of an island shares, immutable once built: the
+/// hardware description, the noise model and the UFS loop tuning.
+struct NodeSpec {
+  NodeConfig config;
+  NoiseModel noise;
+  HwUfsParams ufs;
+};
+
 class SimNode {
  public:
+  /// A node over its own copy of the description.
   SimNode(NodeConfig cfg, std::uint64_t seed,
           NoiseModel noise = {}, HwUfsParams ufs = {});
+  /// A node over a shared description (Cluster builds one per island).
+  /// `spec->config.sockets` must be 1..kMaxSockets.
+  SimNode(std::shared_ptr<const NodeSpec> spec, std::uint64_t seed);
 
   // --- Control interfaces (what EARD exposes) ---------------------------
   /// Request a P-state for all cores (EAR pins the whole node).
   void set_cpu_pstate(Pstate p);
-  void set_cpu_freq(common::Freq f) { set_cpu_pstate(cfg_.pstates.pstate_for(f)); }
+  void set_cpu_freq(common::Freq f) {
+    set_cpu_pstate(config().pstates.pstate_for(f));
+  }
   [[nodiscard]] Pstate cpu_pstate() const { return pstate_; }
-  [[nodiscard]] common::Freq cpu_freq() const { return cfg_.pstates.freq(pstate_); }
+  [[nodiscard]] common::Freq cpu_freq() const {
+    return config().pstates.freq(pstate_);
+  }
 
   /// Per-socket MSR access (privileged; EARD is the only caller in the
   /// real system). Writing UNCORE_RATIO_LIMIT constrains the governor.
@@ -85,7 +107,7 @@ class SimNode {
   /// invariant (facility rounds only mutate them at barriers).
   ///
   /// The per-iteration governor period loop is replaced by its closed
-  /// form (HwUfsGovernor::integrate_stretch), and everything that is
+  /// form (UfsLoopState::integrate_stretch), and everything that is
   /// constant across the stretch — effective clock, governor target,
   /// memoised perf model, PMU increments — is hoisted out of the loop.
   /// The per-iteration noise draws still happen, in the same order and
@@ -107,7 +129,7 @@ class SimNode {
   /// (core frequency, governor output) pair. Idle power is
   /// duration-independent — no active cores, no GPU work, zero
   /// bandwidth — so the breakdown only changes when the P-state or the
-  /// uncore window moves. The governor still runs every call (it owns
+  /// uncore window moves. The governor still runs every call (it updates
   /// the per-socket UFS state) and every deposit happens per call with
   /// the same values and order as idle(), so the node state afterwards
   /// is bitwise identical (proved in test_node.cpp). The event core
@@ -115,30 +137,40 @@ class SimNode {
   /// keeps the naive recompute as the executable spec.
   void idle_cached(common::Secs dt);
 
-  [[nodiscard]] const NodeConfig& config() const { return cfg_; }
+  /// The island's shared description: nodes of one Cluster return the
+  /// same object.
+  [[nodiscard]] const NodeConfig& config() const { return spec_->config; }
   /// Current (last-period) uncore frequency of socket 0.
   [[nodiscard]] common::Freq uncore_freq() const;
 
  private:
+  /// One socket's state: the register file and the UFS loop's dither
+  /// state (its RAPL package counter is in rapl_).
+  struct Socket {
+    MsrFile msr;
+    UfsLoopState ufs{Freq{}, 0};
+  };
+
+  /// The node's sockets: the first config().sockets entries.
+  std::span<Socket> sockets() { return {sockets_.data(), config().sockets}; }
   /// Run the HW governor for the periods covering `duration` and return
   /// the time-averaged uncore frequency it produced.
   common::Freq run_governor(const UfsInputs& in, common::Secs duration);
 
-  NodeConfig cfg_;
-  NoiseModel noise_;
+  std::shared_ptr<const NodeSpec> spec_;
   common::Rng rng_;
   // Last-point cache of the performance model (one entry, exact key);
   // noise is applied after lookup, so results stay bitwise identical.
   IterationMemo memo_;
   Pstate pstate_;
-  std::vector<MsrFile> msrs_;
-  std::vector<HwUfsGovernor> governors_;
+  std::array<Socket, kMaxSockets> sockets_{};
   PmuCounters counters_;
   RaplDomains rapl_;
   NodeManagerCounter inm_;
   common::Secs clock_{};
-  // Governor inputs observed on the previous iteration (it is reactive).
-  UfsInputs last_inputs_;
+  // Bandwidth utilisation of the previous iteration: the governor is
+  // reactive, and this is the one input it carries over.
+  double last_bw_utilisation_ = 0.5;
   // Memo for idle_cached(): the idle PowerBreakdown keyed on the
   // (core, uncore) frequency pair that produced it.
   bool idle_memo_valid_ = false;

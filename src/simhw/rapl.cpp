@@ -1,7 +1,5 @@
 #include "simhw/rapl.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
 
 namespace ear::simhw {
@@ -22,15 +20,19 @@ Joules RaplCounter::delta(std::uint32_t before, std::uint32_t after) {
   return Joules{static_cast<double>(diff) * kJoulesPerUnit};
 }
 
+RaplDomains::RaplDomains(std::size_t sockets) : sockets_(sockets) {
+  EAR_CHECK_MSG(sockets <= kMaxSockets, "more sockets than kMaxSockets");
+}
+
 void RaplDomains::deposit_pkg(std::size_t socket, Joules e) {
-  EAR_CHECK(socket < pkg_.size());
+  EAR_CHECK(socket < sockets_);
   pkg_[socket].deposit(e);
 }
 
 void RaplDomains::deposit_dram(Joules e) { dram_.deposit(e); }
 
 const RaplCounter& RaplDomains::pkg(std::size_t socket) const {
-  EAR_CHECK(socket < pkg_.size());
+  EAR_CHECK(socket < sockets_);
   return pkg_[socket];
 }
 

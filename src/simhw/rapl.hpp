@@ -7,11 +7,12 @@
 // tooling.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
+#include "simhw/config.hpp"
 
 namespace ear::simhw {
 
@@ -45,17 +46,19 @@ class RaplCounter {
 /// The RAPL domains EAR reads per node: PKG per socket plus DRAM.
 class RaplDomains {
  public:
-  explicit RaplDomains(std::size_t sockets) : pkg_(sockets) {}
+  /// At most kMaxSockets sockets (checked).
+  explicit RaplDomains(std::size_t sockets);
 
   void deposit_pkg(std::size_t socket, Joules e);
   void deposit_dram(Joules e);
 
-  [[nodiscard]] std::size_t sockets() const { return pkg_.size(); }
+  [[nodiscard]] std::size_t sockets() const { return sockets_; }
   [[nodiscard]] const RaplCounter& pkg(std::size_t socket) const;
   [[nodiscard]] const RaplCounter& dram() const { return dram_; }
 
  private:
-  std::vector<RaplCounter> pkg_;
+  std::array<RaplCounter, kMaxSockets> pkg_{};
+  std::size_t sockets_;
   RaplCounter dram_;
 };
 

@@ -18,6 +18,18 @@ namespace ear::sim::oracle {
 
 namespace {
 
+/// Per-node execution/accounting state, one flat array over the
+/// facility: the node's job, a copy of its demand, remaining work and
+/// power-reading bookkeeping.
+struct RefSlot {
+  std::size_t job = kNoJob;
+  simhw::WorkDemand demand{};
+  std::size_t iters_left = 0;
+  double prev_inm_j = 0.0;
+  double prev_clock_s = 0.0;
+  common::Power last_reading{0.0};
+};
+
 /// Per-running-job bookkeeping.
 struct ActiveJob {
   std::size_t job = 0;
@@ -94,7 +106,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     out.jobs[j].submit_s = queue.jobs()[j].submit_s;
   }
 
-  std::vector<NodeSlot> slots(total_nodes);
+  std::vector<RefSlot> slots(total_nodes);
   std::vector<double> readings(total_nodes, 0.0);
   std::vector<ActiveJob> active;
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
@@ -158,7 +170,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     // Advance every node to the round boundary, one iteration at a time.
     for (std::size_t g = 0; g < total_nodes; ++g) {
       simhw::SimNode& node = *nodes[g];
-      NodeSlot& slot = slots[g];
+      RefSlot& slot = slots[g];
       if (slot.job != kNoJob) {
         while (slot.iters_left > 0 && node.clock().value < round_end) {
           (void)node.execute_iteration(slot.demand);
@@ -174,7 +186,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     // Ground-truth readings from the INM energy deltas, node order.
     double total_w = 0.0;
     for (std::size_t g = 0; g < total_nodes; ++g) {
-      NodeSlot& slot = slots[g];
+      RefSlot& slot = slots[g];
       const double e = nodes[g]->inm().exact().value;
       const double t = nodes[g]->clock().value;
       const double de = e - slot.prev_inm_j;

@@ -1,12 +1,17 @@
 // Facility-tier tests: the synthesized facility drains cleanly, results
 // are bitwise-deterministic at any worker count, the federated cap
-// throttles and degrades gracefully, and island dropout/rejoin chaos
-// leaves every invariant intact.
+// throttles and degrades gracefully, island dropout/rejoin chaos
+// leaves every invariant intact, and a facility too big for memory is
+// refused up front.
 #include "sim/facility.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ear::sim {
 namespace {
@@ -180,6 +185,34 @@ TEST(Facility, ConfigSynthesizerScalesAndIsSeeded) {
     EXPECT_LE(a.jobs[i].nodes, 30u / 3u);
   }
   EXPECT_TRUE(any_diff);
+}
+
+// A facility that cannot fit is refused with its estimate and the limit,
+// before anything is allocated per node (a 10^12-node build would
+// otherwise run into the OOM killer). Node counts that overflow when
+// summed are refused the same way.
+TEST(Facility, RefusesAFacilityThatCannotFitInMemory) {
+  FacilityConfig cfg;
+  cfg.islands.push_back(FacilityIsland{
+      .node_config = simhw::make_skylake_6148_node(),
+      .nodes = 1'000'000'000'000});
+  try {
+    (void)run_facility(cfg);
+    FAIL() << "a 10^12-node facility was not refused";
+  } catch (const common::ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("facility of 1000000000000 nodes needs an "
+                        "estimated "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("GB memory limit"), std::string::npos) << what;
+  }
+
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  cfg.islands.push_back(cfg.islands.front());
+  cfg.islands[0].nodes = kMax;
+  cfg.islands[1].nodes = kMax;
+  EXPECT_THROW((void)run_facility(cfg), common::ConfigError);
 }
 
 }  // namespace

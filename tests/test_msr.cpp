@@ -1,5 +1,8 @@
 #include "simhw/msr.hpp"
 
+#include <cstdint>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "common/contracts.hpp"
@@ -76,15 +79,31 @@ TEST(MsrFile, ReservedBitWriteRejectedInCheckedBuilds) {
 }
 
 TEST(MsrFile, UnknownRegisterReadsZero) {
-  const MsrFile msr;
+  MsrFile msr;
   EXPECT_EQ(msr.read(0x123), 0u);
+  // Until written: unmodelled registers live in a side table, and each
+  // keeps its own value.
+  msr.write(0x123, 42);
+  msr.write(0x1A0, 7);
+  EXPECT_EQ(msr.read(0x123), 42u);
+  EXPECT_EQ(msr.read(0x1A0), 7u);
+  EXPECT_EQ(msr.read(0x124), 0u);
+  EXPECT_EQ(msr.read(kMsrEnergyPerfBias), 0u);
+  EXPECT_EQ(msr.read(kMsrUncoreRatioLimit), 0u);
 }
 
 TEST(MsrFile, WriteThenRead) {
-  MsrFile msr;
-  msr.write(0x1B0, 6);
-  EXPECT_EQ(msr.read(0x1B0), 6u);
-  EXPECT_EQ(msr.write_count(), 1u);
+  // The two inline registers and an unmodelled one.
+  const std::pair<std::uint32_t, std::uint64_t> writes[] = {
+      {kMsrEnergyPerfBias, 6},
+      {kMsrUncoreRatioLimit, (12ull << 8) | 24ull},
+      {0x123, 0xABCD}};
+  for (const auto& [addr, value] : writes) {
+    MsrFile msr;
+    msr.write(addr, value);
+    EXPECT_EQ(msr.read(addr), value) << "MSR " << addr;
+    EXPECT_EQ(msr.write_count(), 1u);
+  }
 }
 
 TEST(MsrFile, UncoreLimitTypedAccess) {

@@ -15,17 +15,37 @@ namespace {
 using common::Freq;
 
 TEST(MsrLock, WritesSilentlyDropped) {
+  // Whichever register is locked (either inline one, or an unmodelled
+  // one), its writes are dropped yet still counted, and the other
+  // registers keep working.
+  constexpr std::uint32_t kOther = 0x123;
+  for (const std::uint32_t locked :
+       {simhw::kMsrUncoreRatioLimit, simhw::kMsrEnergyPerfBias, kOther}) {
+    simhw::MsrFile msr;
+    msr.set_uncore_limit({.max_freq = Freq::ghz(2.4),
+                          .min_freq = Freq::ghz(1.2)});
+    msr.write(simhw::kMsrEnergyPerfBias, 4);
+    msr.write(kOther, 9);
+    msr.lock(locked);
+    EXPECT_TRUE(msr.is_locked(locked));
+    msr.set_uncore_limit({.max_freq = Freq::ghz(1.5),
+                          .min_freq = Freq::ghz(1.5)});
+    msr.write(simhw::kMsrEnergyPerfBias, 8);
+    msr.write(kOther, 10);
+    EXPECT_EQ(msr.write_count(), 6u) << "MSR " << locked;
+    EXPECT_EQ(msr.uncore_limit().max_freq,
+              locked == simhw::kMsrUncoreRatioLimit ? Freq::ghz(2.4)
+                                                    : Freq::ghz(1.5));
+    EXPECT_EQ(msr.read(simhw::kMsrEnergyPerfBias),
+              locked == simhw::kMsrEnergyPerfBias ? 4u : 8u);
+    EXPECT_EQ(msr.read(kOther), locked == kOther ? 9u : 10u);
+  }
+  // Locking a register never written keeps it reading 0.
   simhw::MsrFile msr;
-  msr.set_uncore_limit({.max_freq = Freq::ghz(2.4),
-                        .min_freq = Freq::ghz(1.2)});
-  msr.lock(simhw::kMsrUncoreRatioLimit);
-  EXPECT_TRUE(msr.is_locked(simhw::kMsrUncoreRatioLimit));
-  msr.set_uncore_limit({.max_freq = Freq::ghz(1.5),
-                        .min_freq = Freq::ghz(1.5)});
-  EXPECT_EQ(msr.uncore_limit().max_freq, Freq::ghz(2.4));  // unchanged
-  // Other registers keep working.
-  msr.write(simhw::kMsrEnergyPerfBias, 8);
-  EXPECT_EQ(msr.read(simhw::kMsrEnergyPerfBias), 8u);
+  msr.lock(kOther);
+  msr.write(kOther, 5);
+  EXPECT_EQ(msr.read(kOther), 0u);
+  EXPECT_FALSE(msr.is_locked(simhw::kMsrUncoreRatioLimit));
 }
 
 TEST(MsrLock, DaemonProbeDetectsLock) {

@@ -1,13 +1,35 @@
 #include "simhw/node.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "simhw/cluster.hpp"
+
+// Every heap allocation in this test binary goes through here, so a test
+// can count what building nodes allocates.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so no call site sees a new-expression's pointer reach
+// free() (GCC's -Wmismatched-new-delete would flag the inlined pair).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ear::simhw {
 namespace {
@@ -265,6 +287,61 @@ TEST(Cluster, IndependentlySeededNodes) {
 TEST(Cluster, EmptyClusterRejected) {
   EXPECT_THROW(Cluster(make_skylake_6148_node(), 0, 1),
                common::InvariantError);
+}
+
+TEST(Cluster, NodesShareOneConfig) {
+  const Cluster cluster(make_icelake_8358_node(), 50, 3);
+  const NodeConfig* first = &cluster.node(0).config();
+  for (const SimNode& node : cluster) EXPECT_EQ(&node.config(), first);
+  EXPECT_EQ(first->name, make_icelake_8358_node().name);
+}
+
+// Building a node allocates nothing: the island's description is shared
+// and the per-socket state is inline, so the allocations a cluster makes
+// do not depend on its size.
+TEST(Cluster, AllocationsDoNotGrowWithNodeCount) {
+  const auto allocations = [](std::size_t nodes) {
+    const NodeConfig cfg = make_skylake_6142m_gpu_node();
+    const std::size_t before = g_allocations.load();
+    { const Cluster cluster(cfg, nodes, 3); }
+    return g_allocations.load() - before;
+  };
+  const std::size_t small = allocations(100);
+  EXPECT_GT(small, 0u);  // the counter sees the node array itself
+  EXPECT_EQ(allocations(1000), small);
+}
+
+TEST(SimNode, RefusesMoreSocketsThanTheBound) {
+  NodeConfig cfg = make_skylake_6148_node();
+  cfg.sockets = kMaxSockets + 1;
+  EXPECT_THROW(SimNode(cfg, 1), common::InvariantError);
+  cfg.sockets = 0;
+  EXPECT_THROW(SimNode(cfg, 1), common::InvariantError);
+}
+
+// A copy owns (a share of) everything it reads: destroying the source
+// must leave it running exactly like a node that was never copied. The
+// governors used to point into the source's config, which the asan
+// build reports as a heap-use-after-free here.
+TEST(SimNode, CopyOutlivesSource) {
+  auto source = std::make_unique<SimNode>(make_skylake_6148_node(), 7);
+  (void)source->execute_iteration(demand());
+  SimNode copy = *source;
+  source.reset();
+
+  SimNode uncopied(make_skylake_6148_node(), 7);
+  (void)uncopied.execute_iteration(demand());
+  for (int i = 0; i < 50; ++i) {
+    const IterationOutcome a = copy.execute_iteration(demand());
+    const IterationOutcome b = uncopied.execute_iteration(demand());
+    ASSERT_EQ(bits(a.perf), bits(b.perf)) << "iteration " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.energy.value),
+              std::bit_cast<std::uint64_t>(b.energy.value));
+    ASSERT_EQ(a.uncore_freq.as_khz(), b.uncore_freq.as_khz());
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.inm().exact().value),
+            std::bit_cast<std::uint64_t>(uncopied.inm().exact().value));
+  EXPECT_EQ(copy.uncore_freq().as_khz(), uncopied.uncore_freq().as_khz());
 }
 
 }  // namespace
