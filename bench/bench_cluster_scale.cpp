@@ -15,22 +15,24 @@
 // earlier, larger one's.
 // --event-diff appends the event-vs-reference sweep: for every size the
 // facility runs single-threaded on the event core and on the reference
-// loop, the test oracle (speedup is the wall-clock ratio, so the machine
-// cancels out), then the event core runs again at 2/4/8 workers — only
-// as many as the host has CPUs — over an 8-island build to measure
-// scaling. The sweep is also a differential check: every N-worker
-// result must equal the 1-worker result in every simulated field, and
-// facility energy and makespan must stay within the documented 2% of
-// the reference loop.
+// loop, the test oracle, then on the event core at min(4, host CPUs)
+// workers, over an 8-island build. Each core runs 5 times; the speedup
+// (reference over event core-loop wall, so the machine cancels out) and
+// the scaling (1 worker over N workers) are ratios of the medians, and
+// the minima are recorded too. The sweep is also a differential check:
+// the N-worker result must equal the 1-worker result in every simulated
+// field, and facility energy and makespan must stay within the
+// documented 2% of the reference loop.
 // --diff-out writes the JSON that bench_guard.py --event-core checks
-// against bench/BENCH_event_core_baseline.json in CI; worker counts the
-// host cannot run are written as null.
+// against bench/BENCH_event_core_baseline.json in CI; on a 1-CPU host
+// the scaling walls are written as null.
 //
 // Exits 1 when any run reports a violation or the differential fails.
 #include "bench_util.hpp"
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -41,6 +43,7 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/table.hpp"
 #include "oracles/facility_reference.hpp"
 #include "sim/facility.hpp"
 
@@ -79,24 +82,33 @@ namespace {
 /// dither gate open (docs/performance.md §6 derives the bound).
 constexpr double kEventTolerance = 0.02;
 
-/// One facility run and its whole-run wall seconds. The core wall
-/// (result.walls.core_s) excludes facility assembly — the same work in
-/// the event core and the reference loop — so the core ratio isolates
-/// what the round loops do differently.
-struct TimedRun {
-  ear::sim::FacilityResult result;
-  double total_s = 0.0;
-};
+/// Times each core runs per size in the --event-diff sweep.
+constexpr std::size_t kRepeats = 5;
 
 using Engine = ear::sim::FacilityResult (*)(const ear::sim::FacilityConfig&);
 
-TimedRun time_facility(Engine engine, const ear::sim::FacilityConfig& cfg) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  TimedRun run{engine(cfg), 0.0};
-  run.total_s = std::chrono::duration<double>(Clock::now() - t0).count();
-  return run;
+/// One engine's result and the median and minimum of its core-loop wall
+/// (result.walls.core_s) over kRepeats runs. The core wall excludes
+/// facility assembly — the same work in the event core and the
+/// reference loop — so its ratio isolates what the round loops do
+/// differently. Repeats are deterministic; the first result is kept.
+struct TimedCore {
+  ear::sim::FacilityResult result;
+  double median_s = 0.0;
+  double min_s = 0.0;
+};
+
+TimedCore time_core(Engine engine, const ear::sim::FacilityConfig& cfg) {
+  TimedCore out{engine(cfg)};
+  std::vector<double> walls{out.result.walls.core_s};
+  while (walls.size() < kRepeats) walls.push_back(engine(cfg).walls.core_s);
+  std::sort(walls.begin(), walls.end());
+  out.median_s = walls[kRepeats / 2];
+  out.min_s = walls.front();
+  return out;
 }
+
+double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 /// Print and count `r`'s violations.
 std::size_t report_violations(const ear::sim::FacilityResult& r,
@@ -208,24 +220,37 @@ int main(int argc, char** argv) {
                   "worker scaling over 8 islands)");
     const double busy_scale = args.get("busy-scale", 10.0);
     const unsigned host_cpus = std::thread::hardware_concurrency();
-    std::printf("host cpus: %u (worker counts above it are skipped; speedup "
-                "is a same-machine ratio and holds anywhere)\n",
-                host_cpus);
+    // Scaling compares 1 worker against as many as the host has CPUs,
+    // up to 4: more workers than cores measures oversubscription.
+    const std::size_t workers =
+        std::clamp<std::size_t>(host_cpus, 1, 4);
+    std::printf("host cpus: %u; each core runs %zu times (median, min); "
+                "scaling is 1 vs %zu workers%s\n",
+                host_cpus, kRepeats, workers,
+                workers < 2 ? " (not measured on 1 CPU)" : "");
     common::AsciiTable diff_table;
-    diff_table.columns({"nodes", "ref 1t (s)", "event 1t (s)", "speedup",
+    diff_table.columns({"nodes", "ref core (s)", "event core (s)",
                         "core speedup", "energy diff", "makespan diff",
-                        "core 2w (s)", "core 4w (s)", "core 8w (s)",
-                        "scale eff @8"});
+                        "core " + std::to_string(workers) + "w (s)",
+                        "scaling"});
     std::ofstream json;
     if (!diff_out.empty()) {
       json.open(diff_out);
       if (!json) throw common::ConfigError("cannot open " + diff_out);
-      json << "{\n  \"schema\": \"event_core_baseline_v1\",\n"
+      json << "{\n  \"schema\": \"event_core_baseline_v2\",\n"
            << "  \"budget_per_node_w\": " << budget_per_node << ",\n"
            << "  \"busy_scale\": " << busy_scale << ",\n"
            << "  \"host_cpus\": " << host_cpus << ",\n"
+           << "  \"repeats\": " << kRepeats << ",\n"
+           << "  \"workers\": " << workers << ",\n"
            << "  \"entries\": [\n";
     }
+    const auto walls = [](const TimedCore& t) {
+      std::ostringstream os;
+      os << "{\"median\": " << t.median_s << ", \"min\": " << t.min_s
+         << "}";
+      return os.str();
+    };
     bool first = true;
     for (const std::size_t nodes : sizes) {
       // Fixed 8 islands, the shape the committed baseline was recorded
@@ -246,28 +271,20 @@ int main(int argc, char** argv) {
         job.work.iter_seconds *= busy_scale;
       }
 
-      const TimedRun ref_1t =
-          time_facility(sim::oracle::run_facility_reference, cfg);
-      failures += report_violations(ref_1t.result, "reference 1w", nodes);
-      const TimedRun ev_1t = time_facility(sim::run_facility, cfg);
-      failures += report_violations(ev_1t.result, "event 1w", nodes);
-      const double ref_core_s = ref_1t.result.walls.core_s;
-      const double ev_core_s = ev_1t.result.walls.core_s;
-      const double speedup =
-          ev_1t.total_s > 0.0 ? ref_1t.total_s / ev_1t.total_s : 0.0;
-      // Core-loop ratio: facility assembly is the same work on both
-      // sides, so the FacilityWalls core wall isolates the round loops
-      // themselves — the quantity the event core changes.
-      const double speedup_core =
-          ev_core_s > 0.0 ? ref_core_s / ev_core_s : 0.0;
+      const TimedCore ref = time_core(sim::oracle::run_facility_reference,
+                                      cfg);
+      failures += report_violations(ref.result, "reference 1w", nodes);
+      const TimedCore ev = time_core(sim::run_facility, cfg);
+      failures += report_violations(ev.result, "event 1w", nodes);
+      const double speedup = ratio(ref.median_s, ev.median_s);
 
       // The dither gate is open here, so the two agree within the
       // documented envelope on facility totals. Per-job energy is not
       // compared: under the cap it drifts well past 2% at 1000 nodes.
-      const double energy_diff = rel_diff(ev_1t.result.facility_energy_j,
-                                          ref_1t.result.facility_energy_j);
+      const double energy_diff = rel_diff(ev.result.facility_energy_j,
+                                          ref.result.facility_energy_j);
       const double makespan_diff =
-          rel_diff(ev_1t.result.makespan_s, ref_1t.result.makespan_s);
+          rel_diff(ev.result.makespan_s, ref.result.makespan_s);
       if (energy_diff > kEventTolerance || makespan_diff > kEventTolerance) {
         std::printf("DIFF (%zu nodes): event vs reference facility energy "
                     "%.3e, makespan %.3e relative (limit %.0f%%)\n",
@@ -276,80 +293,60 @@ int main(int argc, char** argv) {
         ++failures;
       }
 
-      // Worker counts beyond the host's CPUs measure oversubscription,
-      // not scaling: they are neither run nor recorded.
-      std::optional<double> scale_core_s[3];  // 2, 4, 8 workers
-      const std::size_t workers[3] = {2, 4, 8};
-      for (std::size_t i = 0; i < 3; ++i) {
-        if (workers[i] > host_cpus) continue;
-        cfg.sim_jobs = workers[i];
-        TimedRun ev_n = time_facility(sim::run_facility, cfg);
-        const std::string what = "event " + std::to_string(workers[i]) + "w";
-        failures += report_violations(ev_n.result, what.c_str(), nodes);
-        scale_core_s[i] = ev_n.result.walls.core_s;
+      std::optional<TimedCore> par;
+      if (workers >= 2) {
+        cfg.sim_jobs = workers;
+        par = time_core(sim::run_facility, cfg);
+        const std::string what = "event " + std::to_string(workers) + "w";
+        failures += report_violations(par->result, what.c_str(), nodes);
         // Bitwise against the 1-worker run in every simulated field.
-        ev_n.result.walls = ev_1t.result.walls;
-        if (!(ev_n.result == ev_1t.result)) {
+        sim::FacilityResult same = par->result;
+        same.walls = ev.result.walls;
+        if (!(same == ev.result)) {
           std::printf("DIFF (%zu nodes): %s result differs from event 1w\n",
                       nodes, what.c_str());
           ++failures;
         }
       }
-      // Scaling efficiency at 8 workers over core walls (assembly does
-      // not parallelise across workers): perfect would be core_1t / 8.
-      std::optional<double> eff8;
-      if (scale_core_s[2] && *scale_core_s[2] > 0.0) {
-        eff8 = ev_core_s / (8.0 * *scale_core_s[2]);
-      }
-      const auto cell = [](const std::optional<double>& v, int digits) {
-        return v ? common::AsciiTable::num(*v, digits) : std::string("-");
-      };
-      const auto field = [](const std::optional<double>& v) {
-        std::ostringstream os;
-        if (v) {
-          os << *v;
-        } else {
-          os << "null";
-        }
-        return os.str();
-      };
+      const double scaling = par ? ratio(ev.median_s, par->median_s) : 0.0;
 
-      diff_table.add_row({std::to_string(nodes),
-                          common::AsciiTable::num(ref_1t.total_s, 3),
-                          common::AsciiTable::num(ev_1t.total_s, 3),
-                          common::AsciiTable::num(speedup, 2),
-                          common::AsciiTable::num(speedup_core, 2),
-                          common::AsciiTable::num(energy_diff, 6),
-                          common::AsciiTable::num(makespan_diff, 6),
-                          cell(scale_core_s[0], 3), cell(scale_core_s[1], 3),
-                          cell(scale_core_s[2], 3), cell(eff8, 2)});
+      diff_table.add_row(
+          {std::to_string(nodes), common::AsciiTable::num(ref.median_s, 3),
+           common::AsciiTable::num(ev.median_s, 3),
+           common::AsciiTable::num(speedup, 2),
+           common::AsciiTable::num(energy_diff, 6),
+           common::AsciiTable::num(makespan_diff, 6),
+           par ? common::AsciiTable::num(par->median_s, 3) : "-",
+           par ? common::AsciiTable::num(scaling, 2) : "-"});
       if (json.is_open()) {
         if (!first) json << ",\n";
         first = false;
         json << "    {\"nodes\": " << nodes << ", \"islands\": " << islands
              << ", \"jobs\": " << job_count
-             << ", \"ref_wall_s\": " << ref_1t.total_s
-             << ", \"event_wall_s\": " << ev_1t.total_s
-             << ", \"ref_core_s\": " << ref_core_s
-             << ", \"event_core_s\": " << ev_core_s
-             << ", \"speedup_1t\": " << speedup
-             << ", \"speedup_core_1t\": " << speedup_core
-             << ", \"scale_core_s\": {\"1\": " << ev_core_s
-             << ", \"2\": " << field(scale_core_s[0])
-             << ", \"4\": " << field(scale_core_s[1])
-             << ", \"8\": " << field(scale_core_s[2])
-             << "}, \"scale_eff_8\": " << field(eff8) << "}";
+             << ", \"ref_core_s\": " << walls(ref)
+             << ", \"event_core_s\": " << walls(ev)
+             << ", \"event_core_workers_s\": "
+             << (par ? walls(*par) : "null")
+             << ", \"speedup_core_1t\": " << speedup
+             << ", \"speedup_core_1t_min\": " << ratio(ref.min_s, ev.min_s)
+             << ", \"scale_speedup\": ";
+        if (par) {
+          json << scaling;
+        } else {
+          json << "null";
+        }
+        json << "}";
       }
     }
     if (json.is_open()) json << "\n  ]\n}\n";
     diff_table.print();
     std::printf(
-        "Speedup is wall-clock reference/event on one thread (machine\n"
-        "cancels in the ratio); core speedup compares only the round\n"
-        "loops (facility assembly is shared code); the diffs are event\n"
-        "vs reference relative differences (limit 2%%); core Nw is the\n"
-        "event core loop at N workers, and scale eff @8 is event core 1w /\n"
-        "(8 * core 8w); '-' marks worker counts above the host's CPUs.\n");
+        "Walls are medians of the core loop (facility assembly is shared\n"
+        "code and excluded); core speedup is reference/event on one\n"
+        "thread (the machine cancels in the ratio); the diffs are event vs\n"
+        "reference relative differences (limit 2%%); scaling is the event\n"
+        "core at 1 worker over %zu workers ('-' on a 1-CPU host).\n",
+        workers);
   }
   std::printf("Check: %s (%zu failure(s))\n", failures == 0 ? "OK" : "FAILED",
               failures);

@@ -1,81 +1,13 @@
-// Shared helpers for the table/figure reproduction benches. Each bench
-// binary regenerates one of the paper's tables or figures and prints the
-// same rows/series, annotated with the paper's published values where the
-// paper gives them.
+// The banner, footer and seed that ear_paper and bench_cluster_scale
+// share.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
-#include <string>
-#include <vector>
-
-#include "common/table.hpp"
-#include "sim/campaign.hpp"
-#include "sim/presets.hpp"
-#include "sim/report.hpp"
-#include "sim/runner.hpp"
-#include "workload/catalog.hpp"
 
 namespace ear::bench {
 
-inline constexpr std::size_t kRuns = 3;  // the paper averages three runs
 inline constexpr std::uint64_t kSeed = 1234;
-
-/// Run an app under given settings, averaged over kRuns.
-inline sim::AveragedResult run(const workload::AppModel& app,
-                               const earl::EarlSettings& settings) {
-  sim::ExperimentConfig cfg{.app = app, .earl = settings, .seed = kSeed};
-  return sim::run_averaged(cfg, kRuns);
-}
-
-inline sim::AveragedResult run(const std::string& app_name,
-                               const earl::EarlSettings& settings) {
-  return run(workload::make_app(app_name), settings);
-}
-
-/// Run a grid of configs through the parallel campaign engine (jobs from
-/// EAR_SIM_JOBS, default all cores). Results are in input order and
-/// bitwise identical to running each config through run() serially.
-inline std::vector<sim::AveragedResult> run_grid(
-    std::vector<sim::ExperimentConfig> cfgs, std::size_t runs = kRuns) {
-  sim::Campaign campaign;
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    campaign.add(std::to_string(i), std::move(cfgs[i]), runs);
-  }
-  campaign.run();
-  std::vector<sim::AveragedResult> out;
-  out.reserve(campaign.results().size());
-  for (const auto& r : campaign.results()) out.push_back(r.avg);
-  return out;
-}
-
-/// Grid over (app x settings): one campaign point per pair, kRuns each.
-inline std::vector<sim::AveragedResult> run_grid(
-    const workload::AppModel& app,
-    const std::vector<earl::EarlSettings>& settings_grid) {
-  std::vector<sim::ExperimentConfig> cfgs;
-  cfgs.reserve(settings_grid.size());
-  for (const auto& s : settings_grid) {
-    cfgs.push_back(sim::ExperimentConfig{.app = app, .earl = s,
-                                         .seed = kSeed});
-  }
-  return run_grid(std::move(cfgs));
-}
-
-/// The standard trio the paper compares (per-app thresholds).
-struct Trio {
-  sim::AveragedResult no_policy;
-  sim::AveragedResult me;
-  sim::AveragedResult me_eufs;
-};
-
-inline Trio run_trio(const std::string& app_name, double cpu_th,
-                     double unc_th) {
-  const workload::AppModel app = workload::make_app(app_name);
-  auto res = run_grid(app, {sim::settings_no_policy(),
-                            sim::settings_me(cpu_th),
-                            sim::settings_me_eufs(cpu_th, unc_th)});
-  return Trio{.no_policy = res[0], .me = res[1], .me_eufs = res[2]};
-}
 
 inline void banner(const char* what) {
   std::printf("\n============================================================\n"

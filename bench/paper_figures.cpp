@@ -1,0 +1,216 @@
+// Figs. 1 and 3-8 of the paper's evaluation.
+#include <cmath>
+#include <cstdio>
+
+#include "paper.hpp"
+#include "sim/experiment.hpp"
+
+namespace ear::paper {
+
+namespace {
+
+const std::vector<std::string> kComparisonColumns = {
+    "config", "time penalty", "power saving", "energy saving",
+    "GB/s penalty", "ratio"};
+
+/// "<prefix> <pct>%", the figures' row label for a threshold.
+std::string th_label(const char* prefix, double th) {
+  char label[64];
+  std::snprintf(label, sizeof label, "%s %.0f%%", prefix, th * 100);
+  return label;
+}
+
+/// One Fig. 1 panel (paper §II): learn the CPU frequency the policy
+/// selects, re-run with it fixed and the HW uncore window as the
+/// reference, then with the uncore pinned at every 100 MHz bin from 2.4
+/// down to 1.2 GHz, and compare each against the reference.
+void sweep(Sink& sink, const char* app_name, double cpu_th) {
+  const workload::AppModel app = workload::make_app(app_name);
+
+  // Step 1: what CPU frequency does min_energy pick? The reported average
+  // sits slightly below the request (droop/AVX blend), so snap to the
+  // nearest non-turbo table entry.
+  const auto me = run(app, sim::settings_me(cpu_th));
+  const auto off = [&](simhw::Pstate p) {
+    return std::fabs(app.node_config.pstates.freq(p).as_ghz() -
+                     me.avg_cpu_ghz);
+  };
+  simhw::Pstate cpu = 1;
+  for (simhw::Pstate p = 2; p < app.node_config.pstates.size(); ++p) {
+    if (off(p) < off(cpu)) cpu = p;
+  }
+
+  auto run_pinned = [&](std::optional<simhw::UncoreRatioLimit> window) {
+    sim::ExperimentConfig cfg{.app = app,
+                              .earl = sim::settings_no_policy(),
+                              .seed = bench::kSeed};
+    cfg.attach_earl = false;
+    cfg.fixed_cpu_pstate = cpu;
+    cfg.fixed_uncore_window = window;
+    return sim::run_averaged(cfg, kRuns);
+  };
+
+  // Step 2: reference = fixed CPU frequency, HW uncore selection.
+  const auto ref = run_pinned(std::nullopt);
+  const std::string title = std::string("Fig. 1 sweep for ") + app_name;
+  const std::string cpu_shown = sink.quote(
+      {.table = title, .row = "reference", .column = "CPU fixed",
+       .unit = Unit::kText, .text = app.node_config.pstates.freq(cpu).str()});
+  const std::string imc_shown = sink.quote(
+      {.table = title, .row = "reference", .column = "IMC (HW)",
+       .unit = Unit::kGhz, .value = ref.avg_imc_ghz});
+  std::printf("\n%s: CPU fixed at %s (policy choice), reference IMC %s "
+              "GHz (HW)\n",
+              app_name, cpu_shown.c_str(), imc_shown.c_str());
+
+  // Step 3: the sweep.
+  Table table(sink, title);
+  table.columns({"uncore GHz", "time penalty %", "DC power save %",
+                 "energy save %", "GB/s penalty %", "avg IMC GHz"});
+  for (const common::Freq f : app.node_config.uncore.descending()) {
+    const auto res = run_pinned(
+        simhw::UncoreRatioLimit{.max_freq = f, .min_freq = f});
+    const sim::Comparison c = sim::compare(ref, res);
+    table.label(common::AsciiTable::num(f.as_ghz(), 2))
+        .num(c.time_penalty_pct, 2, Unit::kPct)
+        .num(c.power_saving_pct, 2, Unit::kPct)
+        .num(c.energy_saving_pct, 2, Unit::kPct)
+        .num(c.gbps_penalty_pct, 2, Unit::kPct)
+        .num(res.avg_imc_ghz, 2, Unit::kGhz);
+  }
+  table.print();
+}
+
+/// ME (and ME+NG-U) and ME+eU at each cpu_policy_th, unc_policy_th 2%,
+/// against the No-policy reference, as one table (Figs. 5-8); a single
+/// threshold stays out of the row labels. Returns the reference, then
+/// the runs in row order.
+std::vector<sim::AveragedResult> by_cpu_th(
+    Sink& sink, const char* app_name, std::string title,
+    const std::vector<double>& cpu_ths, bool with_ngu = false) {
+  const bool one = cpu_ths.size() == 1;
+  std::vector<std::string> labels;
+  std::vector<earl::EarlSettings> grid = {sim::settings_no_policy()};
+  for (const double cpu : cpu_ths) {
+    const auto add = [&](const char* prefix, earl::EarlSettings s) {
+      labels.push_back(one ? std::string(prefix) : th_label(prefix, cpu));
+      grid.push_back(std::move(s));
+    };
+    add("ME", sim::settings_me(cpu));
+    if (with_ngu) add("ME+NG-U", sim::settings_me_ngufs(cpu, 0.02));
+    add("ME+eU", sim::settings_me_eufs(cpu, 0.02));
+  }
+  const auto res = run_grid(workload::make_app(app_name), grid);
+  Table table(sink, std::move(title));
+  table.columns(kComparisonColumns);
+  const std::size_t per_th = labels.size() / cpu_ths.size();
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    table.comparison(labels[i], sim::compare(res[0], res[i + 1]));
+    if (!one && (i + 1) % per_th == 0) table.add_separator();
+  }
+  table.print();
+  return res;
+}
+
+/// ME, then ME+eU at each unc_policy_th, against the No-policy
+/// reference (Figs. 3 and 4; cpu_policy_th 3%).
+void unc_th_sweep(Sink& sink, const char* app_name, const char* me_label,
+                  const std::vector<double>& unc_ths) {
+  std::vector<earl::EarlSettings> grid = {sim::settings_no_policy(),
+                                          sim::settings_me(0.03)};
+  for (const double unc : unc_ths) {
+    grid.push_back(sim::settings_me_eufs(0.03, unc));
+  }
+  const auto res = run_grid(workload::make_app(app_name), grid);
+  Table table(sink);
+  table.columns(kComparisonColumns);
+  table.comparison(me_label, sim::compare(res[0], res[1]));
+  for (std::size_t i = 0; i < unc_ths.size(); ++i) {
+    table.comparison(th_label("ME+eU", unc_ths[i]),
+                     sim::compare(res[0], res[2 + i]));
+  }
+  table.print();
+}
+
+}  // namespace
+
+void fig1(Sink& sink) {
+  sweep(sink, "bt-mz.c.mpi", 0.05);
+  sweep(sink, "lu.d", 0.05);
+  std::printf(
+      "\nExpected shape (paper Fig. 1): power savings grow faster than the\n"
+      "time penalty as the uncore drops, until the lowest bins where the\n"
+      "penalty outweighs the saving; LU (memory-intensive) degrades much\n"
+      "sooner than BT-MZ.\n");
+}
+
+// Fig. 3: power saving scales better than the time penalty as the uncore
+// budget widens.
+void fig3(Sink& sink) {
+  unc_th_sweep(sink, "bqcd", "ME (paper ~0/0/0)", {0.01, 0.02, 0.03});
+  std::printf("Paper reference points: ME+eU 2%% -> ~4.7%% DC power saving\n"
+              "with ~1%% time penalty; savings grow with the threshold\n"
+              "while the penalty grows more slowly.\n");
+}
+
+// Fig. 4: the 0% case shows that some uncore reduction is free.
+void fig4(Sink& sink) {
+  unc_th_sweep(sink, "bt-mz.d", "ME", {0.0, 0.01, 0.02});
+  std::printf("Paper reference: even unc_policy_th = 0%% saves power with\n"
+              "no per-iteration time reduction; at 2%% the paper reports\n"
+              "~10%% DC power saving (Table VII) for ~1-2%% penalty.\n");
+}
+
+// Fig. 5: the HW-guided search (ME+eU) against the one from the maximum
+// (ME+NG-U); the paper's case for the HW-guided default.
+void fig5(Sink& sink) {
+  by_cpu_th(sink, "gromacs-i", "", {0.03, 0.05}, /*with_ngu=*/true);
+  std::printf(
+      "Paper reference: energy saving up to 7.32%% (cpu 3%%) and 8.17%%\n"
+      "(cpu 5%%) with ME+eU — savings 7x and 3x the time penalty; both\n"
+      "explicit-UFS variants beat ME, and the guided start converges in\n"
+      "fewer signatures than NG-U (see bench_ablation_search).\n");
+}
+
+// Fig. 6: the explicit selection lands where the hardware was already
+// going, but *keeps* the uncore there.
+void fig6(Sink& sink) {
+  const auto res = by_cpu_th(sink, "gromacs-ii", "", {0.05});
+  const auto imc = [&](const char* row, double v, double paper) {
+    return sink.quote({.table = "IMC averages", .row = row,
+                       .column = "avg IMC", .unit = Unit::kGhz, .value = v,
+                       .paper = paper});
+  };
+  const std::string me = imc("ME", res[1].avg_imc_ghz, 1.45);
+  const std::string eu = imc("ME+eU", res[2].avg_imc_ghz, 1.41);
+  std::printf("\nIMC averages: ME %s GHz vs ME+eU %s GHz (paper: 1.45 "
+              "vs 1.41 —\nEAR's selection matches the HW's but is held "
+              "fixed).\nPaper Table VII: 14.06%% DC power saving for "
+              "ME+eU.\n",
+              me.c_str(), eu.c_str());
+}
+
+void fig7(Sink& sink) {
+  by_cpu_th(sink, "hpcg", "hpcg", {0.05});
+  std::printf(
+      "Paper: ME ratio ~4.76 vs ME+eU ~3.5 — eUFS trades some efficiency\n"
+      "for more total energy saving on the most memory-bound app\n"
+      "(penalty up to 3.33%% tolerated; Table VII: 14.49%% power "
+      "saving).\n\n");
+  by_cpu_th(sink, "pop", "pop", {0.05});
+  std::printf("Paper: the ratio improves by up to 2.31x with ME+eU\n"
+              "(Table VII: 10.25%% DC power saving).\n\n");
+}
+
+// Fig. 8: the two thresholds trade the ratio against total savings.
+void fig8(Sink& sink) {
+  by_cpu_th(sink, "dumses", "dumses", {0.03, 0.05});
+  std::printf("Paper: DUMSES keeps the same average core frequency under\n"
+              "ME and ME+eU, so eUFS improves the ratio at both cpu_th\n"
+              "settings (Table VII: 13.13%% power saving).\n\n");
+  by_cpu_th(sink, "afid", "afid", {0.03, 0.05});
+  std::printf("Paper: AFiD loses some CPI under ME+eU, but eUFS at cpu 3%%\n"
+              "beats plain DVFS at cpu 5%% on energy (Table VII: 12.02%%).\n");
+}
+
+}  // namespace ear::paper

@@ -139,42 +139,46 @@ class BenchGuardTest(GuardTestBase):
         self.assertIn("bad input", r.stderr)
 
 
-def event_core_report(speedup=11.0, nodes=1000, host_cpus=1,
-                      scale_eff=0.07, schema="event_core_baseline_v1"):
-    """A minimal event_core_baseline_v1 document with one entry."""
+def event_core_report(speedup=4.7, nodes=10000, host_cpus=4,
+                      scale=2.3, schema="event_core_baseline_v2"):
+    """A minimal event_core_baseline_v2 document with one entry."""
+    workers = max(1, min(4, host_cpus))
+    par = None if scale is None else {"median": 0.33 / scale, "min": 0.3}
     return {
         "schema": schema,
         "budget_per_node_w": 200,
         "busy_scale": 10,
         "host_cpus": host_cpus,
+        "repeats": 5,
+        "workers": workers,
         "entries": [
             {
                 "nodes": nodes,
                 "islands": 8,
                 "jobs": nodes // 2,
-                "ref_core_s": 0.2,
-                "event_core_s": 0.2 / speedup,
-                "speedup_1t": speedup * 0.8,
+                "ref_core_s": {"median": 0.33 * speedup, "min": 1.5},
+                "event_core_s": {"median": 0.33, "min": 0.3},
+                "event_core_workers_s": par,
                 "speedup_core_1t": speedup,
-                "scale_core_s": {"1": 0.02, "2": 0.02, "4": 0.03, "8": 0.04},
-                "scale_eff_8": scale_eff,
+                "speedup_core_1t_min": speedup * 1.1,
+                "scale_speedup": scale,
             }
         ],
     }
 
 
 class EventCoreGuardTest(GuardTestBase):
-    """--event-core mode: speedup floor + host-gated scale efficiency."""
+    """--event-core mode: speedup floor + host-gated worker scaling."""
 
     def test_good_inputs_pass(self):
         r = self.run_guard(
-            self.write("report.json", event_core_report(speedup=10.5)),
-            self.write("baseline.json", event_core_report(speedup=11.0)),
+            self.write("report.json", event_core_report(speedup=4.5)),
+            self.write("baseline.json", event_core_report(speedup=4.7)),
             "--event-core",
         )
         self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("scaling 1 -> 4 workers", r.stdout)
         self.assertIn("bench_guard: OK", r.stdout)
-        self.assertIn("not enforced", r.stdout)  # 1-cpu host skips scaling
 
     def test_speedup_regression_fails_with_exit_1(self):
         # 11.0x baseline / 2.0 factor = 5.5x floor; 4.5x is below it.
@@ -188,54 +192,53 @@ class EventCoreGuardTest(GuardTestBase):
         self.assertIn("regressed", r.stderr)
 
     def test_absolute_min_speedup_fails_independently(self):
-        # Within 2x of baseline but below the absolute floor.
+        # Within 2x of the baseline but below the default 2.5x floor.
         r = self.run_guard(
-            self.write("report.json", event_core_report(speedup=3.0)),
-            self.write("baseline.json", event_core_report(speedup=5.0)),
-            "--event-core", "--min-speedup", "4.0",
+            self.write("report.json", event_core_report(speedup=2.4)),
+            self.write("baseline.json", event_core_report(speedup=4.7)),
+            "--event-core",
         )
         self.assertEqual(r.returncode, 1, r.stderr)
         self.assertIn("--min-speedup", r.stderr)
 
     def test_wrong_schema_is_exit_2(self):
+        # A v1 report (single-run walls, 8-worker efficiency) is refused.
         r = self.run_guard(
-            self.write("report.json", event_core_report(schema="bogus_v0")),
+            self.write("report.json",
+                       event_core_report(schema="event_core_baseline_v1")),
             self.write("baseline.json", event_core_report()),
             "--event-core",
         )
         self.assertEqual(r.returncode, 2, r.stderr)
-        self.assertIn("event_core_baseline_v1", r.stderr)
+        self.assertIn("event_core_baseline_v2", r.stderr)
         self.assertNotIn("Traceback", r.stderr)
 
     def test_disjoint_node_sizes_is_exit_2(self):
         r = self.run_guard(
             self.write("report.json", event_core_report(nodes=100)),
-            self.write("baseline.json", event_core_report(nodes=1000)),
+            self.write("baseline.json", event_core_report(nodes=10000)),
             "--event-core",
         )
         self.assertEqual(r.returncode, 2, r.stderr)
         self.assertIn("nodes", r.stderr)
 
-    def test_scale_eff_enforced_only_on_wide_hosts(self):
-        # Same poor efficiency: skipped on a 1-cpu host, fatal on 16 cpus.
-        report_1cpu = self.write(
-            "r1.json", event_core_report(host_cpus=1, scale_eff=0.07))
-        report_16cpu = self.write(
-            "r16.json", event_core_report(host_cpus=16, scale_eff=0.07))
+    def test_serial_scaling_fails_on_multi_cpu_hosts(self):
+        # A serialised chunk claim scales ~1x: fatal on 2 and 4 CPUs.
         base = self.write("baseline.json", event_core_report())
-        r = self.run_guard(report_1cpu, base, "--event-core")
-        self.assertEqual(r.returncode, 0, r.stderr)
-        r = self.run_guard(report_16cpu, base, "--event-core")
-        self.assertEqual(r.returncode, 1, r.stderr)
-        self.assertIn("scale efficiency", r.stderr)
+        for cpus in (2, 4):
+            r = self.run_guard(
+                self.write("r.json",
+                           event_core_report(host_cpus=cpus, scale=1.05)),
+                base, "--event-core")
+            self.assertEqual(r.returncode, 1, r.stderr)
+            self.assertIn("scaling", r.stderr)
 
-    def test_null_walls_on_narrow_host_pass(self):
-        # bench_cluster_scale writes null for worker counts above the
-        # host's CPUs; the guard accepts them.
-        report = event_core_report(host_cpus=4, scale_eff=None)
-        report["entries"][0]["scale_core_s"]["8"] = None
+    def test_null_scaling_on_one_cpu_passes(self):
+        # bench_cluster_scale writes null scaling walls on a 1-CPU host;
+        # the guard accepts them and says scaling was not enforced.
         r = self.run_guard(
-            self.write("report.json", report),
+            self.write("report.json",
+                       event_core_report(host_cpus=1, scale=None)),
             self.write("baseline.json", event_core_report()),
             "--event-core",
         )
@@ -243,15 +246,16 @@ class EventCoreGuardTest(GuardTestBase):
         self.assertIn("not enforced", r.stdout)
         self.assertIn("bench_guard: OK", r.stdout)
 
-    def test_good_scale_eff_passes_on_wide_host(self):
+    def test_missing_scaling_on_multi_cpu_host_is_exit_2(self):
         r = self.run_guard(
             self.write("report.json",
-                       event_core_report(host_cpus=16, scale_eff=0.8)),
+                       event_core_report(host_cpus=4, scale=None)),
             self.write("baseline.json", event_core_report()),
             "--event-core",
         )
-        self.assertEqual(r.returncode, 0, r.stderr)
-        self.assertIn("scale efficiency", r.stdout)
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("scale_speedup", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 // The paper's shape claims that the HW UFS governor feeds, pinned as
 // assertions so a change to the governor or the iteration path cannot
-// move them silently. Each runs like the bench binaries do: seed 1234,
-// three runs averaged (bench_util.hpp). The exact values live in
-// EXPERIMENTS.md; these check the shapes, with the paper's tolerances.
+// move them silently. Each runs like `ear_paper` does: seed 1234, three
+// runs averaged (bench/paper.hpp). Every value is pinned within a
+// per-unit tolerance by tests/golden/paper.json (the paper_golden
+// test); these check the shapes, some more tightly than the golden
+// tolerances (Table I's IMC must stay in [2.38, 2.40)).
 #include <gtest/gtest.h>
 
 #include <string>

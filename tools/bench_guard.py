@@ -15,15 +15,13 @@ Inputs:
     the pre-PR and post-PR reference numbers
 
 Event-core mode (``--event-core``) reinterprets both positional inputs
-as ``event_core_baseline_v1`` JSON (the ``bench_cluster_scale
---event-diff --diff-out`` output) and guards the event-vs-reference
-core-loop speedup instead of the DynAIS ratio. The speedup is a
-same-machine wall-clock ratio, so it transfers across hardware; the
-8-worker shard-scaling efficiency, by contrast, is only meaningful when
-the recording host actually has that many cores, so the guard enforces
-it solely when the *current* report's ``host_cpus`` is at least the
-worker count (a 2-core CI runner records the walls but cannot fail on
-them).
+as ``event_core_baseline_v2`` JSON (the ``bench_cluster_scale
+--event-diff --diff-out`` output) and guards, at the largest size both
+share, the event-vs-reference core-loop speedup instead of the DynAIS
+ratio: a same-machine ratio of medians over repeated runs, so it
+transfers across hardware. It also guards the event core's scaling from
+1 to ``workers`` = min(4, host CPUs) workers, enforced only when the
+*current* report's ``host_cpus`` is at least 2.
 
 Exit code 0 = within bounds, 1 = regression, 2 = bad input.
 Stdlib only; runs anywhere CI has a python3.
@@ -51,13 +49,13 @@ def load_benchmarks(path):
 
 
 def load_event_core(path, label):
-    """Load and validate an event_core_baseline_v1 JSON file."""
+    """Load and validate an event_core_baseline_v2 JSON file."""
     with open(path) as f:
         data = json.load(f)
-    if data.get("schema") != "event_core_baseline_v1":
+    if data.get("schema") != "event_core_baseline_v2":
         raise ValueError(
             f"{label} {path}: schema is {data.get('schema')!r}, "
-            "expected 'event_core_baseline_v1' — was this produced by "
+            "expected 'event_core_baseline_v2' — was this produced by "
             "bench_cluster_scale --event-diff --diff-out?"
         )
     entries = data.get("entries")
@@ -75,14 +73,13 @@ def load_event_core(path, label):
 
 
 def run_event_core(args):
-    """Guard the event-vs-reference core speedup and shard scaling.
+    """Guard the event-vs-reference core speedup and the worker scaling.
 
-    The single-thread core speedup is a same-machine ratio (reference
-    core wall over event core wall, both measured in the same process),
-    so it transfers across hardware and is always enforced against the
-    committed baseline. The 8-worker scale efficiency is only physical
-    when the host has at least 8 cores; on smaller hosts the walls are
-    recorded but the efficiency check is skipped with a notice.
+    The single-thread core speedup (reference core wall over event core
+    wall, medians of repeats in one process) is always enforced against
+    the committed baseline and the absolute --min-speedup. The scaling
+    (1-worker over N-worker event core wall) is enforced against the
+    absolute --min-scale-speedup when the current host has >= 2 CPUs.
     """
     try:
         report = load_event_core(args.report, "report")
@@ -101,8 +98,8 @@ def run_event_core(args):
         )
         return 2
 
-    # Guard at the largest shared size: that is where the closed-form
-    # integration matters and where noise is smallest relative to signal.
+    # Guard at the largest shared size: the longest walls, so the
+    # smallest noise relative to the signal.
     cur = max(shared, key=lambda e: e["nodes"])
     base = base_by_nodes[cur["nodes"]]
     now_speedup = float(cur["speedup_core_1t"])
@@ -117,8 +114,8 @@ def run_event_core(args):
         return 2
 
     floor = base_speedup / args.max_ratio_factor
-    print(f"bench_guard: event-core speedup now (nodes={cur['nodes']}) "
-          f"= {now_speedup:.2f}x")
+    print(f"bench_guard: event-core speedup now (nodes={cur['nodes']}, "
+          f"median of {report.get('repeats')!r}) = {now_speedup:.2f}x")
     print(f"bench_guard: baseline speedup                = "
           f"{base_speedup:.2f}x")
     print(f"bench_guard: floor (baseline / "
@@ -142,32 +139,31 @@ def run_event_core(args):
             file=sys.stderr,
         )
 
-    # Shard-scaling efficiency: only meaningful when the *current* host
-    # has at least as many cores as the widest worker count measured.
     host_cpus = report.get("host_cpus", 0)
-    eff = cur.get("scale_eff_8")
-    if not isinstance(host_cpus, int) or host_cpus < 8:
+    workers = report.get("workers")
+    scale = cur.get("scale_speedup")
+    if not isinstance(host_cpus, int) or host_cpus < 2:
         print(
-            f"bench_guard: host_cpus={host_cpus!r} < 8 — shard-scaling "
-            "efficiency recorded but not enforced (the 8-worker walls "
-            "are not physical on this host)"
+            f"bench_guard: host_cpus={host_cpus!r} < 2 — worker scaling "
+            "not enforced (one CPU has nothing to scale over)"
         )
-    elif not isinstance(eff, (int, float)):
+    elif not isinstance(scale, (int, float)):
         print(
             f"bench_guard: report entry nodes={cur['nodes']} has no "
-            "numeric scale_eff_8 despite host_cpus >= 8",
+            "numeric scale_speedup despite host_cpus >= 2",
             file=sys.stderr,
         )
         return 2
     else:
-        print(f"bench_guard: 8-worker scale efficiency      = "
-              f"{float(eff):.2f} (min {args.min_scale_eff:g})")
-        if float(eff) < args.min_scale_eff:
+        print(f"bench_guard: scaling 1 -> {workers!r} workers       = "
+              f"{float(scale):.2f}x (min {args.min_scale_speedup:g}x)")
+        if float(scale) < args.min_scale_speedup:
             failed = True
             print(
-                f"bench_guard: FAIL — 8-worker scale efficiency "
-                f"{float(eff):.2f} below --min-scale-eff "
-                f"{args.min_scale_eff:g} on a {host_cpus}-core host",
+                f"bench_guard: FAIL — event-core scaling {float(scale):.2f}x "
+                f"from 1 to {workers!r} workers is below "
+                f"--min-scale-speedup {args.min_scale_speedup:g}x on a "
+                f"{host_cpus}-CPU host",
                 file=sys.stderr,
             )
 
@@ -191,23 +187,24 @@ def main():
     ap.add_argument(
         "--event-core",
         action="store_true",
-        help="treat report/baseline as event_core_baseline_v1 JSON from "
+        help="treat report/baseline as event_core_baseline_v2 JSON from "
         "bench_cluster_scale --event-diff and guard the core speedup "
         "instead of the DynAIS ratio",
     )
     ap.add_argument(
         "--min-speedup",
         type=float,
-        default=4.0,
+        default=2.5,
         help="event-core mode: absolute floor on the single-thread core "
-        "speedup regardless of baseline (default: 4.0)",
+        "speedup regardless of baseline (default: 2.5)",
     )
     ap.add_argument(
-        "--min-scale-eff",
+        "--min-scale-speedup",
         type=float,
-        default=0.5,
-        help="event-core mode: minimum 8-worker scale efficiency, "
-        "enforced only when the host has >= 8 cpus (default: 0.5)",
+        default=1.5,
+        help="event-core mode: minimum event-core speedup from 1 to the "
+        "report's 'workers' workers, enforced only when the host has "
+        ">= 2 cpus (default: 1.5)",
     )
     args = ap.parse_args()
 
