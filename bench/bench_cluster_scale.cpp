@@ -27,7 +27,8 @@
 // against bench/BENCH_event_core_baseline.json in CI; on a 1-CPU host
 // the scaling walls are written as null.
 //
-// Exits 1 when any run reports a violation or the differential fails.
+// Exits 1 when any run reports a violation or the differential fails,
+// 2 on a bad argument ("bench_cluster_scale: <message>" on stderr).
 #include "bench_util.hpp"
 
 #include <sys/resource.h>
@@ -43,6 +44,7 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/ini.hpp"
 #include "common/table.hpp"
 #include "oracles/facility_reference.hpp"
 #include "sim/facility.hpp"
@@ -51,16 +53,9 @@ namespace {
 
 std::vector<std::size_t> parse_sizes(const std::string& csv) {
   std::vector<std::size_t> out;
-  std::size_t from = 0;
-  while (from <= csv.size()) {
-    const std::size_t comma = csv.find(',', from);
-    const std::string item = csv.substr(
-        from, comma == std::string::npos ? std::string::npos : comma - from);
-    if (!item.empty()) {
-      out.push_back(static_cast<std::size_t>(std::stoull(item)));
-    }
-    if (comma == std::string::npos) break;
-    from = comma + 1;
+  for (const std::string& item : ear::common::split_list(csv)) {
+    out.push_back(
+        ear::common::parse_integer<std::size_t>(item, "option --nodes"));
   }
   if (out.empty()) throw ear::common::ConfigError("--nodes list is empty");
   return out;
@@ -131,12 +126,9 @@ double rel_diff(double a, double b) {
   return b != 0.0 ? std::fabs(a - b) / std::fabs(b) : std::fabs(a);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const ear::common::ArgParser& args) {
   using namespace ear;
   using Clock = std::chrono::steady_clock;
-  const common::ArgParser args(argc, argv, {"event-diff"});
   const std::vector<std::size_t> sizes =
       parse_sizes(args.get("nodes", std::string("10,100,1000,10000")));
   const auto jobs =
@@ -352,4 +344,15 @@ int main(int argc, char** argv) {
               failures);
   bench::footer();
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(ear::common::ArgParser(argc, argv, {"event-diff"}));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_cluster_scale: %s\n", e.what());
+    return 2;
+  }
 }

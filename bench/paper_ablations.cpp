@@ -79,10 +79,11 @@ void ablation_search(Sink& sink) {
   }
   table.print();
   std::printf(
-      "Expected: when the HW already lowered the uncore (DGEMM,\n"
-      "GROMACS), the guided search starts from that point and converges\n"
-      "in fewer signature periods; when the HW sat at the maximum\n"
-      "(BT-MZ) the two coincide.\n");
+      "Observed: both searches end at the same IMC; the guided one\n"
+      "starts from the HW's choice and gets there sooner on BT-MZ and\n"
+      "GROMACS, for equal or less energy. DGEMM reads 0.0 s under both:\n"
+      "its uncore never strays over a bin from its final value, so\n"
+      "this measure cannot tell the searches apart.\n");
 }
 
 // Ablation (§V-A): the AVX512-blended model's mean absolute prediction

@@ -169,7 +169,7 @@ void fig5(Sink& sink) {
       "Paper reference: energy saving up to 7.32%% (cpu 3%%) and 8.17%%\n"
       "(cpu 5%%) with ME+eU — savings 7x and 3x the time penalty; both\n"
       "explicit-UFS variants beat ME, and the guided start converges in\n"
-      "fewer signatures than NG-U (see bench_ablation_search).\n");
+      "fewer signatures than NG-U (see ear_paper ablation_search).\n");
 }
 
 // Fig. 6: the explicit selection lands where the hardware was already

@@ -1,8 +1,7 @@
 #include "common/args.hpp"
 
-#include <cstdlib>
-
 #include "common/error.hpp"
+#include "common/ini.hpp"
 
 namespace ear::common {
 
@@ -63,25 +62,13 @@ std::string ArgParser::get(const std::string& name,
 double ArgParser::get(const std::string& name, double def) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("option --" + name + " expects a number, got '" +
-                      it->second + "'");
-  }
-  return v;
+  return parse_number(it->second, "option --" + name);
 }
 
 std::int64_t ArgParser::get(const std::string& name, std::int64_t def) const {
   const auto it = options_.find(name);
   if (it == options_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("option --" + name + " expects an integer, got '" +
-                      it->second + "'");
-  }
-  return static_cast<std::int64_t>(v);
+  return parse_integer<std::int64_t>(it->second, "option --" + name);
 }
 
 std::vector<std::string> ArgParser::option_names() const {

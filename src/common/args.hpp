@@ -34,6 +34,9 @@ class ArgParser {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
+  /// Numeric values parse as in input files (common/ini.hpp): a finite
+  /// number, or a decimal/0x integer. A malformed value throws
+  /// ConfigError; a missing or empty one returns `def`.
   [[nodiscard]] double get(const std::string& name, double def) const;
   [[nodiscard]] std::int64_t get(const std::string& name,
                                  std::int64_t def) const;

@@ -1,14 +1,10 @@
-// Contract macros for checked builds.
+// Contract macros.
 //
-// EAR_CHECK (common/error.hpp) stays enabled everywhere and guards
-// conditions whose violation would silently corrupt results. The macros
-// here express *contracts* — preconditions (EAR_EXPECT), postconditions
-// (EAR_ENSURE) and invariants (EAR_INVARIANT) — that document the API and
-// are verified only in checked builds: Debug, the sanitizer CI jobs, and
-// any build configured with -DEAR_CONTRACTS=ON (the default). Release
-// packaging builds pass -DEAR_CONTRACTS=OFF and compile the checks down
-// to nothing; callees then fall back on their documented degraded
-// behaviour (clamping, saturation) instead of throwing.
+// EAR_CHECK (common/error.hpp) guards conditions whose violation would
+// silently corrupt results. The macros here express *contracts* —
+// preconditions (EAR_EXPECT), postconditions (EAR_ENSURE) and invariants
+// (EAR_INVARIANT) — that document the API. Both are compiled into every
+// build.
 //
 // A violation throws common::ContractViolation (an InvariantError), so
 // negative tests can assert that a contract fires.
@@ -16,25 +12,8 @@
 
 #include "common/error.hpp"
 
-// Normally injected by the build system via the EAR_CONTRACTS CMake
-// option; standalone header users fall back on NDEBUG.
-#if !defined(EAR_CONTRACTS_ENABLED)
-#if defined(NDEBUG)
-#define EAR_CONTRACTS_ENABLED 0
-#else
-#define EAR_CONTRACTS_ENABLED 1
-#endif
-#endif
+namespace ear::common::detail {
 
-namespace ear::common {
-
-/// True when contract checks are compiled in. Tests use this to skip
-/// negative contract tests in builds that compile the checks out.
-[[nodiscard]] constexpr bool contracts_enabled() {
-  return EAR_CONTRACTS_ENABLED != 0;
-}
-
-namespace detail {
 [[noreturn]] inline void contract_failed(const char* kind, const char* expr,
                                          const char* file, int line,
                                          const std::string& msg) {
@@ -42,25 +21,15 @@ namespace detail {
                           file + ":" + std::to_string(line) +
                           (msg.empty() ? "" : (": " + msg)));
 }
-}  // namespace detail
 
-}  // namespace ear::common
+}  // namespace ear::common::detail
 
-#if EAR_CONTRACTS_ENABLED
 #define EAR_CONTRACT_IMPL_(kind, expr, msg)                               \
   do {                                                                    \
     if (!(expr))                                                          \
       ::ear::common::detail::contract_failed(kind, #expr, __FILE__,       \
                                              __LINE__, (msg));            \
   } while (false)
-#else
-// Parse but never evaluate the condition, so disabling contracts cannot
-// change which expressions compile.
-#define EAR_CONTRACT_IMPL_(kind, expr, msg) \
-  do {                                      \
-    (void)sizeof(!(expr));                  \
-  } while (false)
-#endif
 
 /// Precondition: the caller handed us arguments that satisfy the API.
 #define EAR_EXPECT(expr) EAR_CONTRACT_IMPL_("precondition", expr, "")
@@ -75,9 +44,8 @@ namespace detail {
 #define EAR_INVARIANT_MSG(expr, msg) \
   EAR_CONTRACT_IMPL_("invariant", expr, (msg))
 
-/// Marks control flow that must never execute. Active in every build:
-/// reaching it means the surrounding state machine is broken, and there
-/// is no sensible degraded behaviour to fall back on.
+/// Marks control flow that must never execute: reaching it means the
+/// surrounding state machine is broken.
 #define EAR_UNREACHABLE(msg)                                              \
   ::ear::common::detail::contract_failed("unreachable", "control reached", \
                                          __FILE__, __LINE__, (msg))

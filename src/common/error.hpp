@@ -23,7 +23,7 @@ class InvariantError : public std::logic_error {
   explicit InvariantError(const std::string& what) : std::logic_error(what) {}
 };
 
-/// Thrown by the contract macros (common/contracts.hpp) in checked builds.
+/// Thrown by the contract macros (common/contracts.hpp).
 /// Derives from InvariantError so callers that already handle invariant
 /// failures keep working unchanged.
 class ContractViolation : public InvariantError {

@@ -39,13 +39,10 @@ class Freq {
 
   friend constexpr auto operator<=>(Freq a, Freq b) = default;
   friend constexpr Freq operator+(Freq a, Freq b) { return Freq{a.khz_ + b.khz_}; }
-  /// Subtracting a larger frequency is a precondition violation in
-  /// checked builds (EAR_CONTRACTS=ON, the default). When contracts are
-  /// compiled out (Release packaging) the result saturates at 0 kHz —
-  /// the historical behaviour — rather than wrapping the unsigned value.
+  /// Subtracting a larger frequency is a precondition violation.
   friend constexpr Freq operator-(Freq a, Freq b) {
     EAR_EXPECT_MSG(a.khz_ >= b.khz_, "Freq subtraction underflow");
-    return Freq{a.khz_ >= b.khz_ ? a.khz_ - b.khz_ : 0};
+    return Freq{a.khz_ - b.khz_};
   }
 
   /// Ratio of two frequencies (dimensionless), e.g. for DVFS scaling laws.

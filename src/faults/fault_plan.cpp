@@ -1,11 +1,12 @@
 #include "faults/fault_plan.hpp"
 
 #include <array>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
+#include "common/ini.hpp"
 
 namespace ear::faults {
 
@@ -29,73 +30,53 @@ constexpr std::array<FamilyName, 8> kFamilies{{
     {"island_dropout", FaultFamily::kIslandDropout},
 }};
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-double parse_number(const std::string& key, const std::string& value,
-                    int line) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("fault plan line " + std::to_string(line) + ": key '" +
-                      key + "' expects a number, got '" + value + "'");
+FaultFamily family_of(const common::IniSection& section) {
+  for (const auto& [name, family] : kFamilies) {
+    if (section.name == name) return family;
   }
-  return v;
+  throw section.error("unknown fault family '" + section.name + "'");
 }
 
-void apply(FaultSpec& f, const std::string& key, const std::string& value,
-           int line) {
-  auto num = [&] { return parse_number(key, value, line); };
+void apply(FaultSpec& f, const common::IniEntry& kv) {
+  const std::string& key = kv.key;
+  // Targets are an index or -1, "every node/socket/island".
+  const auto target = [&] {
+    return kv.integer(-1, std::numeric_limits<int>::max());
+  };
   if (key == "node") {
-    f.node = static_cast<int>(num());
+    f.node = target();
   } else if (key == "socket") {
-    f.socket = static_cast<int>(num());
+    f.socket = target();
   } else if (key == "island") {
-    f.island = static_cast<int>(num());
+    f.island = target();
   } else if (key == "start") {
-    f.start_s = num();
+    f.start_s = kv.number();
   } else if (key == "end") {
-    f.end_s = num();
+    f.end_s = kv.number();
   } else if (key == "at") {
     // One-shot shorthand (mid-run locks): active from this instant on.
-    f.start_s = num();
+    f.start_s = kv.number();
   } else if (key == "probability") {
-    f.probability = num();
+    f.probability = kv.number();
     if (f.probability < 0.0 || f.probability > 1.0) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": probability must be in [0, 1]");
+      throw kv.error("probability must be in [0, 1]");
     }
   } else if (key == "magnitude") {
-    f.magnitude = num();
-    if (f.magnitude < 0.0) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": magnitude must be non-negative");
-    }
+    f.magnitude = kv.number();
+    if (f.magnitude < 0.0) throw kv.error("magnitude must be non-negative");
   } else if (key == "register") {
-    const double v = num();
-    if (v < 0.0 || v != static_cast<double>(static_cast<std::uint32_t>(v))) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": register expects a non-negative integer");
-    }
-    f.reg = static_cast<std::uint32_t>(v);
+    f.reg = kv.integer<std::uint32_t>();
   } else {
-    throw ConfigError("fault plan line " + std::to_string(line) +
-                      ": unknown key '" + key + "'");
+    throw kv.error("unknown key '" + key + "'");
   }
 }
 
-void validate(const FaultSpec& f, int line) {
+void validate(const FaultSpec& f, const common::IniSection& section) {
   if (f.end_s <= f.start_s) {
-    throw ConfigError("fault plan line " + std::to_string(line) +
-                      ": empty fault window (end <= start)");
+    throw section.error("empty fault window (end <= start)");
   }
   if (f.family == FaultFamily::kInmNoise && f.magnitude <= 0.0) {
-    throw ConfigError("fault plan line " + std::to_string(line) +
-                      ": inm_noise needs a magnitude (joules)");
+    throw section.error("inm_noise needs a magnitude (joules)");
   }
 }
 
@@ -123,60 +104,14 @@ bool FaultPlan::has_family(FaultFamily f) const {
 
 FaultPlan parse_fault_plan(std::istream& in) {
   FaultPlan plan;
-  std::string raw;
-  int line = 0;
-  int section_line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    const auto hash = raw.find_first_of("#;");
-    if (hash != std::string::npos) raw = raw.substr(0, hash);
-    const std::string s = trim(raw);
-    if (s.empty()) continue;
-
-    if (s.front() == '[') {
-      if (s.back() != ']' || s.size() < 3) {
-        throw ConfigError("fault plan line " + std::to_string(line) +
-                          ": malformed section header");
-      }
-      if (!plan.specs.empty()) validate(plan.specs.back(), section_line);
-      const std::string name = trim(s.substr(1, s.size() - 2));
-      FaultSpec spec;
-      bool known = false;
-      for (const auto& [fname, family] : kFamilies) {
-        if (name == fname) {
-          spec.family = family;
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        throw ConfigError("fault plan line " + std::to_string(line) +
-                          ": unknown fault family '" + name + "'");
-      }
-      section_line = line;
-      plan.specs.push_back(spec);
-      continue;
-    }
-
-    if (plan.specs.empty()) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": key before any [fault] section");
-    }
-    const auto eq = s.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": expected key = value");
-    }
-    const std::string key = trim(s.substr(0, eq));
-    const std::string value = trim(s.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw ConfigError("fault plan line " + std::to_string(line) +
-                        ": empty key or value");
-    }
-    apply(plan.specs.back(), key, value, line);
+  for (const common::IniSection& section :
+       common::read_ini(in, "fault plan")) {
+    FaultSpec& f = plan.specs.emplace_back();
+    f.family = family_of(section);
+    for (const common::IniEntry& kv : section.entries) apply(f, kv);
+    validate(f, section);
   }
   if (plan.specs.empty()) throw ConfigError("fault plan defines no faults");
-  validate(plan.specs.back(), section_line);
   return plan;
 }
 

@@ -8,8 +8,8 @@
 // glitchy DC-power sensors, daemons that miss snapshots. A FaultPlan
 // describes *when* and *where* such faults happen over simulated time; the
 // FaultInjector (injector.hpp) applies them through hook points in
-// simhw::MsrFile and eard::NodeDaemon. Plans are parsed from the same
-// INI-style text format as workload spec files:
+// simhw::MsrFile and eard::NodeDaemon. Plans are INI-style text, read
+// like every input file (docs/usage.md §"Input files"):
 //
 //   # one section per scheduled fault
 //   [msr_drop]

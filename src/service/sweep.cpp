@@ -1,7 +1,6 @@
 #include "service/sweep.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/ini.hpp"
 #include "faults/fault_plan.hpp"
 #include "service/checkpoint.hpp"
 #include "service/json.hpp"
@@ -28,74 +28,30 @@ using common::ConfigError;
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (from <= value.size()) {
-    const std::size_t comma = value.find(',', from);
-    const std::string item = trim(
-        value.substr(from, comma == std::string::npos ? std::string::npos
-                                                      : comma - from));
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    from = comma + 1;
-  }
-  return out;
-}
-
-double parse_number(const std::string& key, const std::string& value,
-                    int line) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("sweep spec line " + std::to_string(line) + ": key '" +
-                      key + "' expects a number, got '" + value + "'");
-  }
-  return v;
-}
-
-std::size_t parse_whole(const std::string& key, const std::string& value,
-                        int line) {
-  const double v = parse_number(key, value, line);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
-    throw ConfigError("sweep spec line " + std::to_string(line) + ": key '" +
-                      key + "' expects a non-negative integer");
-  }
-  return static_cast<std::size_t>(v);
-}
-
-void apply(SweepSpec& s, const std::string& key, const std::string& value,
-           int line) {
+void apply(SweepSpec& s, const common::IniEntry& kv) {
+  const std::string& key = kv.key;
   if (key == "name") {
-    s.name = value;
+    s.name = kv.value;
   } else if (key == "apps") {
-    s.apps = split_list(value);
+    s.apps = common::split_list(kv.value);
   } else if (key == "policies") {
-    s.policies = split_list(value);
+    s.policies = common::split_list(kv.value);
   } else if (key == "faults") {
-    s.faults = split_list(value);
+    s.faults = common::split_list(kv.value);
   } else if (key == "runs") {
-    s.runs = parse_whole(key, value, line);
+    s.runs = kv.integer<std::size_t>();
   } else if (key == "seed") {
-    s.seed = parse_whole(key, value, line);
+    s.seed = kv.integer<std::uint64_t>();
   } else if (key == "cpu_th") {
-    s.cpu_th = parse_number(key, value, line);
+    s.cpu_th = kv.number();
   } else if (key == "unc_th") {
-    s.unc_th = parse_number(key, value, line);
+    s.unc_th = kv.number();
   } else if (key == "checkpoint_every") {
-    s.checkpoint_every = parse_whole(key, value, line);
+    s.checkpoint_every = kv.integer<std::size_t>();
   } else if (key == "workload_file") {
-    s.workload_file = value;
+    s.workload_file = kv.value;
   } else {
-    throw ConfigError("sweep spec line " + std::to_string(line) +
-                      ": unknown key '" + key + "'");
+    throw kv.error("unknown key '" + key + "'");
   }
 }
 
@@ -299,44 +255,17 @@ std::string label_dir(const std::string& label) {
 
 SweepSpec parse_sweep_spec(std::istream& in) {
   SweepSpec spec;
-  std::string line;
-  int lineno = 0;
-  bool in_sweep = false;
-  bool seen_section = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t comment = line.find_first_of("#;");
-    if (comment != std::string::npos) line.erase(comment);
-    const std::string t = trim(line);
-    if (t.empty()) continue;
-    if (t.front() == '[') {
-      if (t.back() != ']') {
-        throw ConfigError("sweep spec line " + std::to_string(lineno) +
-                          ": unterminated section header");
-      }
-      const std::string section = trim(t.substr(1, t.size() - 2));
-      if (section != "sweep") {
-        throw ConfigError("sweep spec line " + std::to_string(lineno) +
-                          ": unknown section '" + section +
-                          "' (only [sweep] is defined)");
-      }
-      in_sweep = true;
-      seen_section = true;
-      continue;
-    }
-    const std::size_t eq = t.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("sweep spec line " + std::to_string(lineno) +
-                        ": expected 'key = value'");
-    }
-    if (!in_sweep) {
-      throw ConfigError("sweep spec line " + std::to_string(lineno) +
-                        ": key outside the [sweep] section");
-    }
-    apply(spec, trim(t.substr(0, eq)), trim(t.substr(eq + 1)), lineno);
-  }
-  if (!seen_section) {
+  const std::vector<common::IniSection> sections =
+      common::read_ini(in, "sweep spec");
+  if (sections.empty()) {
     throw ConfigError("sweep spec has no [sweep] section");
+  }
+  for (const common::IniSection& section : sections) {
+    if (section.name != "sweep") {
+      throw section.error("unknown section '" + section.name +
+                          "' (only [sweep] is defined)");
+    }
+    for (const common::IniEntry& kv : section.entries) apply(spec, kv);
   }
   if (spec.apps.empty()) {
     throw ConfigError("sweep spec lists no apps");

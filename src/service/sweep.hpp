@@ -18,7 +18,8 @@
 //   <store>/<point-label>/runN/  per-run artifacts:
 //       timeline.csv  nodes.csv  summary.json  trace.bin
 //
-// Spec format (INI, # or ; comments):
+// Spec format (one [sweep] section; grammar in docs/usage.md §"Input
+// files"):
 //
 //   [sweep]
 //   name = demo

@@ -1,7 +1,5 @@
 #include "simhw/msr.hpp"
 
-#include <algorithm>
-
 #include "common/contracts.hpp"
 
 namespace ear::simhw {
@@ -23,17 +21,12 @@ Freq from_ratio(std::uint64_t r) { return Freq::khz(r * kRatioUnitKhz); }
 }  // namespace
 
 std::uint64_t UncoreRatioLimit::encode() const {
-  std::uint64_t max_ratio = to_ratio(max_freq);
-  std::uint64_t min_ratio = to_ratio(min_freq);
-  // Checked builds reject ratios that do not fit the 7-bit fields and
-  // inverted windows; with contracts compiled out the ratios clamp to the
-  // field maximum so an out-of-range Freq can never spill into the
-  // neighbouring field (it used to corrupt the min field).
+  const std::uint64_t max_ratio = to_ratio(max_freq);
+  const std::uint64_t min_ratio = to_ratio(min_freq);
+  // A ratio over 7 bits would spill into the neighbouring field.
   EAR_EXPECT_MSG(max_ratio <= kRatioMask && min_ratio <= kRatioMask,
                  "uncore ratio exceeds 7-bit field");
   EAR_EXPECT_MSG(min_freq <= max_freq, "uncore min must not exceed max");
-  max_ratio = std::min(max_ratio, kRatioMask);
-  min_ratio = std::min(min_ratio, kRatioMask);
   return (min_ratio << 8) | max_ratio;
 }
 
@@ -70,7 +63,7 @@ std::uint64_t MsrFile::read(std::uint32_t addr) const {
 void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
   // Model the SDM-documented layout of the registers we emulate: a write
   // that sets reserved bits is a driver bug the real hardware would #GP
-  // on or silently mangle, so checked builds refuse it.
+  // on or silently mangle, so it is refused.
   switch (addr) {
     case kMsrUncoreRatioLimit:
       EAR_EXPECT_MSG((value & ~kUncoreRatioWritableBits) == 0,

@@ -27,9 +27,7 @@ struct UncoreRatioLimit {
   Freq min_freq;  // bits 14:8 * 100 MHz
 
   /// Packs the limits into the register layout. Ratios that do not fit
-  /// the 7-bit fields (or an inverted window) are a contract violation in
-  /// checked builds; with contracts compiled out the ratios saturate at
-  /// the field maximum instead of corrupting the adjacent field.
+  /// the 7-bit fields (or an inverted window) are a contract violation.
   [[nodiscard]] std::uint64_t encode() const;
   /// Unpacks a register value; reserved bits must be clear.
   [[nodiscard]] static UncoreRatioLimit decode(std::uint64_t raw);

@@ -1,10 +1,10 @@
 #include "workload/spec_file.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/ini.hpp"
 
 namespace ear::workload {
 
@@ -12,44 +12,12 @@ using common::ConfigError;
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r");
-  if (b == std::string::npos) return "";
-  const auto e = s.find_last_not_of(" \t\r");
-  return s.substr(b, e - b + 1);
-}
-
-double parse_number(const std::string& key, const std::string& value,
-                    int line) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError("spec file line " + std::to_string(line) + ": key '" +
-                      key + "' expects a number, got '" + value + "'");
-  }
-  return v;
-}
-
-bool parse_bool(const std::string& key, const std::string& value, int line) {
-  if (value == "true" || value == "1" || value == "yes") return true;
-  if (value == "false" || value == "0" || value == "no") return false;
-  throw ConfigError("spec file line " + std::to_string(line) + ": key '" +
-                    key + "' expects true/false, got '" + value + "'");
-}
-
-void apply(CatalogEntry& e, const std::string& key, const std::string& value,
-           int line) {
-  auto num = [&] { return parse_number(key, value, line); };
-  auto whole = [&] {
-    const double v = parse_number(key, value, line);
-    if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
-      throw ConfigError("spec file line " + std::to_string(line) + ": key '" +
-                        key + "' expects a non-negative integer");
-    }
-    return static_cast<std::size_t>(v);
-  };
+void apply(CatalogEntry& e, const common::IniEntry& kv) {
+  const std::string& key = kv.key;
+  const auto num = [&] { return kv.number(); };
+  const auto whole = [&] { return kv.integer<std::size_t>(); };
   if (key == "description") {
-    e.description = value;
+    e.description = kv.value;
   } else if (key == "nodes") {
     e.nodes = whole();
   } else if (key == "ranks_per_node") {
@@ -57,10 +25,10 @@ void apply(CatalogEntry& e, const std::string& key, const std::string& value,
   } else if (key == "threads_per_rank") {
     e.threads_per_rank = whole();
   } else if (key == "mpi") {
-    e.is_mpi = parse_bool(key, value, line);
+    e.is_mpi = kv.boolean();
   } else if (key == "gpu_node") {
-    e.node_kind = parse_bool(key, value, line) ? NodeKind::kSkylake6142mGpu
-                                               : NodeKind::kSkylake6148;
+    e.node_kind = kv.boolean() ? NodeKind::kSkylake6142mGpu
+                               : NodeKind::kSkylake6148;
   } else if (key == "total_seconds") {
     e.targets.total_seconds = num();
   } else if (key == "iterations") {
@@ -88,8 +56,7 @@ void apply(CatalogEntry& e, const std::string& key, const std::string& value,
   } else if (key == "active_cores") {
     e.targets.active_cores = whole();
   } else {
-    throw ConfigError("spec file line " + std::to_string(line) +
-                      ": unknown key '" + key + "'");
+    throw kv.error("unknown key '" + key + "'");
   }
 }
 
@@ -97,44 +64,11 @@ void apply(CatalogEntry& e, const std::string& key, const std::string& value,
 
 std::vector<CatalogEntry> parse_spec_file(std::istream& in) {
   std::vector<CatalogEntry> entries;
-  std::string raw;
-  int line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    // Strip comments (# and ;) and whitespace.
-    const auto hash = raw.find_first_of("#;");
-    if (hash != std::string::npos) raw = raw.substr(0, hash);
-    const std::string s = trim(raw);
-    if (s.empty()) continue;
-
-    if (s.front() == '[') {
-      if (s.back() != ']' || s.size() < 3) {
-        throw ConfigError("spec file line " + std::to_string(line) +
-                          ": malformed section header");
-      }
-      CatalogEntry e;
-      e.name = trim(s.substr(1, s.size() - 2));
-      e.description = "user workload '" + e.name + "'";
-      entries.push_back(std::move(e));
-      continue;
-    }
-
-    if (entries.empty()) {
-      throw ConfigError("spec file line " + std::to_string(line) +
-                        ": key before any [section]");
-    }
-    const auto eq = s.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("spec file line " + std::to_string(line) +
-                        ": expected key = value");
-    }
-    const std::string key = trim(s.substr(0, eq));
-    const std::string value = trim(s.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw ConfigError("spec file line " + std::to_string(line) +
-                        ": empty key or value");
-    }
-    apply(entries.back(), key, value, line);
+  for (const common::IniSection& section : common::read_ini(in, "spec file")) {
+    CatalogEntry& e = entries.emplace_back();
+    e.name = section.name;
+    e.description = "user workload '" + e.name + "'";
+    for (const common::IniEntry& kv : section.entries) apply(e, kv);
   }
   if (entries.empty()) throw ConfigError("spec file defines no workloads");
   return entries;

@@ -1,8 +1,9 @@
 // Workload spec files: define custom workloads in a small INI-style text
 // format instead of recompiling the catalog. Used by the ear_sim CLI
-// (--workload-file) and available as a library facility.
+// (--workload-file) and available as a library facility. The grammar
+// (comments, sections, numbers, integers) is docs/usage.md §"Input
+// files"; one section per workload, named after it:
 //
-//   # comment
 //   [my-app]
 //   nodes = 4              ; cluster size
 //   ranks_per_node = 40

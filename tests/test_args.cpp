@@ -68,6 +68,13 @@ TEST(Args, MalformedNumbers) {
   EXPECT_THROW((void)a.get("x", 1.0), ConfigError);
   EXPECT_THROW((void)a.get("x", std::int64_t{1}), ConfigError);
   EXPECT_EQ(a.get("x", std::string()), "abc");
+  // Numbers must be finite; integers whole and in range.
+  const auto b = parse({"--budget", "nan", "--cap=inf", "--jobs=2.5",
+                        "--seed=99999999999999999999"});
+  EXPECT_THROW((void)b.get("budget", 1.0), ConfigError);
+  EXPECT_THROW((void)b.get("cap", 1.0), ConfigError);
+  EXPECT_THROW((void)b.get("jobs", std::int64_t{1}), ConfigError);
+  EXPECT_THROW((void)b.get("seed", std::int64_t{1}), ConfigError);
 }
 
 TEST(Args, RepeatedOptionRejected) {

@@ -1,13 +1,17 @@
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/ini.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -70,6 +74,134 @@ TEST(ExactDouble, RejectsTrailingGarbage) {
   EXPECT_FALSE(parse_exact_double("1.5x", &back));
   EXPECT_FALSE(parse_exact_double("", &back));
   EXPECT_FALSE(parse_exact_double("  2.0", &back));  // no skip-whitespace
+}
+
+/// The ConfigError message `fn` throws, or "" when it throws none.
+template <typename F>
+std::string error_of(F fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::vector<IniSection> ini(const std::string& text) {
+  std::istringstream in(text);
+  return read_ini(in, "test file");
+}
+
+TEST(Ini, SectionsEntriesAndLineNumbers) {
+  const auto sections = ini(
+      "# header comment\n"
+      "\n"
+      "[first]   ; trailing comment\n"
+      "  a = 1\n"
+      "b=two words # inline\n"
+      "[ second ]\n"
+      "c = x, y\n");
+  ASSERT_EQ(sections.size(), 2u);
+  EXPECT_EQ(sections[0].name, "first");
+  EXPECT_EQ(sections[0].line, 3);
+  ASSERT_EQ(sections[0].entries.size(), 2u);
+  EXPECT_EQ(sections[0].entries[0].key, "a");
+  EXPECT_EQ(sections[0].entries[0].value, "1");
+  EXPECT_EQ(sections[0].entries[0].line, 4);
+  EXPECT_EQ(sections[0].entries[1].key, "b");
+  EXPECT_EQ(sections[0].entries[1].value, "two words");
+  EXPECT_EQ(sections[1].name, "second");
+  ASSERT_EQ(sections[1].entries.size(), 1u);
+  EXPECT_EQ(sections[1].entries[0].value, "x, y");
+  EXPECT_EQ(sections[1].entries[0].line, 7);
+  EXPECT_TRUE(ini("# only comments\n\n; and blanks\n").empty());
+  EXPECT_TRUE(ini("[empty]\n")[0].entries.empty());
+}
+
+TEST(Ini, GrammarErrorsNameTheLine) {
+  EXPECT_EQ(error_of([] { (void)ini("[x\n"); }),
+            "test file line 1: malformed section header '[x'");
+  EXPECT_EQ(error_of([] { (void)ini("\n[ ]\n"); }),
+            "test file line 2: malformed section header '[ ]'");
+  EXPECT_EQ(error_of([] { (void)ini("[]\n"); }),
+            "test file line 1: malformed section header '[]'");
+  EXPECT_EQ(error_of([] { (void)ini("k = v\n[x]\n"); }),
+            "test file line 1: key before any [section]");
+  EXPECT_EQ(error_of([] { (void)ini("[x]\nno equals\n"); }),
+            "test file line 2: expected 'key = value'");
+  EXPECT_EQ(error_of([] { (void)ini("[x]\n= v\n"); }),
+            "test file line 2: expected 'key = value'");
+  EXPECT_EQ(error_of([] { (void)ini("[x]\nk =\n"); }),
+            "test file line 2: key 'k' has an empty value");
+  EXPECT_EQ(error_of([] { (void)ini("[x]\nk = ; a comment\n"); }),
+            "test file line 2: key 'k' has an empty value");
+}
+
+TEST(Ini, TypedValuesNameFileLineAndKey) {
+  const auto sections =
+      ini("[x]\nn = 2.5\ni = -1\nh = 0x620\nb = yes\nf = 0\n");
+  const std::vector<IniEntry>& e = sections[0].entries;
+  EXPECT_DOUBLE_EQ(e[0].number(), 2.5);
+  EXPECT_EQ(e[1].integer(-1, 10), -1);
+  EXPECT_EQ(e[2].integer<std::uint32_t>(), 0x620u);
+  EXPECT_TRUE(e[3].boolean());
+  EXPECT_FALSE(e[4].boolean());
+  EXPECT_EQ(error_of([&] { (void)e[3].number(); }),
+            "test file line 5: key 'b' expects a finite number, got 'yes'");
+  EXPECT_EQ(error_of([&] { (void)e[0].integer<int>(); }),
+            "test file line 2: key 'n' expects an integer, got '2.5'");
+  EXPECT_EQ(error_of([&] { (void)e[0].boolean(); }),
+            "test file line 2: key 'n' expects true/false, got '2.5'");
+  EXPECT_EQ(error_of([&] { throw e[1].error("custom"); }),
+            "test file line 3: custom");
+}
+
+TEST(ParseNumber, OneFiniteToken) {
+  EXPECT_DOUBLE_EQ(parse_number("1e3", "v"), 1000.0);
+  EXPECT_DOUBLE_EQ(parse_number("-0.5", "v"), -0.5);
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", "1.5x", "abc"}) {
+    EXPECT_THROW((void)parse_number(bad, "v"), ConfigError) << bad;
+  }
+  EXPECT_EQ(error_of([] { (void)parse_number("nan", "option --budget"); }),
+            "option --budget expects a finite number, got 'nan'");
+}
+
+TEST(ParseInteger, ExactAndRangeCheckedBeforeNarrowing) {
+  // 2^53 + 1 has no double; parsing through strtod would give ...992.
+  EXPECT_EQ(parse_integer<std::uint64_t>("9007199254740993", "v"),
+            9007199254740993ull);
+  EXPECT_EQ(parse_integer<std::uint64_t>("18446744073709551615", "v"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_integer<std::int64_t>("-3", "v"), -3);
+  EXPECT_EQ(parse_integer<std::uint32_t>("0x620", "v"), 0x620u);
+  EXPECT_EQ(parse_integer<std::uint32_t>("0xFFFFFFFF", "v"), 0xFFFFFFFFu);
+  for (const char* bad : {"", "8.0", "1e3", "0x", "0x-5", "-0x5", "+3", " 3",
+                          "3 ", "18446744073709551616", "-1"}) {
+    EXPECT_THROW((void)parse_integer<std::uint64_t>(bad, "v"), ConfigError)
+        << bad;
+  }
+  EXPECT_THROW((void)parse_integer<std::uint32_t>("0x100000000", "v"),
+               ConfigError);
+  EXPECT_EQ(error_of([] { (void)parse_integer("3000000000", "node", -1,
+                                              INT_MAX); }),
+            "node expects an integer in [-1, 2147483647], got '3000000000'");
+  EXPECT_EQ(error_of([] { (void)parse_integer("-2", "node", -1, INT_MAX); }),
+            "node expects an integer in [-1, 2147483647], got '-2'");
+  EXPECT_EQ(error_of([] { (void)parse_integer<std::size_t>("-1", "runs"); }),
+            "runs expects a non-negative integer, got '-1'");
+  EXPECT_EQ(error_of([] {
+              (void)parse_integer<std::int64_t>("x", "option --jobs");
+            }),
+            "option --jobs expects an integer, got 'x'");
+}
+
+TEST(SplitList, TrimsItemsAndDropsEmptyOnes) {
+  using List = std::vector<std::string>;
+  EXPECT_EQ(split_list("a, b ,c"), (List{"a", "b", "c"}));
+  EXPECT_EQ(split_list(" a ,, \t,b,"), (List{"a", "b"}));
+  EXPECT_EQ(split_list("two words"), (List{"two words"}));
+  EXPECT_TRUE(split_list("").empty());
+  EXPECT_TRUE(split_list(" , ,").empty());
 }
 
 TEST(Table, RendersAlignedColumns) {

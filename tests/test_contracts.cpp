@@ -1,5 +1,5 @@
 // The contract layer itself, plus negative tests proving the contracts
-// wired into simhw/policies/metrics actually fire in checked builds.
+// wired into simhw/policies/metrics actually fire.
 #include "common/contracts.hpp"
 
 #include <gtest/gtest.h>
@@ -16,14 +16,7 @@ namespace {
 using common::ContractViolation;
 using common::Freq;
 
-// Skip the "fires" assertions when a build compiles the checks out
-// (-DEAR_CONTRACTS=OFF); the macro-parsing tests still run.
-#define SKIP_UNLESS_CHECKED()                                      \
-  if (!common::contracts_enabled())                                \
-  GTEST_SKIP() << "contracts compiled out in this configuration"
-
 TEST(Contracts, MacrosFireWithViolationKind) {
-  SKIP_UNLESS_CHECKED();
   EXPECT_THROW(EAR_EXPECT(1 == 2), ContractViolation);
   EXPECT_THROW(EAR_ENSURE_MSG(false, "broken"), ContractViolation);
   EXPECT_THROW(EAR_INVARIANT(0 > 1), ContractViolation);
@@ -44,15 +37,12 @@ TEST(Contracts, PassingConditionsAreSilent) {
 }
 
 TEST(Contracts, UnreachableIsActiveInEveryBuild) {
-  // EAR_UNREACHABLE does not depend on EAR_CONTRACTS: there is no
-  // degraded fallback for control flow that must not exist.
   EXPECT_THROW(EAR_UNREACHABLE("must not get here"), ContractViolation);
 }
 
 TEST(Contracts, ViolationIsAnInvariantError) {
   // Pre-contract callers catch InvariantError; the new exception must
   // keep flowing into those handlers.
-  SKIP_UNLESS_CHECKED();
   EXPECT_THROW(EAR_EXPECT(false), common::InvariantError);
 }
 
@@ -61,7 +51,6 @@ TEST(Contracts, ViolationIsAnInvariantError) {
 // ---------------------------------------------------------------------
 
 TEST(ContractsFire, FreqSubtractionUnderflow) {
-  SKIP_UNLESS_CHECKED();
   const Freq small = Freq::mhz(100);
   const Freq big = Freq::ghz(1.0);
   EXPECT_THROW((void)(small - big), ContractViolation);
@@ -69,7 +58,6 @@ TEST(ContractsFire, FreqSubtractionUnderflow) {
 }
 
 TEST(ContractsFire, InvalidMsrWriteRejected) {
-  SKIP_UNLESS_CHECKED();
   simhw::MsrFile msr;
   // Reserved bit 7 set in UNCORE_RATIO_LIMIT.
   EXPECT_THROW(msr.write(simhw::kMsrUncoreRatioLimit, 1ull << 7),
@@ -83,7 +71,6 @@ TEST(ContractsFire, InvalidMsrWriteRejected) {
 }
 
 TEST(ContractsFire, ImcSearchStepBeforeStart) {
-  SKIP_UNLESS_CHECKED();
   policies::ImcSearch search(simhw::UncoreRange{}, 0.02, true);
   metrics::Signature sig;
   sig.valid = true;
@@ -91,7 +78,6 @@ TEST(ContractsFire, ImcSearchStepBeforeStart) {
 }
 
 TEST(ContractsFire, ImcSearchRejectsInvalidReference) {
-  SKIP_UNLESS_CHECKED();
   policies::ImcSearch search(simhw::UncoreRange{}, 0.02, true);
   const metrics::Signature invalid;  // valid = false
   EXPECT_THROW((void)search.start(invalid), ContractViolation);

@@ -59,6 +59,14 @@ TEST(FaultPlan, ParsesKeysCommentsAndWhitespace) {
   EXPECT_DOUBLE_EQ(plan.specs[1].magnitude, 120.0);
 }
 
+TEST(FaultPlan, RegisterAcceptsHexAndTargetsAcceptAll) {
+  const FaultPlan plan =
+      parse("[msr_drop]\nregister = 0x620\nnode = -1\nisland = 7\n");
+  EXPECT_EQ(plan.specs[0].reg, 0x620u);
+  EXPECT_EQ(plan.specs[0].node, -1);
+  EXPECT_EQ(plan.specs[0].island, 7);
+}
+
 TEST(FaultPlan, AtIsStartShorthand) {
   const FaultPlan plan = parse("[msr_lock]\nnode = 1\nat = 30\n");
   ASSERT_EQ(plan.specs.size(), 1u);
@@ -123,8 +131,16 @@ TEST(FaultPlan, RejectsInvalidValues) {
   EXPECT_THROW(parse("[inm_noise]\nmagnitude = -5\n"), ConfigError);
   EXPECT_THROW(parse("[msr_drop]\nregister = -1\n"), ConfigError);
   EXPECT_THROW(parse("[msr_drop]\nregister = 2.5\n"), ConfigError);
+  EXPECT_THROW(parse("[msr_drop]\nregister = 0x100000000\n"), ConfigError);
+  // Targets are an index or -1 (every one). A value past int must not
+  // wrap to a negative, which would target every node.
+  EXPECT_THROW(parse("[msr_drop]\nnode = 3000000000\n"), ConfigError);
+  EXPECT_THROW(parse("[msr_drop]\nsocket = -2\n"), ConfigError);
+  // Numbers must be finite.
+  EXPECT_THROW(parse("[msr_drop]\nprobability = nan\n"), ConfigError);
+  EXPECT_THROW(parse("[msr_drop]\nstart = nan\n"), ConfigError);
   // Empty windows are rejected for every section, including a non-final
-  // one (validation runs when the next section opens).
+  // one.
   EXPECT_THROW(parse("[msr_drop]\nstart = 10\nend = 10\n"), ConfigError);
   EXPECT_THROW(parse("[msr_drop]\nstart = 10\nend = 5\n[msr_lock]\n"),
                ConfigError);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/contracts.hpp"
 #include "common/error.hpp"
 
 namespace ear::simhw {
@@ -44,17 +43,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{12, 13}, std::pair{20, 23}, std::pair{0, 127},
                       std::pair{15, 18}));
 
-TEST(UncoreRatioLimit, OverflowingRatioRejectedOrClamped) {
+TEST(UncoreRatioLimit, OverflowingRatioRejected) {
   // Regression: a ratio over 127 used to spill into bit 7 and corrupt
-  // the neighbouring field. Checked builds refuse it outright; with
-  // contracts compiled out the ratio saturates at the field maximum.
+  // the neighbouring field; it is refused outright.
   const UncoreRatioLimit lim{.max_freq = Freq::ghz(20.0),  // ratio 200 > 127
                              .min_freq = Freq::ghz(1.2)};
-  if (common::contracts_enabled()) {
-    EXPECT_THROW((void)lim.encode(), common::InvariantError);
-  } else {
-    EXPECT_EQ(lim.encode(), (12ull << 8) | 0x7Full);
-  }
+  EXPECT_THROW((void)lim.encode(), common::InvariantError);
 }
 
 TEST(UncoreRatioLimit, TopRatioFillsFieldWithoutSpill) {
@@ -66,9 +60,7 @@ TEST(UncoreRatioLimit, TopRatioFillsFieldWithoutSpill) {
   EXPECT_EQ(UncoreRatioLimit::decode(lim.encode()), lim);
 }
 
-TEST(MsrFile, ReservedBitWriteRejectedInCheckedBuilds) {
-  if (!common::contracts_enabled())
-    GTEST_SKIP() << "contracts compiled out";
+TEST(MsrFile, ReservedBitWriteRejected) {
   MsrFile msr;
   EXPECT_THROW(msr.write(kMsrUncoreRatioLimit, 0x80),  // bit 7 reserved
                common::ContractViolation);

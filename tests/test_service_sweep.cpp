@@ -74,12 +74,24 @@ TEST(SweepSpecParse, RejectionsNameTheProblem) {
   expect_error("[sweep]\napps = x\n", "no policies");
   expect_error("[sweep]\napps = x\npolicies = p\nruns = 0\n", "runs");
   expect_error("[other]\n", "unknown section");
-  expect_error("[sweep\n", "unterminated");
+  expect_error("[sweep\n", "malformed section header");
   expect_error("[sweep]\nbogus_key = 1\n", "unknown key");
-  expect_error("[sweep]\nruns = two\n", "expects a number");
+  expect_error("[sweep]\nruns = two\n", "expects a non-negative integer");
   expect_error("[sweep]\nruns = -1\n", "non-negative");
   expect_error("[sweep]\njust words\n", "expected 'key = value'");
-  expect_error("before = section\n[sweep]\n", "outside the [sweep]");
+  expect_error("before = section\n[sweep]\n", "before any [section]");
+  // Values are strict: no empty value, no non-finite threshold.
+  const std::string grid = "[sweep]\napps = x\npolicies = p\n";
+  expect_error(grid + "seed =\n", "line 4: key 'seed' has an empty value");
+  expect_error(grid + "cpu_th = inf\n", "expects a finite number");
+  expect_error(grid + "runs = 2.0\n", "expects a non-negative integer");
+}
+
+TEST(SweepSpecParse, SeedIsExact) {
+  // 2^53 + 1 has no double: the seed must be parsed as an integer.
+  const SweepSpec s =
+      parse("[sweep]\napps = x\npolicies = p\nseed = 9007199254740993\n");
+  EXPECT_EQ(s.seed, 9007199254740993ull);
 }
 
 TEST(SweepPoints, AppMajorOrderWithoutFaultAxis) {

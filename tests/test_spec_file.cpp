@@ -96,6 +96,10 @@ TEST(SpecFile, Errors) {
   EXPECT_THROW((void)parse("[x]\ncpi=abc\n"), ConfigError);       // non-numeric
   EXPECT_THROW((void)parse("[x]\nnodes=2.5\n"), ConfigError);     // non-integer
   EXPECT_THROW((void)parse("[x]\nnodes=\n"), ConfigError);        // empty value
+  EXPECT_THROW((void)parse("[x]\ntotal_seconds=nan\n"), ConfigError);  // NaN
+  EXPECT_THROW((void)parse("[x]\nnodes=1e30\n"), ConfigError);     // overflow
+  EXPECT_THROW((void)parse("[x]\nnodes=8.0\n"), ConfigError);      // not "8"
+  EXPECT_THROW((void)parse("[]\ncpi=1\n"), ConfigError);           // no name
 }
 
 TEST(SpecFile, LoadMissingFileThrows) {

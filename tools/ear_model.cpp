@@ -15,7 +15,8 @@
 //
 // Exit status: 0 = every property holds in every configuration, 1 = at
 // least one violation (counterexamples on stdout and, if requested, in
-// the --counterexample-out file), 2 = usage error.
+// the --counterexample-out file), 2 = usage error or a bad option value
+// ("ear_model: <message>" on stderr).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "analysis/signature_lattice.hpp"
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/ini.hpp"
 #include "common/table.hpp"
 
 namespace {
@@ -65,11 +67,7 @@ std::string hex_digest(std::uint64_t d) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const common::ArgParser args(
-      argc, argv, {"ng-u", "convergence-full", "recheck-serial", "help"});
+int run(const common::ArgParser& args) {
   if (args.flag("help")) return usage();
   for (const std::string& name : args.option_names()) {
     static const std::vector<std::string> known = {
@@ -90,14 +88,14 @@ int main(int argc, char** argv) {
 
   std::vector<EnvConfig> envs{{1.0, 0.3}, {0.5, 0.5}, {0.1, 0.6}};
   if (args.has("share")) {
-    const std::string share = args.get("share", std::string{});
-    const std::size_t comma = share.find(',');
-    if (comma == std::string::npos) {
+    const std::vector<std::string> share =
+        common::split_list(args.get("share", std::string{}));
+    if (share.size() != 2) {
       std::fprintf(stderr, "ear_model: --share expects C,D\n");
       return usage();
     }
-    envs = {{std::stod(share.substr(0, comma)),
-             std::stod(share.substr(comma + 1))}};
+    envs = {{common::parse_number(share[0], "option --share"),
+             common::parse_number(share[1], "option --share")}};
   }
 
   const simhw::PstateTable pstates;   // Skylake 6148 ladder
@@ -207,4 +205,16 @@ int main(int argc, char** argv) {
   std::printf(failed ? "\nFAIL: the Fig. 2 properties do not hold\n"
                      : "\nOK: P0..P5 hold over the explored space\n");
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(common::ArgParser(
+        argc, argv, {"ng-u", "convergence-full", "recheck-serial", "help"}));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ear_model: %s\n", e.what());
+    return 2;
+  }
 }

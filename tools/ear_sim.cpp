@@ -31,6 +31,7 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "common/ini.hpp"
 #include "common/table.hpp"
 #include "faults/fault_plan.hpp"
 #include "service/checkpoint.hpp"
@@ -285,20 +286,7 @@ int cmd_chaos(const common::ArgParser& args) {
       args.get("penalty-bound", opts.time_penalty_bound_pct);
   if (args.has("budget")) opts.budget_w = args.get("budget", 0.0);
   const std::string policies = args.get("policies", std::string());
-  if (!policies.empty()) {
-    opts.policies.clear();
-    std::size_t from = 0;
-    while (from <= policies.size()) {
-      const std::size_t comma = policies.find(',', from);
-      const std::string name =
-          policies.substr(from, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - from);
-      if (!name.empty()) opts.policies.push_back(name);
-      if (comma == std::string::npos) break;
-      from = comma + 1;
-    }
-  }
+  if (!policies.empty()) opts.policies = common::split_list(policies);
 
   const sim::ChaosReport report = sim::run_chaos(opts);
   sim::print_chaos_report(report);
