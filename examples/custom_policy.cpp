@@ -8,10 +8,10 @@
 //
 //   ./custom_policy [app-name] [watts-cap]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "common/ini.hpp"
 #include "common/table.hpp"
 #include "earl/library.hpp"
 #include "policies/imc_search.hpp"
@@ -141,7 +141,13 @@ sim::RunResult run_custom(const workload::AppModel& app, double cap_watts) {
 
 int main(int argc, char** argv) {
   const std::string app_name = argc > 1 ? argv[1] : "pop";
-  const double cap = argc > 2 ? std::atof(argv[2]) : 320.0;
+  double cap = 320.0;
+  try {
+    if (argc > 2) cap = common::parse_number(argv[2], "watts-cap");
+  } catch (const common::ConfigError& e) {
+    std::fprintf(stderr, "custom_policy: %s\n", e.what());
+    return 2;
+  }
 
   const workload::AppModel app = workload::make_app(app_name);
   std::printf("Custom power-cap policy on %s (cap %.0f W/node)\n\n",

@@ -5,9 +5,9 @@
 //
 //   ./multi_job [budget_watts]   (0 = unmanaged; default 2600)
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/ini.hpp"
 #include "common/table.hpp"
 #include "eard/eardbd.hpp"
 #include "sim/presets.hpp"
@@ -16,7 +16,13 @@
 
 int main(int argc, char** argv) {
   using namespace ear;
-  const double budget = argc > 1 ? std::atof(argv[1]) : 2600.0;
+  double budget = 2600.0;
+  try {
+    if (argc > 1) budget = common::parse_number(argv[1], "budget_watts");
+  } catch (const common::ConfigError& e) {
+    std::fprintf(stderr, "multi_job: %s\n", e.what());
+    return 2;
+  }
 
   sim::ScheduleConfig cfg;
   cfg.node_config = simhw::make_skylake_6148_node();

@@ -4,9 +4,9 @@
 //
 //   ./policy_trace [app-name] [policy] [cpu_th] [unc_th]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/ini.hpp"
 #include "common/log.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
@@ -16,8 +16,15 @@ int main(int argc, char** argv) {
   using namespace ear;
   const std::string app_name = argc > 1 ? argv[1] : "bt-mz.d";
   const std::string policy = argc > 2 ? argv[2] : "min_energy_eufs";
-  const double cpu_th = argc > 3 ? std::atof(argv[3]) : 0.05;
-  const double unc_th = argc > 4 ? std::atof(argv[4]) : 0.02;
+  double cpu_th = 0.05;
+  double unc_th = 0.02;
+  try {
+    if (argc > 3) cpu_th = common::parse_number(argv[3], "cpu_th");
+    if (argc > 4) unc_th = common::parse_number(argv[4], "unc_th");
+  } catch (const common::ConfigError& e) {
+    std::fprintf(stderr, "policy_trace: %s\n", e.what());
+    return 2;
+  }
 
   common::set_log_level(common::LogLevel::kDebug);
 

@@ -1,8 +1,9 @@
 #include "analysis/model_checker.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -54,11 +55,14 @@ void feed_freqs(std::string& out, const NodeFreqs& f) {
   feed_u64(out, f.imc_min.as_khz());
 }
 
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
 /// FNV-1a over an accumulated byte string.
-std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h) {
+std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h = kFnvBasis) {
   for (unsigned char c : bytes) {
     h ^= c;
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -182,7 +186,6 @@ class RealEufs final : public EufsInstance {
 /// Pre-call observables the property checks compare against.
 struct PreState {
   Stage stage = Stage::kCpuFreqSel;
-  bool search_started = false;
   Freq trial;
   Freq last_good;
   Signature ref;
@@ -192,7 +195,6 @@ PreState observe(const EufsInstance& p) {
   PreState s;
   s.stage = p.stage();
   const policies::ImcSearch& imc = p.imc_search();
-  s.search_started = imc.started();
   s.trial = imc.current_trial();
   s.last_good = imc.last_good();
   s.ref = imc.reference();
@@ -366,21 +368,29 @@ std::optional<PropertyFailure> check_transition(const PreState& pre,
   return std::nullopt;
 }
 
-constexpr std::uint32_t kNoParent = 0xffffffffU;
+// Successor-table entries: the successor's id, with kReadyBit set when the
+// transition's verdict was READY, or kNoSucc for a transition that failed
+// a property and was not explored past.
+constexpr std::uint32_t kReadyBit = 0x80000000U;
+constexpr std::uint32_t kNoSucc = 0xffffffffU;
 
 struct Node {
   std::unique_ptr<EufsInstance> inst;
+  std::uint64_t key_fnv = 0;  // FNV-1a of the state key
   NodeFreqs env;
-  std::uint32_t parent = kNoParent;
+  std::uint32_t parent = 0;  // the root is state 0
   std::uint32_t depth = 0;
-  TraceStep in_step;  // edge from parent (unused for the root)
+  std::size_t input = 0;  // lattice input on the edge from parent
 };
 
-/// Successor candidate produced by a worker; merged sequentially.
+/// One (state, input) transition as a worker leaves it for the merge. A
+/// successor the index already held comes back as its id alone; only an
+/// unresolved one keeps its key and policy snapshot.
 struct Succ {
-  std::string key;
+  std::uint64_t word = 0;  // digest word: FNV-1a of the key, then the step
+  std::uint32_t id = kNoSucc;
   TraceStep step;
-  NodeFreqs env_after;
+  std::string key;
   std::unique_ptr<EufsInstance> inst;
   std::optional<PropertyFailure> failure;
 };
@@ -419,17 +429,21 @@ ModelChecker::ModelChecker(InstanceFactory factory, SignatureLattice lattice,
       opts_(std::move(opts)) {
   EAR_CHECK_MSG(factory_ != nullptr, "model checker needs a policy factory");
   EAR_CHECK_MSG(lattice_.size() > 0, "empty signature lattice");
+  EAR_CHECK_MSG(opts_.max_states < kReadyBit, "max_states must be below 2^31");
 }
 
 CheckReport ModelChecker::run() {
   CheckReport report;
   const std::size_t jobs = common::resolve_jobs(opts_.jobs);
   const std::size_t L = lattice_.size();
+  const NodeFreqs root_env{.cpu_pstate = opts_.pstates.nominal_pstate(),
+                           .imc_max = opts_.uncore.max(),
+                           .imc_min = opts_.uncore.min()};
 
   std::vector<Node> nodes;
-  std::map<std::string, std::uint32_t> index;
-  // Adjacency (deduped successor ids) for the livelock check.
-  std::vector<std::vector<std::uint32_t>> succs;
+  std::unordered_map<std::string, std::uint32_t> index;
+  // Row s holds the L successor-table entries of state s.
+  std::vector<std::uint32_t> table;
 
   const auto add_violation = [&](std::string property, std::string detail,
                                  std::vector<TraceStep> trace) {
@@ -438,282 +452,264 @@ CheckReport ModelChecker::run() {
         {std::move(property), std::move(detail), std::move(trace)});
   };
 
-  const auto path_to = [&](std::uint32_t id) {
-    std::vector<TraceStep> path;
-    for (std::uint32_t n = id; nodes[n].parent != kNoParent;
-         n = nodes[n].parent) {
-      path.push_back(nodes[n].in_step);
+  const auto inputs_to = [&](std::uint32_t id) {
+    std::vector<std::size_t> inputs;
+    for (std::uint32_t n = id; n != 0; n = nodes[n].parent) {
+      inputs.push_back(nodes[n].input);
     }
-    std::reverse(path.begin(), path.end());
-    return path;
+    std::reverse(inputs.begin(), inputs.end());
+    return inputs;
   };
 
-  /// Feed one lattice point to a policy snapshot, stamping the measured
-  /// CPU clock from the applied P-state.
-  const auto eval_input = [&](EufsInstance& inst, const NodeFreqs& env,
-                              std::size_t input) {
+  /// One lattice point as measured at `env`: the CPU clock is stamped
+  /// from the applied P-state.
+  const auto measured = [&](std::size_t input, const NodeFreqs& env) {
     Signature sig = lattice_.at(input);
     sig.avg_cpu_freq = opts_.pstates.freq(env.cpu_pstate);
-    const PreState pre = observe(inst);
-    TraceStep t = evaluate(inst, sig, input);
-    std::optional<PropertyFailure> failure =
-        check_transition(pre, sig, t, inst, opts_);
-    return std::pair<TraceStep, std::optional<PropertyFailure>>{
-        t, std::move(failure)};
+    return sig;
   };
 
-  // Root: the policy before any signature, at its default selection.
+  /// Feeds `inputs` to a fresh policy: the steps it takes. Counterexample
+  /// traces and the P5 replays both come from here.
+  const auto replay = [&](const std::vector<std::size_t>& inputs) {
+    std::unique_ptr<EufsInstance> inst = factory_();
+    NodeFreqs env = root_env;
+    std::vector<TraceStep> steps;
+    for (std::size_t input : inputs) {
+      steps.push_back(evaluate(*inst, measured(input, env), input));
+      if (!steps.back().via_validate) env = steps.back().out;
+    }
+    return steps;
+  };
+
   {
     Node root;
     root.inst = factory_();
-    root.env = NodeFreqs{.cpu_pstate = opts_.pstates.nominal_pstate(),
-                         .imc_max = opts_.uncore.max(),
-                         .imc_min = opts_.uncore.min()};
-    index.emplace(state_key(*root.inst, root.env), 0);
+    root.env = root_env;
+    const std::string key = state_key(*root.inst, root.env);
+    root.key_fnv = fnv1a(key);
+    index.emplace(key, 0);
     nodes.push_back(std::move(root));
-    succs.emplace_back();
   }
 
-  std::uint64_t digest = 1469598103934665603ULL;
+  std::uint64_t digest = kFnvBasis;
   bool exploded = false;
 
-  // Level-synchronous BFS in fixed-size chunks: workers expand
-  // (state, input) pairs independently; the merge walks results in
-  // (state, input) order, so discovery order, node ids and the digest
-  // are identical at any thread count.
-  std::vector<std::uint32_t> frontier{0};
+  // BFS in fixed-size chunks of the id-ordered queue: workers expand
+  // (state, input) pairs and resolve known successors against the index,
+  // which only the merge writes, between chunks; the merge walks results
+  // in (state, input) order, so node ids and the digest are identical at
+  // any thread count.
   constexpr std::size_t kChunk = 128;
-  while (!frontier.empty() && !exploded) {
-    std::vector<std::uint32_t> next;
-    for (std::size_t base = 0; base < frontier.size() && !exploded;
-         base += kChunk) {
-      const std::size_t count = std::min(kChunk, frontier.size() - base);
-      std::vector<std::vector<Succ>> results(count);
-      common::parallel_for(
-          count,
-          [&](std::size_t i) {
-            const Node& from = nodes[frontier[base + i]];
-            std::vector<Succ>& out = results[i];
-            out.reserve(L);
-            for (std::size_t input = 0; input < L; ++input) {
-              Succ s;
-              s.inst = from.inst->clone();
-              try {
-                auto [step, failure] = eval_input(*s.inst, from.env, input);
-                s.step = step;
-                s.failure = std::move(failure);
-              } catch (const common::ContractViolation& e) {
-                s.step.input = input;
-                s.step.stage_before = from.inst->stage();
-                s.step.stage_after = from.inst->stage();
-                s.failure = PropertyFailure{"P0.contract", e.what()};
-                out.push_back(std::move(s));
-                continue;
-              }
-              s.env_after = s.step.via_validate ? from.env : s.step.out;
-              s.key = state_key(*s.inst, s.env_after);
-              out.push_back(std::move(s));
+  for (std::size_t base = 0; base < nodes.size() && !exploded;) {
+    const std::size_t count = std::min(kChunk, nodes.size() - base);
+    std::vector<std::vector<Succ>> results(count);
+    common::parallel_for(
+        count,
+        [&](std::size_t i) {
+          const Node& from = nodes[base + i];
+          std::vector<Succ>& out = results[i];
+          out.resize(L);
+          for (std::size_t input = 0; input < L; ++input) {
+            Succ& s = out[input];
+            std::unique_ptr<EufsInstance> inst = from.inst->clone();
+            std::string key;
+            try {
+              const Signature sig = measured(input, from.env);
+              const PreState pre = observe(*inst);
+              s.step = evaluate(*inst, sig, input);
+              s.failure = check_transition(pre, sig, s.step, *inst, opts_);
+              key = state_key(*inst,
+                              s.step.via_validate ? from.env : s.step.out);
+            } catch (const common::ContractViolation& e) {
+              s.step = TraceStep{.input = input,
+                                 .stage_before = from.inst->stage(),
+                                 .stage_after = from.inst->stage()};
+              s.failure = PropertyFailure{"P0.contract", e.what()};
             }
-          },
-          jobs);
+            const auto it = s.failure ? index.end() : index.find(key);
+            if (it != index.end()) {
+              s.id = it->second;
+              s.word = fnv1a(step_record(s.step), nodes[s.id].key_fnv);
+            } else {
+              s.word = fnv1a(step_record(s.step), fnv1a(key));
+              s.key = std::move(key);
+              s.inst = std::move(inst);
+            }
+          }
+        },
+        jobs);
 
-      // Deterministic merge.
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t from_id = frontier[base + i];
-        for (Succ& s : results[i]) {
-          ++report.transitions;
-          digest = fnv1a(s.key, digest);
-          digest = fnv1a(step_record(s.step), digest);
-          if (s.failure) {
-            std::vector<TraceStep> trace = path_to(from_id);
+    // Deterministic merge.
+    table.resize((base + count) * L, kNoSucc);
+    for (std::size_t i = 0; i < count && !exploded; ++i) {
+      const auto from_id = static_cast<std::uint32_t>(base + i);
+      for (Succ& s : results[i]) {
+        ++report.transitions;
+        digest = (digest ^ s.word) * kFnvPrime;
+        if (s.failure) {
+          if (report.violations.size() < opts_.max_violations) {
+            std::vector<TraceStep> trace = replay(inputs_to(from_id));
             trace.push_back(s.step);
             add_violation(s.failure->property, s.failure->detail,
                           std::move(trace));
-            continue;  // don't explore past a broken transition
           }
-          auto [it, fresh] =
-              index.emplace(s.key, static_cast<std::uint32_t>(nodes.size()));
+          continue;  // don't explore past a broken transition
+        }
+        if (s.id == kNoSucc) {
+          const auto [it, fresh] = index.emplace(
+              std::move(s.key), static_cast<std::uint32_t>(nodes.size()));
+          s.id = it->second;
           if (fresh) {
+            const Node& from = nodes[from_id];
             Node n;
             n.inst = std::move(s.inst);
-            n.env = s.env_after;
+            n.key_fnv = fnv1a(it->first);
+            n.env = s.step.via_validate ? from.env : s.step.out;
             n.parent = from_id;
-            n.depth = nodes[from_id].depth + 1;
-            n.in_step = s.step;
+            n.depth = from.depth + 1;
+            n.input = s.step.input;
             report.max_depth = std::max<std::size_t>(report.max_depth, n.depth);
             nodes.push_back(std::move(n));
-            succs.emplace_back();
-            next.push_back(it->second);
             if (nodes.size() > opts_.max_states) {
               add_violation("state-explosion",
                             "exceeded max_states = " +
                                 std::to_string(opts_.max_states) +
                                 "; state identity is likely broken",
-                            path_to(it->second));
+                            replay(inputs_to(s.id)));
               exploded = true;
               break;
             }
           }
-          std::vector<std::uint32_t>& adj = succs[from_id];
-          if (std::find(adj.begin(), adj.end(), it->second) == adj.end()) {
-            adj.push_back(it->second);
-          }
         }
-        if (exploded) break;
+        table[from_id * L + s.step.input] =
+            s.id | (s.step.verdict == PolicyState::kReady ? kReadyBit : 0);
       }
     }
-    frontier = std::move(next);
+    base += count;
   }
 
-  report.states = nodes.size();
+  const auto n_states = static_cast<std::uint32_t>(nodes.size());
+  report.states = n_states;
   report.digest = digest;
+  if (exploded) return report;
 
   // ------------------------------------------------------------------
   // P4: the graph minus restart edges and stable holds must be acyclic.
   // ------------------------------------------------------------------
-  if (!exploded) {
-    enum : unsigned char { kWhite, kGrey, kBlack };
-    std::vector<unsigned char> colour(nodes.size(), kWhite);
+  {
+    enum : unsigned char { kWhite, kGrey, kLooped, kBlack };
+    std::vector<unsigned char> colour(n_states, kWhite);
     std::vector<std::pair<std::uint32_t, std::size_t>> stack;
     for (std::uint32_t start = 0;
-         start < nodes.size() && report.violations.size() < opts_.max_violations;
+         start < n_states && report.violations.size() < opts_.max_violations;
          ++start) {
       if (colour[start] != kWhite) continue;
       stack.emplace_back(start, 0);
       colour[start] = kGrey;
       while (!stack.empty()) {
-        auto& [n, edge] = stack.back();
-        if (edge < succs[n].size()) {
-          const std::uint32_t m = succs[n][edge++];
-          if (m == n) continue;  // stable hold
-          if (nodes[m].inst->stage() == Stage::kCpuFreqSel) continue;  // restart
-          if (colour[m] == kGrey) {
-            add_violation(
-                "P4.no-livelock",
-                std::string("cycle through ") +
-                    stage_name(nodes[m].inst->stage()) +
-                    " without a restart: the policy can oscillate forever",
-                path_to(m));
-            continue;
-          }
-          if (colour[m] == kWhite) {
-            colour[m] = kGrey;
-            stack.emplace_back(m, 0);
-          }
-        } else {
+        auto& [n, input] = stack.back();
+        if (input == L) {
           colour[n] = kBlack;
           stack.pop_back();
+          continue;
+        }
+        const std::uint32_t entry = table[n * L + input++];
+        const std::uint32_t m = entry & ~kReadyBit;
+        if (entry == kNoSucc || m == n) continue;  // failed, stable hold
+        if (nodes[m].inst->stage() == Stage::kCpuFreqSel) continue;  // restart
+        if (colour[m] == kGrey) {
+          colour[m] = kLooped;  // one counterexample per cycle entry
+          std::vector<std::size_t> inputs = inputs_to(n);
+          inputs.push_back(input - 1);
+          add_violation("P4.no-livelock",
+                        std::string("cycle through ") +
+                            stage_name(nodes[m].inst->stage()) +
+                            " without a restart: the policy can oscillate "
+                            "forever",
+                        replay(inputs));
+        } else if (colour[m] == kWhite) {
+          colour[m] = kGrey;
+          stack.emplace_back(m, 0);
         }
       }
     }
   }
 
   // ------------------------------------------------------------------
-  // P1: from every reachable state, holding any signature constant must
-  // reach READY (or a passing validation) within the bound.
+  // P1: from every reachable state, holding any input constant must reach
+  // READY (or a passing validation) within the bound. Holding input i
+  // walks column i of the table; a failed transition ends the walk, as P1
+  // makes no claim past it.
   // ------------------------------------------------------------------
-  if (!exploded) {
+  {
     const std::size_t bound =
-        opts_.convergence_bound != 0
-            ? opts_.convergence_bound
-            : 2 * (opts_.pstates.size() + opts_.uncore.num_steps() + 8);
-    std::vector<std::size_t> held;
-    if (opts_.convergence_full) {
-      held.resize(L);
-      for (std::size_t i = 0; i < L; ++i) held[i] = i;
-    } else {
-      held = lattice_.convergence_subset();
-    }
-    struct ConvFailure {
-      std::size_t input = 0;
-      std::vector<TraceStep> tail;
-    };
-    std::vector<std::optional<ConvFailure>> failures(nodes.size());
+        2 * (opts_.pstates.size() + opts_.uncore.num_steps() + 8);
+    const auto over = static_cast<std::uint32_t>(bound + 1);
+    constexpr std::uint32_t kOnChain = 0xffffffffU;
+    // Per input, the first state (in BFS order) that misses the bound.
+    std::vector<std::uint32_t> failing(L, kNoSucc);
     common::parallel_for(
-        nodes.size(),
-        [&](std::size_t id) {
-          for (std::size_t input : held) {
-            auto inst = nodes[id].inst->clone();
-            NodeFreqs env = nodes[id].env;
-            std::vector<TraceStep> tail;
-            bool converged = false;
-            for (std::size_t k = 0; k < bound; ++k) {
-              Signature sig = lattice_.at(input);
-              sig.avg_cpu_freq = opts_.pstates.freq(env.cpu_pstate);
-              TraceStep t;
-              try {
-                t = evaluate(*inst, sig, input);
-              } catch (const common::ContractViolation&) {
-                break;  // reported by the exploration pass
-              }
-              tail.push_back(t);
-              if (!t.via_validate) env = t.out;
-              if (t.verdict == PolicyState::kReady) {
-                converged = true;
+        L,
+        [&](std::size_t input) {
+          // dist[s]: evaluations from s until the walk ends, capped at
+          // `over`; 0 = not yet known.
+          std::vector<std::uint32_t> dist(n_states, 0);
+          std::vector<std::uint32_t> chain;
+          for (std::uint32_t s = 0; s < n_states; ++s) {
+            std::uint32_t after = 0;  // evaluations past the chain's end
+            for (std::uint32_t cur = s;;) {
+              if (dist[cur] != 0) {
+                after = dist[cur] == kOnChain ? over : dist[cur];  // cycle
                 break;
               }
+              dist[cur] = kOnChain;
+              chain.push_back(cur);
+              const std::uint32_t entry = table[cur * L + input];
+              if (entry == kNoSucc || (entry & kReadyBit) != 0) break;
+              cur = entry;
             }
-            if (!converged) {
-              failures[id] = ConvFailure{input, std::move(tail)};
-              return;  // one counterexample per state is plenty
+            for (; !chain.empty(); chain.pop_back()) {
+              after = std::min(after + 1, over);
+              dist[chain.back()] = after;
+            }
+            if (dist[s] == over) {
+              failing[input] = s;
+              return;
             }
           }
         },
         jobs);
-    report.convergence_replays = nodes.size() * held.size();
-    for (std::size_t id = 0; id < nodes.size(); ++id) {
-      if (!failures[id]) continue;
-      std::vector<TraceStep> trace = path_to(static_cast<std::uint32_t>(id));
-      trace.insert(trace.end(), failures[id]->tail.begin(),
-                   failures[id]->tail.end());
+    report.convergence_replays = n_states * L;
+    for (std::size_t input = 0; input < L; ++input) {
+      if (failing[input] == kNoSucc) continue;
+      std::vector<std::size_t> inputs = inputs_to(failing[input]);
+      inputs.insert(inputs.end(), bound, input);
       add_violation("P1.convergence",
-                    "holding input #" + std::to_string(failures[id]->input) +
-                        " (" + lattice_.describe(failures[id]->input) +
+                    "holding input #" + std::to_string(input) + " (" +
+                        lattice_.describe(input) +
                         ") constant did not reach READY within " +
                         std::to_string(bound) + " evaluations",
-                    std::move(trace));
+                    replay(inputs));
     }
   }
 
   // ------------------------------------------------------------------
-  // P5: replaying a trace twice is bitwise identical.
+  // P5: replaying a trace twice is bitwise identical, for the first
+  // `determinism_samples` states in BFS order and the last (deepest) one.
   // ------------------------------------------------------------------
-  if (!exploded) {
-    std::vector<std::uint32_t> samples;
-    for (std::uint32_t id = 0;
-         id < nodes.size() && samples.size() < opts_.determinism_samples; ++id) {
-      samples.push_back(id);
-    }
-    std::uint32_t deepest = 0;
-    for (std::uint32_t id = 0; id < nodes.size(); ++id) {
-      if (nodes[id].depth > nodes[deepest].depth) deepest = id;
-    }
-    if (std::find(samples.begin(), samples.end(), deepest) == samples.end()) {
-      samples.push_back(deepest);
-    }
-    const auto replay = [&](const std::vector<TraceStep>& path) {
-      auto inst = factory_();
-      NodeFreqs env = NodeFreqs{.cpu_pstate = opts_.pstates.nominal_pstate(),
-                                .imc_max = opts_.uncore.max(),
-                                .imc_min = opts_.uncore.min()};
-      std::string record;
-      for (const TraceStep& in : path) {
-        Signature sig = lattice_.at(in.input);
-        sig.avg_cpu_freq = opts_.pstates.freq(env.cpu_pstate);
-        const TraceStep t = evaluate(*inst, sig, in.input);
-        if (!t.via_validate) env = t.out;
-        record += step_record(t);
-      }
-      return record;
-    };
-    for (std::uint32_t id : samples) {
-      const std::vector<TraceStep> path = path_to(id);
-      if (path.empty()) continue;
-      ++report.determinism_replays;
-      if (replay(path) != replay(path)) {
-        add_violation("P5.determinism",
-                      "two replays of the same input trace diverged", path);
-      }
+  std::vector<std::uint32_t> samples(
+      std::min<std::size_t>(n_states, opts_.determinism_samples));
+  std::iota(samples.begin(), samples.end(), 0);
+  if (n_states > samples.size()) samples.push_back(n_states - 1);
+  for (std::uint32_t id : samples) {
+    const std::vector<std::size_t> inputs = inputs_to(id);
+    if (inputs.empty()) continue;
+    ++report.determinism_replays;
+    if (replay(inputs) != replay(inputs)) {
+      add_violation("P5.determinism",
+                    "two replays of the same input trace diverged",
+                    replay(inputs));
     }
   }
 

@@ -13,10 +13,12 @@
 //   P0 legal-edge    every observed stage change is an edge of the
 //                    Fig. 2 table (MinEnergyEufsPolicy::legal_transition),
 //                    and no apply() throws a contract violation.
-//   P1 convergence   from every reachable state, holding any signature
-//                    constant reaches READY (or a passing validation)
-//                    within a bounded number of evaluations — the search
-//                    cannot wedge.
+//   P1 convergence   from every reachable state, holding any lattice
+//                    input constant reaches READY (or a passing
+//                    validation) within a bounded number of evaluations —
+//                    the search cannot wedge. Decided on the explored
+//                    graph: holding input i follows column i of the
+//                    successor table.
 //   P2 imc-step      the IMC window maximum only ever moves in single
 //                    0.1 GHz grid steps, starting from the HW-selected
 //                    frequency (or the range maximum for NG-U), and
@@ -36,10 +38,13 @@
 // (e.g. a settled search's trial/ref are dead once STABLE, because the
 // only outgoing edges re-anchor or restart). This is what keeps the
 // stable-anchored state family linear in the lattice size instead of
-// cubic. Frontier expansion fans out with common::parallel_for, followed
-// by a sequential, index-ordered merge, so the explored set,
-// the digest and every counterexample are bitwise identical at any
-// thread count.
+// cubic. Frontier expansion fans out with common::parallel_for: workers
+// evaluate each (state, input) transition once and resolve known
+// successors against the state index; a sequential, index-ordered merge
+// adds the new states, so the explored set, the digest and every
+// counterexample are bitwise identical at any thread count. The merge
+// records each transition in a states x lattice successor table (4 B an
+// entry), on which P1 and P4 run.
 #pragma once
 
 #include <cstdint>
@@ -94,14 +99,9 @@ using InstanceFactory = std::function<std::unique_ptr<EufsInstance>()>;
 struct CheckerOptions {
   std::size_t jobs = 0;  ///< worker threads (0 = common::default_jobs()).
   /// Abort (as a violation) if exploration exceeds this many states —
-  /// a state-identity bug shows up as an explosion, not a hang.
+  /// a state-identity bug shows up as an explosion, not a hang. The
+  /// successor table costs states x lattice x 4 B.
   std::size_t max_states = 500'000;
-  /// P1 bound; 0 = auto: 2 * (pstates + uncore grid + slack), enough for
-  /// one phase-change restart plus a full search.
-  std::size_t convergence_bound = 0;
-  /// Check every lattice point as a held signature in P1 instead of the
-  /// reduced (cpi, gbps, imc) subset.
-  bool convergence_full = false;
   /// P5 replays: every path to the first `determinism_samples` states in
   /// BFS order (plus the deepest state) is replayed twice and compared.
   std::size_t determinism_samples = 32;
@@ -125,6 +125,8 @@ struct TraceStep {
   bool via_validate = false;  ///< STABLE hold: validate() passed, no apply
   policies::PolicyState verdict = policies::PolicyState::kContinue;
   policies::NodeFreqs out;
+
+  friend bool operator==(const TraceStep&, const TraceStep&) = default;
 };
 
 struct Violation {
@@ -137,10 +139,15 @@ struct CheckReport {
   std::size_t states = 0;
   std::size_t transitions = 0;
   std::size_t max_depth = 0;
+  /// (state, held input) pairs P1 decided: states x lattice size. Its
+  /// bound is 2 * (pstates + uncore grid + 8), enough for one
+  /// phase-change restart plus a full search.
   std::size_t convergence_replays = 0;
   std::size_t determinism_replays = 0;
-  /// FNV-1a digest over every transition record in deterministic merge
-  /// order; two runs of the same configuration must agree bit for bit.
+  /// h = (h ^ w) * FNV prime from the FNV-1a offset basis, over one word
+  /// w per transition in (state, input) order, where w is FNV-1a over the
+  /// successor's state key followed by the step record. Two runs of the
+  /// same configuration must agree bit for bit.
   std::uint64_t digest = 0;
   std::vector<Violation> violations;
 

@@ -70,20 +70,4 @@ std::string SignatureLattice::describe(std::size_t i) const {
   return buf;
 }
 
-std::vector<std::size_t> SignatureLattice::convergence_subset() const {
-  // Neutral power/VPI plane: the first level of each collapsed axis.
-  std::vector<std::size_t> subset;
-  const std::size_t nc = axes_.cpi_mults.size();
-  const std::size_t ng = axes_.gbps_mults.size();
-  for (std::size_t imc = 0; imc < axes_.imc_observed.size(); ++imc) {
-    for (std::size_t g = 0; g < ng; ++g) {
-      for (std::size_t ci = 0; ci < nc; ++ci) {
-        subset.push_back(ci + nc * (g + ng * (axes_.power_mults.size() *
-                                              (axes_.vpi_levels.size() * imc))));
-      }
-    }
-  }
-  return subset;
-}
-
 }  // namespace ear::analysis

@@ -60,13 +60,6 @@ class SignatureLattice {
   /// e.g. "cpi x1.03, gbps x0.97, pw x1.10, vpi 0.35, imc 2.00 GHz".
   [[nodiscard]] std::string describe(std::size_t i) const;
 
-  /// Indices of the convergence-check subset: one point per distinct
-  /// (cpi, gbps, imc) combination at neutral power/VPI. Bounded-liveness
-  /// replays hold a signature constant, and the held value's power/VPI
-  /// coordinates cannot change which guard trips, so checking them all
-  /// would only multiply the replay count.
-  [[nodiscard]] std::vector<std::size_t> convergence_subset() const;
-
   [[nodiscard]] const LatticeAxes& axes() const { return axes_; }
 
  private:

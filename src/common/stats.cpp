@@ -76,18 +76,19 @@ std::vector<double> least_squares(
   const std::size_t k = rows.front().size();
   EAR_CHECK_MSG(rows.size() >= k, "underdetermined least-squares system");
 
-  // Normal equations: (X^T X) beta = X^T y.
-  std::vector<std::vector<double>> a(k, std::vector<double>(k + 1, 0.0));
+  // Normal equations: (X^T X) beta = X^T y, as a beta = b.
+  std::vector<std::vector<double>> a(k, std::vector<double>(k, 0.0));
+  std::vector<double> b(k, 0.0);
   for (std::size_t s = 0; s < rows.size(); ++s) {
     const auto& row = rows[s];
     EAR_CHECK(row.size() == k);
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) a[i][j] += row[i] * row[j];
-      a[i][k] += row[i] * y[s];
+      b[i] += row[i] * y[s];
     }
   }
 
-  // Gaussian elimination with partial pivoting on the augmented matrix.
+  // Gaussian elimination with partial pivoting on [a | b].
   for (std::size_t col = 0; col < k; ++col) {
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < k; ++r) {
@@ -97,15 +98,17 @@ std::vector<double> least_squares(
       throw ConfigError("least_squares: singular normal equations");
     }
     std::swap(a[col], a[pivot]);
+    std::swap(b[col], b[pivot]);
     for (std::size_t r = 0; r < k; ++r) {
       if (r == col) continue;
       const double factor = a[r][col] / a[col][col];
-      for (std::size_t c = col; c <= k; ++c) a[r][c] -= factor * a[col][c];
+      for (std::size_t c = col; c < k; ++c) a[r][c] -= factor * a[col][c];
+      b[r] -= factor * b[col];
     }
   }
 
   std::vector<double> beta(k);
-  for (std::size_t i = 0; i < k; ++i) beta[i] = a[i][k] / a[i][i];
+  for (std::size_t i = 0; i < k; ++i) beta[i] = b[i] / a[i][i];
   return beta;
 }
 

@@ -50,11 +50,15 @@ std::string AsciiTable::render() const {
     for (std::size_t c = 0; c < fields.size(); ++c) {
       const auto& f = fields[c];
       const std::size_t pad = widths[c] - f.size();
+      s += ' ';
       if (aligns_[c] == Align::kLeft) {
-        s += " " + f + std::string(pad, ' ') + " |";
+        s += f;
+        s.append(pad, ' ');
       } else {
-        s += " " + std::string(pad, ' ') + f + " |";
+        s.append(pad, ' ');
+        s += f;
       }
+      s += " |";
     }
     s += '\n';
     return s;

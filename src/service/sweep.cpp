@@ -300,9 +300,8 @@ std::vector<SweepPoint> sweep_points(const SweepSpec& spec) {
         p.label = app + "/" + policy;
         if (fault != "none") p.fault_plan = fault;
         if (fault_axis) {
-          p.label +=
-              "/" + (fault == "none" ? std::string("none")
-                                     : fault_stem(fault));
+          p.label += '/';
+          p.label += fault == "none" ? std::string("none") : fault_stem(fault);
         }
         out.push_back(std::move(p));
       }

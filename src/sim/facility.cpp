@@ -174,7 +174,7 @@ void print_facility_report(const FacilityResult& r) {
          common::AsciiTable::num(io.final_budget_w / 1e3, 2),
          common::AsciiTable::num(safe_ratio(io.final_budget_w, r.budget_w),
                                  2),
-         "p" + std::to_string(io.final_limit),
+         std::string("p").append(std::to_string(io.final_limit)),
          std::to_string(io.throttles), std::to_string(io.releases),
          std::to_string(io.blind_rounds), std::to_string(io.missed_readings),
          std::to_string(io.resumed_nodes)});

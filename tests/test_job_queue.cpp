@@ -234,8 +234,8 @@ TEST(JobQueue, MatchesOldScanOnRandomisedArrivalStreams) {
     const std::vector<std::size_t> islands = {17, 64, 96};
     std::vector<FacilityJob> stream;
     for (int j = 0; j < 120; ++j) {
-      stream.push_back(job("r" + std::to_string(j), 1 + rng() % 40,
-                           static_cast<double>(rng() % 50)));
+      stream.push_back(job(std::string("r").append(std::to_string(j)),
+                           1 + rng() % 40, static_cast<double>(rng() % 50)));
     }
     JobQueue q(stream, islands);
     std::vector<VectorFreeSet> shadow;

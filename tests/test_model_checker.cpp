@@ -4,12 +4,16 @@
 // wraps the *real* MinEnergyEufsPolicy behind the checker interface and
 // corrupts exactly one aspect of its observable behaviour — a broken
 // Fig. 2 transition table, a double IMC step, a missing guard revert —
-// and the corresponding property must produce a counterexample. None of
-// the mutants ship; they live here.
+// and the corresponding property must produce a counterexample. Two
+// hand-written fakes do the same for the graph passes: a restart loop
+// that only P1 catches and a P-state oscillation that only P4 catches.
+// None of the mutants ship; they live here.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/model_checker.hpp"
 #include "analysis/signature_lattice.hpp"
@@ -67,23 +71,6 @@ TEST(SignatureLattice, EnumerationIsDeterministicAndComplete) {
     EXPECT_EQ(a.gbps, b.gbps);
     EXPECT_EQ(a.avg_imc_freq, b.avg_imc_freq);
     EXPECT_FALSE(lat.describe(i).empty());
-  }
-}
-
-TEST(SignatureLattice, ConvergenceSubsetIsTheNeutralPlane) {
-  const analysis::SignatureLattice lat(
-      analysis::SignatureLattice::default_base(), analysis::LatticeAxes{});
-  const analysis::LatticeAxes& ax = lat.axes();
-  const std::vector<std::size_t> subset = lat.convergence_subset();
-  EXPECT_EQ(subset.size(), ax.cpi_mults.size() * ax.gbps_mults.size() *
-                               ax.imc_observed.size());
-  const metrics::Signature base = analysis::SignatureLattice::default_base();
-  for (std::size_t i : subset) {
-    ASSERT_LT(i, lat.size());
-    const metrics::Signature s = lat.at(i);
-    // Neutral power/VPI plane: the first level of each collapsed axis.
-    EXPECT_EQ(s.dc_power_w, base.dc_power_w * ax.power_mults.front());
-    EXPECT_EQ(s.vpi, ax.vpi_levels.front());
   }
 }
 
@@ -170,7 +157,7 @@ TEST(ModelChecker, ShippedPolicyHoldsAllProperties) {
   EXPECT_TRUE(report.ok());
   EXPECT_GT(report.states, 10u);
   EXPECT_GT(report.max_depth, 3u);
-  EXPECT_GT(report.convergence_replays, 0u);
+  EXPECT_EQ(report.convergence_replays, report.states * small_lattice().size());
   EXPECT_GT(report.determinism_replays, 0u);
 }
 
@@ -336,6 +323,115 @@ TEST(ModelChecker, MissingGuardRevertYieldsCounterexample) {
     found = found || v.property == "P3.revert-iff";
   }
   EXPECT_TRUE(found) << "expected a P3.revert-iff counterexample";
+}
+
+// ----------------------------------------------------------------------
+// Fakes for the graph passes: a stage and a P-state behind the checker
+// interface, with the uncore window always open, so every edge passes
+// the per-transition checks (P0, P2, P3) and only P1 or P4 can object.
+// ----------------------------------------------------------------------
+
+class FakeEufs : public analysis::EufsInstance {
+ public:
+  [[nodiscard]] bool validate(const metrics::Signature&) override {
+    return true;
+  }
+  [[nodiscard]] Stage stage() const override { return stage_; }
+  [[nodiscard]] simhw::Pstate current_pstate() const override {
+    return pstate_;
+  }
+  [[nodiscard]] const policies::ImcSearch& imc_search() const override {
+    return imc_;
+  }
+  [[nodiscard]] const metrics::Signature& stable_reference() const override {
+    return ref_;
+  }
+
+ protected:
+  PolicyState move(Stage stage, simhw::Pstate pstate, PolicyState verdict,
+                   policies::NodeFreqs& out) {
+    stage_ = stage;
+    pstate_ = pstate;
+    const simhw::UncoreRange uncore;
+    out = {.cpu_pstate = pstate, .imc_max = uncore.max(),
+           .imc_min = uncore.min()};
+    return verdict;
+  }
+
+  Stage stage_ = Stage::kCpuFreqSel;
+  simhw::Pstate pstate_ = 1;
+
+ private:
+  policies::ImcSearch imc_{simhw::UncoreRange{}, 0.02, true};
+  metrics::Signature ref_{};
+};
+
+analysis::CheckReport check_fake(const analysis::InstanceFactory& factory,
+                                 const std::string& property) {
+  const policies::PolicyContext ctx = make_ctx();
+  analysis::ModelChecker checker(factory, small_lattice(), make_opts(ctx));
+  const analysis::CheckReport report = checker.run();
+  EXPECT_FALSE(report.ok());
+  for (const analysis::Violation& v : report.violations) {
+    EXPECT_EQ(v.property, property) << checker.render_trace(v);
+    EXPECT_FALSE(v.trace.empty());
+    EXPECT_NE(checker.render_trace(v).find(property), std::string::npos);
+  }
+  return report;
+}
+
+// Restarts from COMP_REF to CPU_FREQ_SEL forever: every edge is legal and
+// restarts are sanctioned loops, so only P1 sees that READY never comes.
+class RestartLoopFake final : public FakeEufs {
+ public:
+  PolicyState apply(const metrics::Signature&,
+                    policies::NodeFreqs& out) override {
+    return move(stage_ == Stage::kCpuFreqSel ? Stage::kCompRef
+                                             : Stage::kCpuFreqSel,
+                pstate_, PolicyState::kContinue, out);
+  }
+  [[nodiscard]] std::unique_ptr<analysis::EufsInstance> clone()
+      const override {
+    return std::make_unique<RestartLoopFake>(*this);
+  }
+};
+
+TEST(ModelChecker, RestartLoopYieldsConvergenceCounterexample) {
+  const analysis::CheckReport report = check_fake(
+      [] { return std::make_unique<RestartLoopFake>(); }, "P1.convergence");
+  ASSERT_FALSE(report.violations.empty());
+  // The path to the state, then the held input for the whole bound.
+  const std::vector<analysis::TraceStep>& trace =
+      report.violations.front().trace;
+  EXPECT_GT(trace.size(), 8u);
+  for (const analysis::TraceStep& t : trace) {
+    EXPECT_EQ(t.verdict, PolicyState::kContinue);
+  }
+}
+
+// Stays in COMP_REF and alternates between two P-states, claiming READY
+// every time so P1 is satisfied: only P4 sees the cycle with no restart.
+class OscillationFake final : public FakeEufs {
+ public:
+  PolicyState apply(const metrics::Signature&,
+                    policies::NodeFreqs& out) override {
+    return move(Stage::kCompRef, pstate_ == 3 ? 4 : 3, PolicyState::kReady,
+                out);
+  }
+  [[nodiscard]] std::unique_ptr<analysis::EufsInstance> clone()
+      const override {
+    return std::make_unique<OscillationFake>(*this);
+  }
+};
+
+TEST(ModelChecker, PstateOscillationYieldsLivelockCounterexample) {
+  const analysis::CheckReport report = check_fake(
+      [] { return std::make_unique<OscillationFake>(); }, "P4.no-livelock");
+  // One counterexample per cycle entry, ending on the edge that closes it.
+  ASSERT_EQ(report.violations.size(), 1u);
+  const analysis::TraceStep& last = report.violations.front().trace.back();
+  EXPECT_EQ(last.stage_before, Stage::kCompRef);
+  EXPECT_EQ(last.stage_after, Stage::kCompRef);
 }
 
 }  // namespace
