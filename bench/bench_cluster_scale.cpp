@@ -131,8 +131,7 @@ int run(const ear::common::ArgParser& args) {
   using Clock = std::chrono::steady_clock;
   const std::vector<std::size_t> sizes =
       parse_sizes(args.get("nodes", std::string("10,100,1000,10000")));
-  const auto jobs =
-      static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  const auto jobs = args.get("jobs", std::uint64_t{0});
   // ~200 W/node sits between the idle floor (~150 W) and the busy draw
   // (~300-450 W), so the cap binds and the federation has to work at
   // every scale while staying physically reachable.

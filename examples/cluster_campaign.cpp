@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   const common::ArgParser args(argc, argv, {"progress"});
   const std::string policy = args.positional_or(0, "min_energy_eufs");
   const std::string csv_path = args.positional_or(1, "campaign.csv");
-  const auto jobs =
-      static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  const auto jobs = args.get("jobs", std::uint64_t{0});
 
   earl::EarlSettings settings = sim::settings_me_eufs(0.05, 0.02);
   settings.policy = policy;

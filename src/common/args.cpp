@@ -71,6 +71,13 @@ std::int64_t ArgParser::get(const std::string& name, std::int64_t def) const {
   return parse_integer<std::int64_t>(it->second, "option --" + name);
 }
 
+std::uint64_t ArgParser::get(const std::string& name,
+                             std::uint64_t def) const {
+  const auto it = options_.find(name);
+  if (it == options_.end() || it->second.empty()) return def;
+  return parse_integer<std::uint64_t>(it->second, "option --" + name);
+}
+
 std::vector<std::string> ArgParser::option_names() const {
   std::vector<std::string> out;
   out.reserve(options_.size());

@@ -40,6 +40,10 @@ class ArgParser {
   [[nodiscard]] double get(const std::string& name, double def) const;
   [[nodiscard]] std::int64_t get(const std::string& name,
                                  std::int64_t def) const;
+  /// For counts, indices and seeds: a negative value throws ConfigError
+  /// ("option --jobs expects a non-negative integer, got '-1'").
+  [[nodiscard]] std::uint64_t get(const std::string& name,
+                                  std::uint64_t def) const;
 
   /// Names of all options seen (for unknown-option checks).
   [[nodiscard]] std::vector<std::string> option_names() const;

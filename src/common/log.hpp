@@ -18,11 +18,20 @@ void logf(LogLevel level, const char* tag, const char* fmt, ...)
 
 }  // namespace ear::common
 
+/// Log at `level` if it passes the threshold. The arguments are
+/// evaluated only then: a dropped message builds no strings.
+#define EAR_LOG_AT(level, tag, ...)                               \
+  do {                                                            \
+    if ((level) >= ::ear::common::log_level()) {                  \
+      ::ear::common::logf((level), (tag), __VA_ARGS__);           \
+    }                                                             \
+  } while (false)
+
 #define EAR_LOG_DEBUG(tag, ...) \
-  ::ear::common::logf(::ear::common::LogLevel::kDebug, (tag), __VA_ARGS__)
+  EAR_LOG_AT(::ear::common::LogLevel::kDebug, tag, __VA_ARGS__)
 #define EAR_LOG_INFO(tag, ...) \
-  ::ear::common::logf(::ear::common::LogLevel::kInfo, (tag), __VA_ARGS__)
+  EAR_LOG_AT(::ear::common::LogLevel::kInfo, tag, __VA_ARGS__)
 #define EAR_LOG_WARN(tag, ...) \
-  ::ear::common::logf(::ear::common::LogLevel::kWarn, (tag), __VA_ARGS__)
+  EAR_LOG_AT(::ear::common::LogLevel::kWarn, tag, __VA_ARGS__)
 #define EAR_LOG_ERROR(tag, ...) \
-  ::ear::common::logf(::ear::common::LogLevel::kError, (tag), __VA_ARGS__)
+  EAR_LOG_AT(::ear::common::LogLevel::kError, tag, __VA_ARGS__)

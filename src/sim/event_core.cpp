@@ -22,14 +22,16 @@
 #include "faults/schedule.hpp"
 #include "sim/shard.hpp"
 #include "simhw/cluster.hpp"
+#include "simhw/energy_counts.hpp"
+#include "simhw/msr.hpp"
 
 namespace ear::sim {
 
 namespace {
 
-/// Longest stretch of control rounds one barrier may cover. Bounds the
-/// per-shard snapshot buffers (window * nodes doubles) and how far a
-/// shard can run ahead of a completion that would end the simulation.
+/// Longest stretch of control rounds one barrier may cover: bounds how
+/// far a shard can run ahead of a completion that would end the
+/// simulation.
 constexpr std::size_t kMaxWindow = 64;
 
 /// Nodes per unit of parallel work. Whole islands are too coarse:
@@ -39,13 +41,6 @@ constexpr std::size_t kMaxWindow = 64;
 /// island of a few hundred nodes over several workers.
 constexpr std::size_t kChunkNodes = 128;
 
-/// One unit of parallel work: local nodes [lo, hi) of one shard.
-struct NodeChunk {
-  std::size_t shard = 0;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-
 /// Per-running-job bookkeeping (admission order). The job's nodes point
 /// their slots at `demand`.
 struct RunningJob {
@@ -53,16 +48,26 @@ struct RunningJob {
   std::size_t island = 0;
   std::vector<std::size_t> local_nodes;
   simhw::WorkDemand demand{};
-  double start_inm_j = 0.0;
+  simhw::EnergyTotal start_counts = 0;
   bool live = false;
 };
 
 /// Most bytes one facility node can cost: its hardware, daemon and slot,
-/// its done round and reading, and a worst-case window of snapshot
-/// columns (INM energy, clock and reading per round).
+/// its entry in a chunk's busy list, its per-round reading (allocated
+/// for the federation and the dropout draws) and the federation's
+/// per-node state (daemon pointer, last known power, missed readings).
 constexpr std::uint64_t kBytesPerNode =
-    sizeof(simhw::SimNode) + sizeof(NodeSlot) + sizeof(eard::NodeDaemon) +
-    sizeof(std::size_t) + sizeof(double) + 3 * kMaxWindow * sizeof(double);
+    sizeof(simhw::SimNode) + sizeof(eard::NodeDaemon) + sizeof(NodeSlot) +
+    sizeof(std::uint32_t) + sizeof(double) + sizeof(eard::NodeDaemon*) +
+    sizeof(double) + sizeof(std::size_t);
+
+/// a + b for milliwatt sums, failing a check instead of wrapping.
+std::int64_t add_mw(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  EAR_CHECK_MSG(!__builtin_add_overflow(a, b, &sum),
+                "facility power sum overflow");
+  return sum;
+}
 
 /// Memory a run may use: physical memory, lowered by any finite
 /// address-space or data-segment soft limit.
@@ -116,8 +121,7 @@ std::size_t round_at_or_after(double s, double round_s) {
 
 FacilityResult run_facility(const FacilityConfig& cfg) {
   EAR_CHECK_MSG(!cfg.islands.empty(), "facility needs at least one island");
-  EAR_CHECK_MSG(cfg.round_s > 0.0, "control round must be positive");
-  EAR_CHECK_MSG(cfg.max_sim_s > cfg.round_s, "max_sim_s too small");
+  check_facility_timing(cfg);
   check_footprint(cfg);
   const auto wall_t0 = std::chrono::steady_clock::now();
 
@@ -129,6 +133,8 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
   std::size_t total_nodes = 0;
   for (std::size_t i = 0; i < cfg.islands.size(); ++i) {
     EAR_CHECK_MSG(cfg.islands[i].nodes > 0, "island has no nodes");
+    EAR_CHECK_MSG(cfg.islands[i].nodes <= UINT32_MAX,
+                  "island larger than a busy list can index");
     Shard& sh = shards[i];
     sh.index = i;
     sh.seed = common::mix_seed(cfg.seed, i);
@@ -136,29 +142,50 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
     sh.size = cfg.islands[i].nodes;
     sh.round_s = cfg.round_s;
     total_nodes += sh.size;
-    sh.slots.resize(sh.size);
-    sh.done_round.assign(sh.size, kNoRound);
   }
   // Parallel work items: fixed-size node chunks of every shard in
-  // shard-index order. One crew serves the whole run — the island build
+  // shard-index order; shard i owns chunks [chunk_base[i],
+  // chunk_base[i + 1]). One crew serves the whole run — the island build
   // below and every window's advance.
   std::vector<NodeChunk> chunks;
+  std::vector<std::size_t> chunk_base;
   for (const Shard& sh : shards) {
+    chunk_base.push_back(chunks.size());
     for (std::size_t lo = 0; lo < sh.size; lo += kChunkNodes) {
-      chunks.push_back({sh.index, lo, std::min(lo + kChunkNodes, sh.size)});
+      chunks.push_back(NodeChunk{.shard = sh.index});
     }
   }
+  chunk_base.push_back(chunks.size());
+  const auto chunk_of = [&](std::size_t island,
+                           std::size_t local) -> NodeChunk& {
+    return chunks[chunk_base[island] + local / kChunkNodes];
+  };
   common::Crew crew(
       std::min(common::resolve_jobs(cfg.sim_jobs), chunks.size()));
 
   // Island hardware builds concurrently: every stream in a cluster is
   // rooted at the island seed, so the result is bitwise-independent of
   // the worker count (and of whether the build ran concurrently at all).
+  // Every node starts idle: its boot window and node type fix what an
+  // idle round deposits, so one node's quantum serves the island.
   crew.run(shards.size(), [&](std::size_t i) {
+    Shard& sh = shards[i];
     clusters[i] = std::make_unique<simhw::Cluster>(
-        cfg.islands[i].node_config, cfg.islands[i].nodes, shards[i].seed,
+        cfg.islands[i].node_config, cfg.islands[i].nodes, sh.seed,
         cfg.noise, cfg.ufs);
-    shards[i].cluster = clusters[i].get();
+    sh.cluster = clusters[i].get();
+    const simhw::SimNode& first = sh.cluster->node(0);
+    NodeSlot idle;
+    idle.idle_since = 0;
+    idle.idle_counts = first.idle_inm_counts(common::Secs{cfg.round_s});
+    idle.idle_mw = reading_mw(idle.idle_counts, cfg.round_s);
+    idle.idle_window = first.msr(0).read(simhw::kMsrUncoreRatioLimit);
+    sh.slots.assign(sh.size, idle);
+    std::int64_t sum = 0;
+    EAR_CHECK_MSG(!__builtin_mul_overflow(static_cast<std::int64_t>(sh.size),
+                                          idle.idle_mw, &sum),
+                  "facility power sum overflow");
+    sh.idle_mw = sum;
   });
 
   std::vector<eard::NodeDaemon> daemons;
@@ -234,16 +261,19 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
         });
   }
 
-  // Serial cross-shard state: the readings buffer and the fault stream
-  // are reduced/drawn in shard-index order at barrier merges only.
-  std::vector<double> readings(total_nodes, 0.0);
+  // Per-node readings, only for what reads them node by node: the
+  // federation and the dropout draws (which hide readings from it).
+  // Rounds that fill them are one-round windows, so every entry is that
+  // round's reading. The fault stream is drawn in shard-index order.
+  const bool per_node_readings =
+      federation != nullptr || !cfg.fault_plan.specs.empty();
+  std::vector<double> readings(per_node_readings ? total_nodes : 0, 0.0);
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
   // The window each chunk advances through is published to the crew by
   // the epoch increment inside Crew::run (release/acquire pairing).
   const common::Crew::Body advance = [&shards, &chunks](std::size_t c) {
-    const NodeChunk& ch = chunks[c];
-    shards[ch.shard].advance_nodes(ch.lo, ch.hi);
+    shards[chunks[c].shard].advance(chunks[c]);
   };
 
   double last_fault_end_s = 0.0;
@@ -255,7 +285,6 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
     }
   }
 
-  bool nonfinite = false;
   bool wedged = false;
   std::size_t persistent_overruns = 0;
   std::size_t consecutive_over = 0;
@@ -287,6 +316,8 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
 
     // Admission: arrivals up to `now`, lowest free nodes, backfill —
     // byte-for-byte the reference loop's admission, against shard slots.
+    // An idle node settles its idle rounds and goes back on its chunk's
+    // busy list.
     for (JobStart& start : queue.admit(now)) {
       const FacilityJob& job = queue.jobs()[start.job];
       const simhw::NodeConfig& node_cfg =
@@ -301,14 +332,18 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
                      .island = start.island,
                      .local_nodes = std::move(start.local_nodes),
                      .demand = workload::make_demand(node_cfg, spec),
-                     .start_inm_j = 0.0,
                      .live = true});
       for (std::size_t local : rj.local_nodes) {
         NodeSlot& slot = sh.slots[local];
+        if (slot.idle_since != kNoRound) {
+          sh.wake(local, round);
+          chunk_of(start.island, local)
+              .busy.push_back(static_cast<std::uint32_t>(local));
+        }
         slot.demand = &rj.demand;
         slot.iters_left = spec.iterations;
-        sh.done_round[local] = spec.iterations == 0 ? round : kNoRound;
-        rj.start_inm_j += sh.cluster->node(local).inm().exact().value;
+        slot.done_round = spec.iterations == 0 ? round : kNoRound;
+        rj.start_counts += sh.cluster->node(local).inm().counts();
       }
       sh.jobs.push_back(
           ShardJob{.job = start.job, .local_nodes = rj.local_nodes});
@@ -320,17 +355,19 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
     }
 
     // Window: how many rounds can every shard integrate autonomously?
-    // One, unless no control-plane event can land inside the stretch: a
-    // live federation re-splits caps every round, a pending job may
-    // admit as soon as a completion frees nodes, and arrival / fault
+    // One, unless no control-plane event can land inside the stretch and
+    // nothing reads per-node readings: a live federation re-splits caps
+    // every round, a pending job may admit as soon as a completion frees
+    // nodes, active dropouts hide per-node readings, and arrival / fault
     // boundaries pin their exact rounds. Completions inside a window are
-    // safe — the merge replays them round-by-round from snapshots, so
-    // results do not depend on the window length. Drain windows double
-    // from the previous one rather than jumping to kMaxWindow: the run
-    // may end a few rounds in, and every round past the end is
-    // integrated for nothing.
+    // safe — the merge replays them round-by-round from the integer
+    // counters, so results do not depend on the window length. Drain
+    // windows double from the previous one rather than jumping to
+    // kMaxWindow: the run may end a few rounds in, and every round past
+    // the end is integrated for nothing.
     std::size_t window = 1;
-    if (!federation && queue.pending() == 0) {
+    if (!federation && queue.pending() == 0 &&
+        !fault_sched.any_active(round)) {
       const std::size_t grown = std::min(kMaxWindow, 2 * last_window);
       while (window < grown &&
              static_cast<double>(round + window) * cfg.round_s +
@@ -346,33 +383,37 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
     last_window = window;
 
     // Parallel phase: the crew claims node chunks; every RNG draw in
-    // here comes from a node-local stream. Buffer sizing before it and
-    // completion posting after it stay serial.
-    for (Shard& sh : shards) sh.begin_window(round, window);
+    // here comes from a node-local stream. Completion posting after it
+    // stays serial.
+    for (Shard& sh : shards) {
+      sh.window_first_round = round;
+      sh.window_rounds = window;
+    }
     crew.run(chunks.size(), advance);
     for (Shard& sh : shards) sh.post_completions();
 
     // Serial merge: replay the window round-by-round in shard-index
-    // order — the same readings arithmetic, fault-stream draw order and
-    // completion order as the reference loop's per-round tail.
+    // order — the reference loop's fault-stream draw order and
+    // completion order. Each island's total is its idle sum plus its
+    // chunks' visited readings: integers, so O(chunks), not O(nodes).
     for (std::size_t w = 0; w < window; ++w) {
       const std::size_t r = round + w;
       const double rnow = static_cast<double>(r) * cfg.round_s;
       const double rend = rnow + cfg.round_s;
 
-      // The shards already computed this round's readings with the
-      // reference arithmetic; the barrier only loads and sums them, in
-      // the same shard-index/node order the reference sweep uses.
-      double total_w = 0.0;
-      for (Shard& sh : shards) {
-        const double* win = sh.win_reading_w.data() + w * sh.size;
-        double* dst = readings.data() + sh.offset;
-        for (std::size_t n = 0; n < sh.size; ++n) {
-          dst[n] = win[n];
-          total_w += dst[n];
+      std::int64_t total_mw = 0;
+      for (std::size_t i = 0; i < shards.size(); ++i) {
+        Shard& sh = shards[i];
+        std::int64_t island_mw = sh.idle_mw;
+        std::int64_t joined_mw = 0;
+        for (std::size_t c = chunk_base[i]; c < chunk_base[i + 1]; ++c) {
+          island_mw = add_mw(island_mw, chunks[c].visited_mw[w]);
+          joined_mw = add_mw(joined_mw, chunks[c].joined_mw[w]);
         }
+        total_mw = add_mw(total_mw, island_mw);
+        sh.idle_mw = add_mw(sh.idle_mw, joined_mw);
       }
-      if (!std::isfinite(total_w)) nonfinite = true;
+      const double total_w = static_cast<double>(total_mw) / 1000.0;
       out.peak_power_w = std::max(out.peak_power_w, total_w);
 
       if (cfg.budget.value > 0.0) {
@@ -400,9 +441,22 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
         }
       }
 
-      // Fault tier: rounds outside every activity window draw nothing (in
-      // the reference loop too), so the schedule gate skips dead scans.
-      if (fault_sched.any_active(r)) {
+      // Rounds outside every activity window draw nothing (in the
+      // reference loop too), so the schedule gate skips dead scans.
+      const bool faulted = fault_sched.any_active(r);
+      if (federation || faulted) {
+        for (const Shard& sh : shards) {
+          double* dst = readings.data() + sh.offset;
+          for (std::size_t n = 0; n < sh.size; ++n) {
+            const NodeSlot& slot = sh.slots[n];
+            dst[n] = static_cast<double>(slot.idle_since <= r
+                                             ? slot.idle_mw
+                                             : slot.reading_mw) /
+                     1000.0;
+          }
+        }
+      }
+      if (faulted) {
         for (const auto& f : cfg.fault_plan.specs) {
           if (!f.active_at(rnow)) continue;
           if (f.family == faults::FaultFamily::kNodeDropout) {
@@ -434,7 +488,9 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
 
       // Completions: the shards posted exact phase-change events for
       // every job that drained in this window; pop the ones due at this
-      // round (shard-index order) and settle them in admission order.
+      // round (shard-index order) and settle them in admission order. A
+      // node's counter at this round follows from its slot, however far
+      // the window advanced it.
       std::vector<std::size_t> due;
       for (Shard& sh : shards) {
         while (!sh.events.empty() && sh.events.next_round() <= r) {
@@ -446,15 +502,17 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
         RunningJob& rj = running[ri];
         EAR_CHECK(rj.live);
         Shard& sh = shards[rj.island];
-        double end_inm = 0.0;
+        simhw::EnergyTotal end_counts = 0;
         for (std::size_t local : rj.local_nodes) {
-          end_inm += sh.win_inm_j[w * sh.size + local];
-          sh.slots[local].demand = nullptr;
+          NodeSlot& slot = sh.slots[local];
+          end_counts += slot.counts_at(sh.cluster->node(local), r);
+          slot.demand = nullptr;
         }
+        EAR_CHECK(end_counts >= rj.start_counts);
         FacilityJobOutcome& o = out.jobs[rj.job];
         o.end_s = rend;
-        o.energy_j = end_inm - rj.start_inm_j;
-        if (!std::isfinite(o.energy_j)) nonfinite = true;
+        o.energy_j =
+            simhw::energy_counts_to_joules(end_counts - rj.start_counts).value;
         out.makespan_s = std::max(out.makespan_s, o.end_s);
         queue.release(rj.island, rj.local_nodes);
         rj.live = false;
@@ -462,16 +520,10 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
       }
       out.rounds = r + 1;
 
+      // Termination may land mid-window: the shards advanced the tail
+      // rounds for nothing, and the epilogue reads every node's counter
+      // as of this round.
       if (live_jobs == 0 && queue.all_started()) {
-        // Termination may land mid-window: the shards over-integrated
-        // the tail rounds, so rewind their per-node bookkeeping to this
-        // round's snapshots — the epilogue then reads node state exactly
-        // as a reference run that stopped here would. Single-round
-        // windows take no snapshots and need no rewind: the slots'
-        // prev-* values already are this round's state.
-        if (window > 1) {
-          for (Shard& sh : shards) sh.rewind_to(w);
-        }
         finished = true;
         break;
       }
@@ -484,15 +536,20 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
   out.walls.core_s = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - wall_t1).count();
 
+  // Island energies: every node's counter as of the last merged round.
+  simhw::EnergyTotal facility_counts = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& sh = shards[i];
     FacilityIslandOutcome io;
     io.node_type = cfg.islands[i].node_config.name;
     io.nodes = sh.size;
+    simhw::EnergyTotal island_counts = 0;
     for (std::size_t n = 0; n < sh.size; ++n) {
-      io.energy_j += sh.slots[n].prev_inm_j;
+      island_counts +=
+          sh.slots[n].counts_at(sh.cluster->node(n), out.rounds - 1);
     }
-    if (!std::isfinite(io.energy_j)) nonfinite = true;
+    io.energy_j = simhw::energy_counts_to_joules(island_counts).value;
+    facility_counts += island_counts;
     if (federation) {
       const eargm::EargmManager& m = federation->island(i);
       io.final_budget_w = federation->island_budget(i).value;
@@ -503,9 +560,10 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
       io.missed_readings = m.missed_readings();
       io.resumed_nodes = m.resumed_nodes();
     }
-    out.facility_energy_j += io.energy_j;
     out.islands.push_back(std::move(io));
   }
+  out.facility_energy_j =
+      simhw::energy_counts_to_joules(facility_counts).value;
   if (federation) {
     out.redistributions = federation->redistributions();
     out.facility_blind_rounds = federation->facility_blind_rounds();
@@ -514,9 +572,6 @@ FacilityResult run_facility(const FacilityConfig& cfg) {
   out.backfills = queue.backfills();
   out.peak_pending_jobs = queue.peak_pending();
 
-  if (nonfinite) {
-    out.violations.push_back("non-finite energy/power in ground truth");
-  }
   if (wedged) {
     out.violations.push_back("facility wedged: max_sim_s reached with " +
                              std::to_string(live_jobs) +

@@ -1,6 +1,8 @@
 #include "sim/facility.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
@@ -8,6 +10,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "sim/report.hpp"
+#include "simhw/energy_counts.hpp"
 
 namespace ear::sim {
 
@@ -33,6 +36,33 @@ double FacilityResult::mean_turnaround_s() const {
     ++n;
   }
   return n > 0 ? acc / static_cast<double>(n) : 0.0;
+}
+
+void check_facility_timing(const FacilityConfig& cfg) {
+  const auto seconds = [](double s) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", s);
+    return std::string(buf);
+  };
+  // Scaling by a power of two is exact, so `ticks` is whole exactly when
+  // round_s is a multiple of 2^-10 s; below 2^53 ticks every multiple up
+  // to max_sim_s is exact too.
+  const double ticks = cfg.round_s * 1024.0;
+  if (!(cfg.round_s > 0.0 && ticks < 0x1p53 && std::floor(ticks) == ticks)) {
+    throw ConfigError("control round " + seconds(cfg.round_s) +
+                      " s is not a positive whole multiple of 1/1024 s: "
+                      "round boundaries must be exact in floating point");
+  }
+  if (!(cfg.max_sim_s > cfg.round_s)) {
+    throw ConfigError("max_sim_s " + seconds(cfg.max_sim_s) +
+                      " s must exceed the control round");
+  }
+  if (!(cfg.max_sim_s <= simhw::kEnergyCounterSecondsAtKw)) {
+    throw ConfigError("max_sim_s " + seconds(cfg.max_sim_s) +
+                      " s is beyond the " +
+                      seconds(simhw::kEnergyCounterSecondsAtKw) +
+                      " s a node's energy counter holds at 1 kW");
+  }
 }
 
 FacilityConfig make_facility_config(std::size_t nodes, std::size_t islands,

@@ -6,15 +6,18 @@
 // from the simhw node-config factories (Skylake 6148, Ice Lake 8358,
 // GPU 6142M) — fed by a JobQueue (arrival stream + backfill). Execution
 // is round-based: every control round each node advances its work to
-// the round boundary, per-node average powers are derived from the INM
-// energy counters, node/island dropout faults hide readings, and the
-// FederatedEargm steps the island P-state caps and re-splits the
-// facility budget. Results are bitwise-deterministic at any `jobs`
-// (worker-thread) count: nodes are advanced independently and every
-// reduction walks island/node index order.
+// the round boundary, per-node average powers (integer milliwatts) are
+// derived from the INM energy counters (integer 2^-30 J counts), node/
+// island dropout faults hide readings, and the FederatedEargm steps the
+// island P-state caps and re-splits the facility budget. Results are
+// bitwise-deterministic at any `jobs` (worker-thread) count: nodes are
+// advanced independently, energy and power sums are integers, and the
+// fault stream is drawn in island/node index order.
+//
+// Ground truth cannot go non-finite: a counter refuses a negative or
+// non-finite deposit with a check.
 //
 // Chaos invariants (checked into FacilityResult::violations):
-//   * no non-finite energy/power anywhere in the ground truth;
 //   * the cap degrades gracefully — transient overruns are expected
 //     (island caps step one P-state per round) but an overrun beyond
 //     `cap_slack_pct` must not persist longer than `overrun_grace`
@@ -51,7 +54,8 @@ struct FacilityIsland {
 struct FacilityConfig {
   std::vector<FacilityIsland> islands;
   std::vector<FacilityJob> jobs;
-  /// Control round length in simulated seconds (EARGM period).
+  /// Control round length in simulated seconds (EARGM period): a whole
+  /// multiple of 1/1024 s (see check_facility_timing).
   double round_s = 1.0;
   /// Facility power cap; 0 disables the federation entirely.
   common::Power budget{0.0};
@@ -74,7 +78,8 @@ struct FacilityConfig {
   simhw::HwUfsParams ufs{};
   /// Unread: run_facility is the only engine (see SimCore).
   SimCore core = SimCore::kEvent;
-  /// Hard stop; reaching it with unfinished jobs is a violation.
+  /// Hard stop; reaching it with unfinished jobs is a violation. At most
+  /// the time a node's energy counter lasts at 1 kW (199 days).
   double max_sim_s = 36000.0;
   /// Documented cap slack: persistent overruns beyond this are a
   /// violation (transients within `overrun_grace` rounds are not).
@@ -154,6 +159,15 @@ struct FacilityResult {
                          const FacilityResult&) = default;
 };
 
+/// Throws ConfigError unless `cfg.round_s` is a positive whole multiple
+/// of 1/1024 s and `cfg.max_sim_s` lies between one round and the time a
+/// node's 64-bit energy counter lasts at 1 kW. The first rule makes every
+/// round boundary r * round_s exact in floating point, so every whole
+/// idle round lasts exactly round_s and deposits the same energy — what
+/// lets the event core settle idle rounds lazily and still match the
+/// reference loop bitwise. 0.1 s, for one, is refused.
+void check_facility_timing(const FacilityConfig& cfg);
+
 /// Run the facility to completion (or max_sim_s) on the event-driven
 /// sharded core (src/sim/event_core.cpp, src/sim/shard.*). Deterministic
 /// for a given config at any sim_jobs value.
@@ -173,10 +187,16 @@ struct FacilityResult {
 ///     multi-round *windows* whenever no control-plane event (job
 ///     arrival, fault boundary, EARGM cap round, pending admission) can
 ///     fall inside the window;
+///   * visits only busy nodes: a node with no work left on a round
+///     boundary sits out, and its whole idle rounds are settled in O(1)
+///     when an admission needs it (simhw::SimNode::settle_idle); its
+///     energy at any round and its reading follow from its integer
+///     counters meanwhile;
 ///   * merges cross-shard effects serially in shard-index order at
 ///     barrier rounds, replaying readings, fault draws and job
-///     completions round-by-round from per-round snapshots — the exact
-///     order and arithmetic of the reference loop.
+///     completions round-by-round — each island's power is its idle
+///     nodes' constant sum plus its busy nodes' readings, so an uncapped
+///     barrier costs O(islands + chunks), not O(nodes).
 ///
 /// Equivalence: bitwise-identical to the reference loop whenever the UFS
 /// dither gate is closed (cfg.ufs.dither_probability == 0 — neither

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "simhw/energy_counts.hpp"
+#include "simhw/msr.hpp"
+
 namespace ear::sim {
 
 namespace {
@@ -18,6 +21,29 @@ bool later(const Event& a, const Event& b) {
 
 }  // namespace
 
+std::int64_t reading_mw(std::uint64_t counts, double dt_s) {
+  constexpr double kMilliwattSecondsPerCount =
+      1000.0 * simhw::kJoulesPerEnergyCount;
+  const double mw =
+      static_cast<double>(counts) * kMilliwattSecondsPerCount / dt_s;
+  EAR_CHECK_MSG(mw < 0x1p52, "node reading out of range");
+  return static_cast<std::int64_t>(mw + 0.5);
+}
+
+std::uint64_t NodeSlot::counts_at(const simhw::SimNode& node,
+                                  std::size_t r) const {
+  if (idle_since != kNoRound && r + 1 >= idle_since) {
+    return simhw::add_energy_counts(
+        node.inm().counts(),
+        simhw::scale_energy_counts(idle_counts, r + 1 - idle_since));
+  }
+  // Drained but not yet idle at `r`: it sat out every round since its
+  // done round, because a node that idles to a boundary lands on it and
+  // joins the idle set.
+  if (done_round != kNoRound) return done_counts;
+  return node.inm().counts();
+}
+
 void EventQueue::push(Event e) {
   heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), later);
@@ -31,64 +57,66 @@ Event EventQueue::pop() {
   return e;
 }
 
-void Shard::begin_window(std::size_t first_round, std::size_t rounds) {
-  window_first_round = first_round;
-  window_rounds = rounds;
-  // The INM snapshot feeds job-energy accounting at every window size;
-  // the clock snapshot only feeds rewind_to, which mid-window
-  // termination never needs for a single-round window (the slots'
-  // prev-* bookkeeping already is that round's snapshot).
-  win_inm_j.resize(rounds * size);
-  if (rounds > 1) win_clock_s.resize(rounds * size);
-  win_reading_w.resize(rounds * size);
-}
-
-void Shard::advance_nodes(std::size_t lo, std::size_t hi) {
-  EAR_CHECK(lo <= hi && hi <= size);
-  const bool snapshot = window_rounds > 1;
+void Shard::advance(NodeChunk& chunk) {
+  chunk.visited_mw.assign(window_rounds, 0);
+  chunk.joined_mw.assign(window_rounds, 0);
   // Iterate the cluster directly: node(n) is an out-of-line
   // bounds-checked call, and this loop is the simulator's innermost.
-  const auto first_node = cluster->begin() + static_cast<std::ptrdiff_t>(lo);
-  for (std::size_t w = 0; w < window_rounds; ++w) {
-    const double round_end =
-        static_cast<double>(window_first_round + w) * round_s + round_s;
-    auto node_it = first_node;
-    for (std::size_t n = lo; n < hi; ++n, ++node_it) {
-      simhw::SimNode& node = *node_it;
+  const auto nodes = cluster->begin();
+  for (std::size_t w = 0; w < window_rounds && !chunk.busy.empty(); ++w) {
+    const std::size_t r = window_first_round + w;
+    const double round_end = static_cast<double>(r) * round_s + round_s;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < chunk.busy.size(); ++i) {
+      const std::uint32_t n = chunk.busy[i];
+      simhw::SimNode& node = nodes[static_cast<std::ptrdiff_t>(n)];
       NodeSlot& slot = slots[n];
+      const std::uint64_t e0 = node.inm().counts();
+      const double t0 = node.clock().value;
       // Guard on the clock too: a multi-second iteration overshoots the
       // round boundary and then sits out the following rounds, and
-      // execute_stretch's hoisted setup is pure waste on those (~45% of
-      // all node-rounds in the capped busy-regime bench).
-      if (slot.demand != nullptr && slot.iters_left > 0 &&
-          node.clock().value < round_end) {
+      // execute_stretch's hoisted setup is pure waste on those.
+      if (slot.iters_left > 0 && t0 < round_end) {
         // One phase-stable stretch: closed-form governor integration in
         // place of the reference loop's iteration-at-a-time stepping.
         const simhw::StretchSummary s =
             node.execute_stretch(*slot.demand, slot.iters_left, round_end);
         slot.iters_left -= s.iterations;
-        if (slot.iters_left == 0) done_round[n] = window_first_round + w;
+        if (slot.iters_left == 0) slot.done_round = r;
       }
-      const double gap = round_end - node.clock().value;
-      // idle_cached: bitwise-identical to idle() (same deposits, same
-      // governor run) with the constant idle power memoised — the bulk
-      // of a mostly-idle facility's node-rounds.
-      if (gap > 0.0) node.idle_cached(common::Secs{gap});
-      const double e = node.inm().exact().value;
-      const double t = node.clock().value;
-      win_inm_j[w * size + n] = e;
-      if (snapshot) win_clock_s[w * size + n] = t;
-      // The reference loop's reading arithmetic, verbatim: power is the
-      // INM delta over the clock delta since the previous round, and a
-      // stalled clock holds the last reading.
-      const double de = e - slot.prev_inm_j;
-      const double dt = t - slot.prev_clock_s;
-      if (dt > 0.0) slot.last_reading = common::Power{de / dt};
-      slot.prev_inm_j = e;
-      slot.prev_clock_s = t;
-      win_reading_w[w * size + n] = slot.last_reading.value;
+      node.idle_until(common::Secs{round_end});
+      const std::uint64_t e1 = node.inm().counts();
+      const double dt = node.clock().value - t0;
+      // Power is the INM delta over the clock delta, and a stalled clock
+      // holds the last reading — the reference loop's rule.
+      if (dt > 0.0) slot.reading_mw = reading_mw(e1 - e0, dt);
+      chunk.visited_mw[w] += slot.reading_mw;
+      if (slot.done_round == r) slot.done_counts = e1;
+      if (slot.iters_left == 0 && node.clock().value == round_end) {
+        slot.idle_since = r + 1;
+        slot.idle_counts = node.idle_inm_counts(common::Secs{round_s});
+        slot.idle_mw = reading_mw(slot.idle_counts, round_s);
+        slot.idle_window = node.msr(0).read(simhw::kMsrUncoreRatioLimit);
+        chunk.joined_mw[w] += slot.idle_mw;
+      } else {
+        chunk.busy[kept++] = n;
+      }
     }
+    chunk.busy.resize(kept);
   }
+}
+
+void Shard::wake(std::size_t local, std::size_t r) {
+  NodeSlot& slot = slots[local];
+  EAR_CHECK(slot.idle_since != kNoRound && slot.idle_since <= r);
+  simhw::SimNode& node = cluster->node(local);
+  EAR_CHECK_MSG(
+      node.msr(0).read(simhw::kMsrUncoreRatioLimit) == slot.idle_window,
+      "a node's uncore window changed while it was idle");
+  node.settle_idle(common::Secs{round_s}, r - slot.idle_since);
+  EAR_CHECK(node.clock().value == static_cast<double>(r) * round_s);
+  idle_mw -= slot.idle_mw;
+  slot.idle_since = kNoRound;
 }
 
 void Shard::post_completions() {
@@ -100,18 +128,11 @@ void Shard::post_completions() {
     std::size_t done_at = 0;
     for (std::size_t local : j.local_nodes) {
       if (slots[local].iters_left > 0) return false;
-      done_at = std::max(done_at, done_round[local]);
+      done_at = std::max(done_at, slots[local].done_round);
     }
     events.push({done_at, EventKind::kCompletionCheck, j.job});
     return true;
   });
-}
-
-void Shard::rewind_to(std::size_t w) {
-  for (std::size_t n = 0; n < size; ++n) {
-    slots[n].prev_inm_j = win_inm_j[w * size + n];
-    slots[n].prev_clock_s = win_clock_s[w * size + n];
-  }
 }
 
 }  // namespace ear::sim

@@ -11,21 +11,28 @@
 // serial shard-index order, which keeps every result bitwise-identical
 // at any `sim_jobs`.
 //
+// Only busy nodes are visited. A node that has no work left and sits
+// exactly on a round boundary joins the shard's idle set: it records the
+// first round it sits out (`idle_since`) and is not touched again until
+// something needs its state — an admission settles its whole idle
+// rounds in O(1) (SimNode::settle_idle). Every idle round of a node
+// deposits the same whole number of energy counts, so its energy at any
+// round follows from its counters, and its reading is a constant: the
+// shard keeps the sum of its idle nodes' readings, and a round's island
+// total is that sum plus the visited nodes' readings, all integer
+// milliwatts, so no summation order can change it.
+//
 // Between barriers a shard advances autonomously through a *window* of
-// control rounds, recording per-round INM/clock snapshots so the serial
-// merge can replay readings, fault draws and completions round-by-round
-// in exactly the reference loop's order. A window takes three steps:
-// begin_window sizes the snapshot buffers, advance_nodes integrates
-// disjoint node ranges (on several workers at once), and
-// post_completions turns drained jobs into events. The owner-thread
-// discipline follows the RROS per-CPU run-queue idiom cited in the
-// roadmap, at node granularity: inside the advance a worker owns its
-// range's slots, done rounds and snapshot columns (every node's RNG
-// streams are its own), while buffer sizes, the job list and the event
-// queue are touched only serially, by the merge thread. Handover
-// synchronises through common::Crew's epoch barrier: the epoch increment
-// publishes the window to the workers and the done count hands the
-// node ranges back.
+// control rounds. Workers claim node chunks (fixed local ranges, each
+// with its own busy list and per-round reading sums); the serial merge
+// then replays the window round by round. The owner-thread discipline
+// follows the RROS per-CPU run-queue idiom cited in the roadmap, at
+// chunk granularity: inside the advance a worker owns its chunk's busy
+// list, sums, slots and nodes (every node's RNG streams are its own),
+// while the job list, the event queue and the idle sum are touched only
+// serially, by the merge thread. Handover synchronises through
+// common::Crew's epoch barrier: the epoch increment publishes the window
+// to the workers and the done count hands the chunks back.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +40,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/units.hpp"
 #include "simhw/cluster.hpp"
 #include "simhw/demand.hpp"
 
@@ -43,16 +49,38 @@ inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 inline constexpr std::size_t kNoRound =
     std::numeric_limits<std::size_t>::max();
 
-/// Per-node execution/accounting state: the node's job, remaining work
-/// and power-reading bookkeeping (one array per shard).
+/// A node's average power over `dt_s` seconds in which its INM counter
+/// advanced `counts` (2^-30 J each), in whole milliwatts, rounded to the
+/// nearest. Readings out of range (2^52 mW) fail a check.
+[[nodiscard]] std::int64_t reading_mw(std::uint64_t counts, double dt_s);
+
+/// Per-node execution/accounting state (one array per shard).
 struct NodeSlot {
   /// The running job's demand, held once per job by the facility loop;
   /// null while the node is free.
   const simhw::WorkDemand* demand = nullptr;
   std::size_t iters_left = 0;
-  double prev_inm_j = 0.0;
-  double prev_clock_s = 0.0;
-  common::Power last_reading{0.0};
+  /// Round in which the node drained its current job (kNoRound while
+  /// work remains), and its INM counter at the end of that round.
+  std::size_t done_round = kNoRound;
+  std::uint64_t done_counts = 0;
+  /// First round the node sits out entirely idle (0 for a fresh node);
+  /// kNoRound while it is visited. The node's counters stop at the end
+  /// of the round before.
+  std::size_t idle_since = 0;
+  /// What one whole idle round adds to its INM counter, the reading of
+  /// such a round, and the MSR uncore window both were computed under.
+  std::uint64_t idle_counts = 0;
+  std::int64_t idle_mw = 0;
+  std::uint64_t idle_window = 0;
+  /// The reading of the last round the node was visited (held while
+  /// its clock does not move).
+  std::int64_t reading_mw = 0;
+
+  /// The node's INM counter at the end of round `r`. Valid for any `r`
+  /// from its done round on, and for `r` the last round advanced.
+  [[nodiscard]] std::uint64_t counts_at(const simhw::SimNode& node,
+                                        std::size_t r) const;
 };
 
 /// Facility events. The global queue carries arrival/fault/EARGM
@@ -96,6 +124,19 @@ struct ShardJob {
   std::vector<std::size_t> local_nodes;  // island-local, ascending
 };
 
+/// One unit of parallel work: a fixed range of one shard's nodes, the
+/// ones among them that are visited, and what the window's rounds read.
+struct NodeChunk {
+  std::size_t shard = 0;
+  /// Local indices of the nodes of the range visited each round (any
+  /// order).
+  std::vector<std::uint32_t> busy;
+  /// Per window round: the sum of the visited nodes' readings, and of
+  /// the idle readings of the nodes that joined the idle set at its end.
+  std::vector<std::int64_t> visited_mw;
+  std::vector<std::int64_t> joined_mw;
+};
+
 struct Shard {
   std::size_t index = 0;            // == island index
   std::uint64_t seed = 0;           // mix_seed(facility seed, index);
@@ -104,47 +145,33 @@ struct Shard {
   std::size_t offset = 0;           // first global node index
   std::size_t size = 0;
   double round_s = 0.0;             // control-round length
-  /// The window being advanced: set by begin_window, read-only while
-  /// workers run advance_nodes.
+  /// The window being advanced: set by the merge thread, read-only
+  /// while workers advance chunks.
   std::size_t window_first_round = 0;
   std::size_t window_rounds = 0;
 
   std::vector<NodeSlot> slots;
-  /// Round in which each node drained its current job (kNoRound while
-  /// work remains); reset at admission.
-  std::vector<std::size_t> done_round;
+  /// Sum of idle_mw over the idle set as of the next round to merge.
+  std::int64_t idle_mw = 0;
   /// Running jobs whose completion event is not yet posted.
   std::vector<ShardJob> jobs;
   /// Phase-change events (exact completion rounds) for the merge.
   EventQueue events;
-  /// Per-(window round, local node) INM energy / clock snapshots: the
-  /// serial merge replays readings and completions from these, so a
-  /// mid-window termination never observes over-advanced node state.
-  std::vector<double> win_inm_j;
-  std::vector<double> win_clock_s;
-  /// Per-(window round, local node) power readings, computed inside the
-  /// parallel phase with the reference loop's exact arithmetic
-  /// (delta-energy over delta-clock against the previous round, holding
-  /// the last finite reading when the clock did not move). The serial
-  /// merge only loads and sums these, keeping the barrier O(nodes) adds.
-  std::vector<double> win_reading_w;
 
-  /// Reset slots' prev-energy/clock bookkeeping to the snapshots of
-  /// window round `w` — used when termination lands mid-window, so the
-  /// epilogue reads node state exactly as of the final merged round.
-  void rewind_to(std::size_t w);
+  /// Advance the chunk's busy nodes through the current window, one
+  /// phase-stable stretch per node per round, idling each to the round
+  /// boundary; a node left with no work on the boundary joins the idle
+  /// set. Safe to run concurrently on distinct chunks.
+  void advance(NodeChunk& chunk);
 
-  /// Start a window of `rounds` control rounds at `first_round`: record
-  /// it and size the snapshot buffers. Serial.
-  void begin_window(std::size_t first_round, std::size_t rounds);
-
-  /// Advance local nodes [lo, hi) through the current window, one
-  /// phase-stable stretch per busy node per round, idling to each round
-  /// boundary. Safe to run concurrently on disjoint ranges.
-  void advance_nodes(std::size_t lo, std::size_t hi);
+  /// Settle an idle node's whole idle rounds up to round `r` (exclusive)
+  /// and take it out of the idle set; the caller puts it on its chunk's
+  /// busy list. Fails a check if its MSR uncore window moved while it
+  /// was idle. Serial.
+  void wake(std::size_t local, std::size_t r);
 
   /// Post completion events for jobs that drained inside the window and
-  /// drop them from `jobs`. Serial, after every range has advanced.
+  /// drop them from `jobs`. Serial, after every chunk has advanced.
   void post_completions();
 };
 

@@ -161,21 +161,19 @@ UfsStretchSummary UfsLoopState::integrate_stretch(
   return s;
 }
 
-Freq UfsLoopState::settle_idle(const NodeConfig& cfg,
-                               const UncoreRatioLimit& limit) {
+Freq hw_ufs_idle_freq(const NodeConfig& cfg, const UncoreRatioLimit& limit) {
   // hw_ufs_steady_target with active_cores == 0 returns range.min()
   // before touching any other input, and a floor target can never open
   // the dither gate (target > range.min() is false), so every period
   // selects window(range.min()) and the rng consumes nothing — the same
   // value evaluate_periods returns per period at idle, for any period
-  // count, with the same final current_.
+  // count, with the same final current().
   const UncoreRange& range = cfg.uncore;
   Freq f = range.min();
   const Freq lo = range.clamp(limit.min_freq);
   const Freq hi = range.clamp(limit.max_freq);
   if (f < lo) f = lo;
   if (f > hi) f = hi;
-  current_ = f;
   return f;
 }
 

@@ -84,6 +84,12 @@ struct HwUfsParams {
                                         const HwUfsParams& params,
                                         const UfsInputs& in);
 
+/// What the loop settles on with no active cores, for any number of
+/// periods: the range floor clamped to the MSR window (rule 1; a floor
+/// target cannot open the dither gate). A pure function of the window.
+[[nodiscard]] Freq hw_ufs_idle_freq(const NodeConfig& cfg,
+                                    const UncoreRatioLimit& limit);
+
 /// Closed-form summary of a phase-stable stretch: everything the loop's
 /// per-period behaviour under constant inputs can be reduced to. The
 /// per-period distribution has at most two support points (steady, or one
@@ -155,13 +161,14 @@ class UfsLoopState {
                                       const UfsInputs& in,
                                       const UncoreRatioLimit& limit);
 
-  /// Idle fast path: with no active cores the steady target is the range
-  /// floor (rule 1) and the dither gate is structurally closed (the
-  /// target cannot sit above the floor), so any number of periods
-  /// settles on one pure function of the MSR window — no rng, no input
-  /// vector. Bitwise identical to evaluate_periods with an idle input at
-  /// any period count (proved against idle() in test_node.cpp).
-  Freq settle_idle(const NodeConfig& cfg, const UncoreRatioLimit& limit);
+  /// Idle fast path: with no active cores any number of periods settles
+  /// on hw_ufs_idle_freq — no rng, no input vector. Bitwise identical to
+  /// evaluate_periods with an idle input at any period count (proved
+  /// against idle() in test_node.cpp).
+  Freq settle_idle(const NodeConfig& cfg, const UncoreRatioLimit& limit) {
+    current_ = hw_ufs_idle_freq(cfg, limit);
+    return current_;
+  }
 
   [[nodiscard]] Freq current() const { return current_; }
 

@@ -310,14 +310,18 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
   return out;
 }
 
-void SimNode::idle(Secs dt) {
-  EAR_CHECK(dt.value >= 0.0);
-  if (dt.value == 0.0) return;
-  const NodeConfig& cfg = spec_->config;
+PowerBreakdown SimNode::idle_power(Freq f_imc, Secs dt) const {
   WorkDemand nothing{};
   nothing.active_cores = 0;
   PerfResult perf{};
   perf.iter_time = dt;
+  return evaluate_power(spec_->config, nothing, perf, cpu_freq(), f_imc);
+}
+
+void SimNode::idle(Secs dt) {
+  EAR_CHECK(dt.value >= 0.0);
+  if (dt.value == 0.0) return;
+  const NodeConfig& cfg = spec_->config;
   const Freq f_imc = run_governor(
       UfsInputs{.requested_core_freq = cpu_freq(),
                 .effective_core_freq = cpu_freq(),
@@ -326,8 +330,7 @@ void SimNode::idle(Secs dt) {
                 .active_cores = 0,
                 .epb = 6},
       dt);
-  const PowerBreakdown power =
-      evaluate_power(cfg, nothing, perf, cpu_freq(), f_imc);
+  const PowerBreakdown power = idle_power(f_imc, dt);
   const Joules energy = power.total() * dt;
   for (std::size_t s = 0; s < cfg.sockets; ++s) {
     rapl_.deposit_pkg(
@@ -344,46 +347,48 @@ void SimNode::idle(Secs dt) {
   clock_ += dt;
 }
 
-void SimNode::idle_cached(Secs dt) {
+void SimNode::idle_until(Secs t) {
+  const double gap = t.value - clock_.value;
+  if (!(gap > 0.0)) return;
+  idle(Secs{gap});
+  clock_ = t;
+}
+
+void SimNode::settle_idle(Secs dt, std::uint64_t rounds) {
   EAR_CHECK(dt.value >= 0.0);
-  if (dt.value == 0.0) return;
+  if (dt.value == 0.0 || rounds == 0) return;
   const NodeConfig& cfg = spec_->config;
-  const Freq f_cpu = cpu_freq();
-  // The governor must run unconditionally: it owns the per-socket UFS
-  // state (current frequency, limit windowing) that uncore_freq() and
-  // later busy stretches observe. settle_idle is the idle special case
-  // of run_governor — draw-free, bitwise the same result and state for
-  // any period count — without the per-period input vector and
-  // averaging. The last socket drives the value, like run_governor.
+  // The governor's idle special case: draw-free, the same result and
+  // state as run_governor at idle for any period count. The last socket
+  // drives the value, like run_governor.
   const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
   Freq f_imc{};
   for (Socket& s : sockets()) f_imc = s.ufs.settle_idle(cfg, limit);
-  if (!idle_memo_valid_ || idle_memo_f_cpu_.as_khz() != f_cpu.as_khz() ||
-      idle_memo_f_imc_.as_khz() != f_imc.as_khz()) {
-    WorkDemand nothing{};
-    nothing.active_cores = 0;
-    PerfResult perf{};
-    perf.iter_time = dt;  // unused by the idle breakdown (no GPU work)
-    idle_memo_power_ = evaluate_power(cfg, nothing, perf, f_cpu, f_imc);
-    idle_memo_f_cpu_ = f_cpu;
-    idle_memo_f_imc_ = f_imc;
-    idle_memo_valid_ = true;
-  }
-  const PowerBreakdown& power = idle_memo_power_;
-  const Joules energy = power.total() * dt;
+  // idle()'s deposits, quantised once and multiplied.
+  const PowerBreakdown power = idle_power(f_imc, dt);
+  const std::uint64_t pkg = to_energy_counts(Joules{
+      (power.package() * dt).value / static_cast<double>(cfg.sockets)});
   for (std::size_t s = 0; s < cfg.sockets; ++s) {
-    rapl_.deposit_pkg(
-        s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg.sockets)});
+    rapl_.add_pkg(s, scale_energy_counts(pkg, rounds));
   }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
-  counters_.elapsed_seconds += dt.value;
-  counters_.cpu_freq_cycles +=
+  rapl_.add_dram(scale_energy_counts(to_energy_counts(power.dram * dt),
+                                     rounds));
+  inm_.add(to_energy_counts(power.total() * dt), dt, rounds);
+  const double cpu_cycles =
       static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;
-  counters_.imc_freq_cycles +=
-      static_cast<double>(f_imc.as_khz()) * dt.value;
-  clock_ += dt;
+  const double imc_cycles = static_cast<double>(f_imc.as_khz()) * dt.value;
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    counters_.elapsed_seconds += dt.value;
+    counters_.cpu_freq_cycles += cpu_cycles;
+    counters_.imc_freq_cycles += imc_cycles;
+    clock_ += dt;
+  }
+}
+
+std::uint64_t SimNode::idle_inm_counts(Secs dt) const {
+  const Freq f_imc =
+      hw_ufs_idle_freq(spec_->config, sockets_.front().msr.uncore_limit());
+  return to_energy_counts(idle_power(f_imc, dt).total() * dt);
 }
 
 }  // namespace ear::simhw

@@ -125,17 +125,24 @@ class SimNode {
   /// Advance idle time (no application work; cores idle).
   void idle(common::Secs dt);
 
-  /// idle(), with the power-model evaluation memoised on the
-  /// (core frequency, governor output) pair. Idle power is
-  /// duration-independent — no active cores, no GPU work, zero
-  /// bandwidth — so the breakdown only changes when the P-state or the
-  /// uncore window moves. The governor still runs every call (it updates
-  /// the per-socket UFS state) and every deposit happens per call with
-  /// the same values and order as idle(), so the node state afterwards
-  /// is bitwise identical (proved in test_node.cpp). The event core
-  /// uses this on its round boundaries; the reference facility loop
-  /// keeps the naive recompute as the executable spec.
-  void idle_cached(common::Secs dt);
+  /// Idle until the clock reads exactly `t`: idle(t - clock()), then the
+  /// clock set to `t`, so a node idling to a round boundary lands on it
+  /// whatever the rounding of the subtraction. No-op when the clock
+  /// already reads `t` or later.
+  void idle_until(common::Secs t);
+
+  /// `rounds` calls of idle(dt) at once, bitwise identical in every
+  /// field. With no active cores the governor settles on the MSR
+  /// window's floor and the cores draw their idle power at any P-state,
+  /// so every such round deposits the same whole number of 2^-30 J
+  /// counts into each energy counter, and the counters take all of them
+  /// in one multiply. The clock and the PMU integrals are doubles and
+  /// replay their `rounds` additions.
+  void settle_idle(common::Secs dt, std::uint64_t rounds);
+
+  /// The INM counts one idle(dt) call deposits under the current MSR
+  /// uncore window (the quantum settle_idle multiplies). Changes nothing.
+  [[nodiscard]] std::uint64_t idle_inm_counts(common::Secs dt) const;
 
   /// The island's shared description: nodes of one Cluster return the
   /// same object.
@@ -156,6 +163,10 @@ class SimNode {
   /// Run the HW governor for the periods covering `duration` and return
   /// the time-averaged uncore frequency it produced.
   common::Freq run_governor(const UfsInputs& in, common::Secs duration);
+  /// The power breakdown of an idle stretch of `dt` with the uncore at
+  /// `f_imc` (idle() and settle_idle share it).
+  [[nodiscard]] PowerBreakdown idle_power(common::Freq f_imc,
+                                          common::Secs dt) const;
 
   std::shared_ptr<const NodeSpec> spec_;
   common::Rng rng_;
@@ -171,12 +182,6 @@ class SimNode {
   // Bandwidth utilisation of the previous iteration: the governor is
   // reactive, and this is the one input it carries over.
   double last_bw_utilisation_ = 0.5;
-  // Memo for idle_cached(): the idle PowerBreakdown keyed on the
-  // (core, uncore) frequency pair that produced it.
-  bool idle_memo_valid_ = false;
-  common::Freq idle_memo_f_cpu_{};
-  common::Freq idle_memo_f_imc_{};
-  PowerBreakdown idle_memo_power_{};
 };
 
 }  // namespace ear::simhw

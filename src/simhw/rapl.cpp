@@ -4,14 +4,6 @@
 
 namespace ear::simhw {
 
-void RaplCounter::deposit(Joules e) {
-  EAR_CHECK_MSG(e.value >= 0.0, "energy cannot decrease");
-  const double units = e.value / kJoulesPerUnit + residue_;
-  const auto whole = static_cast<std::uint64_t>(units);
-  residue_ = units - static_cast<double>(whole);
-  units_ += whole;
-}
-
 Joules RaplCounter::delta(std::uint32_t before, std::uint32_t after) {
   const std::uint64_t diff =
       after >= before
@@ -27,6 +19,11 @@ RaplDomains::RaplDomains(std::size_t sockets) : sockets_(sockets) {
 void RaplDomains::deposit_pkg(std::size_t socket, Joules e) {
   EAR_CHECK(socket < sockets_);
   pkg_[socket].deposit(e);
+}
+
+void RaplDomains::add_pkg(std::size_t socket, std::uint64_t counts) {
+  EAR_CHECK(socket < sockets_);
+  pkg_[socket].add(counts);
 }
 
 void RaplDomains::deposit_dram(Joules e) { dram_.deposit(e); }

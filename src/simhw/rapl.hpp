@@ -4,7 +4,8 @@
 // Skylake, i.e. ~61 uJ) that wrap around every few hundred kJ. We keep that
 // behaviour: consumers must compute wrap-aware deltas, and the library's
 // accounting layer is tested against wraps — a classic field bug in energy
-// tooling.
+// tooling. Underneath, the counter accumulates the simulator's 2^-30 J
+// fixed-point unit (energy_counts.hpp); the register is a shift of it.
 #pragma once
 
 #include <array>
@@ -13,6 +14,7 @@
 
 #include "common/units.hpp"
 #include "simhw/config.hpp"
+#include "simhw/energy_counts.hpp"
 
 namespace ear::simhw {
 
@@ -27,11 +29,15 @@ class RaplCounter {
   static constexpr std::uint64_t kWrap = 1ULL << 32;
 
   /// Accumulate energy into the counter (simulator side).
-  void deposit(Joules e);
+  void deposit(Joules e) { add(to_energy_counts(e)); }
+  /// Accumulate energy already in 2^-30 J counts.
+  void add(std::uint64_t counts) {
+    counts_ = add_energy_counts(counts_, counts);
+  }
 
   /// Raw 32-bit register value as MSR reads would return it.
   [[nodiscard]] std::uint32_t raw() const {
-    return static_cast<std::uint32_t>(units_ % kWrap);
+    return static_cast<std::uint32_t>(counts_ >> kRegisterShift);
   }
 
   /// Wrap-aware difference between two raw readings, in joules.
@@ -39,8 +45,10 @@ class RaplCounter {
                                     std::uint32_t after);
 
  private:
-  std::uint64_t units_ = 0;  // unwrapped, internal only
-  double residue_ = 0.0;     // sub-unit remainder
+  /// One register unit (2^-14 J) is 2^16 accumulator counts.
+  static constexpr int kRegisterShift = kEnergyCountBits - 14;
+
+  std::uint64_t counts_ = 0;  // unwrapped, 2^-30 J
 };
 
 /// The RAPL domains EAR reads per node: PKG per socket plus DRAM.
@@ -51,6 +59,9 @@ class RaplDomains {
 
   void deposit_pkg(std::size_t socket, Joules e);
   void deposit_dram(Joules e);
+  /// The same, for energy already in 2^-30 J counts.
+  void add_pkg(std::size_t socket, std::uint64_t counts);
+  void add_dram(std::uint64_t counts) { dram_.add(counts); }
 
   [[nodiscard]] std::size_t sockets() const { return sockets_; }
   [[nodiscard]] const RaplCounter& pkg(std::size_t socket) const;

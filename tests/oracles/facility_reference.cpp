@@ -13,6 +13,7 @@
 #include "eard/eard.hpp"
 #include "sim/shard.hpp"
 #include "simhw/cluster.hpp"
+#include "simhw/energy_counts.hpp"
 
 namespace ear::sim::oracle {
 
@@ -20,14 +21,12 @@ namespace {
 
 /// Per-node execution/accounting state, one flat array over the
 /// facility: the node's job, a copy of its demand, remaining work and
-/// power-reading bookkeeping.
+/// its last reading (integer milliwatts).
 struct RefSlot {
   std::size_t job = kNoJob;
   simhw::WorkDemand demand{};
   std::size_t iters_left = 0;
-  double prev_inm_j = 0.0;
-  double prev_clock_s = 0.0;
-  common::Power last_reading{0.0};
+  std::int64_t reading_mw = 0;
 };
 
 /// Per-running-job bookkeeping.
@@ -36,15 +35,14 @@ struct ActiveJob {
   std::size_t island = 0;
   std::vector<std::size_t> global_nodes;  // facility-wide indices
   std::vector<std::size_t> local_nodes;   // island-local (for release)
-  double start_inm_j = 0.0;
+  simhw::EnergyTotal start_counts = 0;
 };
 
 }  // namespace
 
 FacilityResult run_facility_reference(const FacilityConfig& cfg) {
   EAR_CHECK_MSG(!cfg.islands.empty(), "facility needs at least one island");
-  EAR_CHECK_MSG(cfg.round_s > 0.0, "control round must be positive");
-  EAR_CHECK_MSG(cfg.max_sim_s > cfg.round_s, "max_sim_s too small");
+  check_facility_timing(cfg);
   const auto wall_t0 = std::chrono::steady_clock::now();
 
   // Hardware: one homogeneous cluster per island, nodes seeded from the
@@ -123,7 +121,6 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     }
   }
 
-  bool nonfinite = false;
   bool wedged = false;
   std::size_t persistent_overruns = 0;
   std::size_t consecutive_over = 0;
@@ -150,15 +147,14 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
       ActiveJob aj{.job = start.job,
                    .island = start.island,
                    .global_nodes = {},
-                   .local_nodes = std::move(start.local_nodes),
-                   .start_inm_j = 0.0};
+                   .local_nodes = std::move(start.local_nodes)};
       for (std::size_t local : aj.local_nodes) {
         const std::size_t g = offsets[start.island] + local;
         aj.global_nodes.push_back(g);
         slots[g].job = start.job;
         slots[g].demand = demand;
         slots[g].iters_left = spec.iterations;
-        aj.start_inm_j += nodes[g]->inm().exact().value;
+        aj.start_counts += nodes[g]->inm().counts();
       }
       FacilityJobOutcome& o = out.jobs[start.job];
       o.island = start.island;
@@ -167,10 +163,15 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
       active.push_back(std::move(aj));
     }
 
-    // Advance every node to the round boundary, one iteration at a time.
+    // Advance every node to the round boundary, one iteration at a time,
+    // and read its power: the INM delta over the clock delta in integer
+    // milliwatts, holding the last reading while the clock stalls.
+    std::int64_t total_mw = 0;
     for (std::size_t g = 0; g < total_nodes; ++g) {
       simhw::SimNode& node = *nodes[g];
       RefSlot& slot = slots[g];
+      const std::uint64_t e0 = node.inm().counts();
+      const double t0 = node.clock().value;
       if (slot.job != kNoJob) {
         while (slot.iters_left > 0 && node.clock().value < round_end) {
           (void)node.execute_iteration(slot.demand);
@@ -179,25 +180,13 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
       }
       // Allocated-but-done nodes idle alongside the free ones until the
       // boundary (the allocation is held until the job ends).
-      const double gap = round_end - node.clock().value;
-      if (gap > 0.0) node.idle(common::Secs{gap});
+      node.idle_until(common::Secs{round_end});
+      const double dt = node.clock().value - t0;
+      if (dt > 0.0) slot.reading_mw = reading_mw(node.inm().counts() - e0, dt);
+      readings[g] = static_cast<double>(slot.reading_mw) / 1000.0;
+      total_mw += slot.reading_mw;
     }
-
-    // Ground-truth readings from the INM energy deltas, node order.
-    double total_w = 0.0;
-    for (std::size_t g = 0; g < total_nodes; ++g) {
-      RefSlot& slot = slots[g];
-      const double e = nodes[g]->inm().exact().value;
-      const double t = nodes[g]->clock().value;
-      const double de = e - slot.prev_inm_j;
-      const double dt = t - slot.prev_clock_s;
-      if (dt > 0.0) slot.last_reading = common::Power{de / dt};
-      slot.prev_inm_j = e;
-      slot.prev_clock_s = t;
-      readings[g] = slot.last_reading.value;
-      total_w += readings[g];
-    }
-    if (!std::isfinite(total_w)) nonfinite = true;
+    const double total_w = static_cast<double>(total_mw) / 1000.0;
     out.peak_power_w = std::max(out.peak_power_w, total_w);
 
     // Cap accounting against the ground truth (what the room's meters
@@ -268,15 +257,15 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
         still_running.push_back(std::move(aj));
         continue;
       }
-      double end_inm = 0.0;
+      simhw::EnergyTotal end_counts = 0;
       for (std::size_t g : aj.global_nodes) {
-        end_inm += nodes[g]->inm().exact().value;
+        end_counts += nodes[g]->inm().counts();
         slots[g].job = kNoJob;
       }
       FacilityJobOutcome& o = out.jobs[aj.job];
       o.end_s = round_end;
-      o.energy_j = end_inm - aj.start_inm_j;
-      if (!std::isfinite(o.energy_j)) nonfinite = true;
+      o.energy_j =
+          simhw::energy_counts_to_joules(end_counts - aj.start_counts).value;
       out.makespan_s = std::max(out.makespan_s, o.end_s);
       queue.release(aj.island, aj.local_nodes);
     }
@@ -286,14 +275,17 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     if (active.empty() && queue.all_started()) break;
   }
 
+  simhw::EnergyTotal facility_counts = 0;
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     FacilityIslandOutcome io;
     io.node_type = cfg.islands[i].node_config.name;
     io.nodes = island_sizes[i];
+    simhw::EnergyTotal island_counts = 0;
     for (std::size_t n = 0; n < island_sizes[i]; ++n) {
-      io.energy_j += clusters[i]->node(n).inm().exact().value;
+      island_counts += clusters[i]->node(n).inm().counts();
     }
-    if (!std::isfinite(io.energy_j)) nonfinite = true;
+    io.energy_j = simhw::energy_counts_to_joules(island_counts).value;
+    facility_counts += island_counts;
     if (federation) {
       const eargm::EargmManager& m = federation->island(i);
       io.final_budget_w = federation->island_budget(i).value;
@@ -304,9 +296,10 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
       io.missed_readings = m.missed_readings();
       io.resumed_nodes = m.resumed_nodes();
     }
-    out.facility_energy_j += io.energy_j;
     out.islands.push_back(std::move(io));
   }
+  out.facility_energy_j =
+      simhw::energy_counts_to_joules(facility_counts).value;
   if (federation) {
     out.redistributions = federation->redistributions();
     out.facility_blind_rounds = federation->facility_blind_rounds();
@@ -317,9 +310,6 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
 
   // Chaos invariants (see sim/facility.hpp). Violations are reported,
   // not thrown: a chaos campaign wants the full picture.
-  if (nonfinite) {
-    out.violations.push_back("non-finite energy/power in ground truth");
-  }
   if (wedged) {
     out.violations.push_back("facility wedged: max_sim_s reached with " +
                              std::to_string(active.size()) +

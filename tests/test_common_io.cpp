@@ -12,6 +12,7 @@
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/ini.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -286,6 +287,47 @@ TEST(Error, CheckMacros) {
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("context here"), std::string::npos);
   }
+}
+
+// The EAR_LOG_* macros test the level before they evaluate anything, so
+// a dropped message costs no formatting (Signature::str() and the like).
+class Log : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_ = log_level(); }
+  void TearDown() override { set_log_level(saved_); }
+
+  /// The argument with a side effect: counts its evaluations.
+  int touch() { return ++evaluated_; }
+
+  int evaluated_ = 0;
+
+ private:
+  LogLevel saved_ = LogLevel::kWarn;
+};
+
+TEST_F(Log, DroppedMessageDoesNotEvaluateItsArguments) {
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  EAR_LOG_DEBUG("test", "value %d", touch());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(evaluated_, 0);
+}
+
+TEST_F(Log, EnabledMessageEvaluatesItsArguments) {
+  set_log_level(LogLevel::kDebug);
+  testing::internal::CaptureStderr();
+  EAR_LOG_DEBUG("test", "value %d", touch());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[DEBUG] test: value 1\n");
+  EXPECT_EQ(evaluated_, 1);
+}
+
+TEST_F(Log, MessageAtTheThresholdPrints) {
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  EAR_LOG_WARN("test", "at %s", "threshold");
+  EAR_LOG_INFO("test", "below");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] test: at threshold\n");
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 // and the event core must reproduce it bitwise whenever the UFS dither
 // gate is closed (dither_probability == 0 — neither draws governor
 // randomness then), across uncapped/capped x quiet/faulted
-// configurations. With dithering enabled the two agree within a
-// documented tolerance (the event core replaces the Bernoulli
-// per-period average with its expectation; see docs/performance.md).
+// configurations and every accepted round length. The reference visits
+// every node every round; the event core leaves idle nodes untouched
+// and settles them lazily, so these runs also prove the lazy path. With
+// dithering enabled the two agree within a documented tolerance (the
+// event core replaces the Bernoulli per-period average with its
+// expectation; see docs/performance.md).
 #include "sim/facility.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include <cstddef>
 #include <initializer_list>
 
+#include "common/error.hpp"
 #include "faults/fault_plan.hpp"
 #include "oracles/facility_reference.hpp"
 #include "sim/shard.hpp"
@@ -163,6 +167,62 @@ TEST(EventCore, BitwiseEqualWedgedHorizon) {
   }
 }
 
+TEST(EventCore, BitwiseEqualIdleSpansAcrossCapsDropoutsAndMidWindowEnds) {
+  // Capped: the federation moves idle nodes' P-states (idle power does
+  // not depend on them) and an island dropout hides a mostly idle
+  // island's readings, so lazily idle spans cross both.
+  FacilityConfig capped = dither_free(24, 3, 8, 37);
+  capped.budget = {24 * 200.0};
+  capped.fault_plan.specs.push_back(
+      {.family = faults::FaultFamily::kIslandDropout,
+       .island = 2,
+       .start_s = 3.0,
+       .end_s = 9.0});
+  const FacilityResult r = run_facility(capped);
+  expect_bitwise_equal(r, oracle::run_facility_reference(capped));
+  std::size_t throttles = 0;
+  for (const FacilityIslandOutcome& i : r.islands) throttles += i.throttles;
+  EXPECT_GT(throttles, 0u);
+  EXPECT_GT(r.faults.island_dropouts, 0u);
+
+  // Uncapped, with a node dropout early on: one-round windows while it
+  // is active, then drain windows that grow past one round while nodes
+  // go idle inside them, and a run that ends inside its last window.
+  FacilityConfig drain = wide_islands(512, 2, 41);
+  drain.fault_plan.specs.push_back(
+      {.family = faults::FaultFamily::kNodeDropout,
+       .node = 3,
+       .start_s = 1.0,
+       .end_s = 5.0,
+       .probability = 0.5});
+  expect_matches_reference(drain);
+}
+
+TEST(EventCore, BitwiseEqualAtEveryAcceptedRoundLength) {
+  // Any whole multiple of 1/1024 s: a power of two, and two that are not.
+  for (const double round_s : {2.0, 0.75, 300.0 / 1024.0}) {
+    FacilityConfig cfg = dither_free(24, 3, 10, 43);
+    cfg.round_s = round_s;
+    expect_matches_reference(cfg);  // capped
+    cfg.budget = {0.0};
+    expect_matches_reference(cfg);
+  }
+}
+
+TEST(EventCore, RefusesRoundLengthsWithInexactMultiples) {
+  FacilityConfig cfg = dither_free(8, 2, 4, 1);
+  for (const double round_s : {0.1, 0.3, 1e-4, 0.0, -1.0}) {
+    cfg.round_s = round_s;
+    EXPECT_THROW((void)run_facility(cfg), common::ConfigError) << round_s;
+    EXPECT_THROW((void)oracle::run_facility_reference(cfg),
+                 common::ConfigError);
+  }
+  // A horizon a node's energy counter cannot hold at 1 kW.
+  cfg.round_s = 1.0;
+  cfg.max_sim_s = 2e7;
+  EXPECT_THROW((void)run_facility(cfg), common::ConfigError);
+}
+
 /// Run `cfg` on the event core at one worker and at each of `workers`,
 /// expecting bitwise-equal results; returns the one-worker result.
 FacilityResult expect_same_at_workers(
@@ -180,7 +240,7 @@ TEST(EventCore, BitwiseDeterministicAcrossWorkerCounts) {
   // Small islands under chaos: one chunk per shard.
   FacilityConfig chaos = dither_free(16, 4, 10, 19);
   add_chaos(chaos);
-  expect_same_at_workers(chaos, {2, 8});
+  expect_same_at_workers(chaos, {2, 4, 8});
 
   // One island of several chunks still runs on two workers.
   expect_same_at_workers(wide_islands(384, 1, 31), {2});

@@ -168,42 +168,6 @@ TEST(SimNode, DeterministicForEqualSeeds) {
   }
 }
 
-// idle_cached() is the event core's fast path; its contract is bitwise
-// equality with idle() under any interleaving of idle stretches,
-// P-state moves, uncore-window writes and busy iterations.
-TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
-  SimNode ref(make_skylake_6148_node(), 9);
-  SimNode fast(make_skylake_6148_node(), 9);
-  auto step = [&](auto&& fn) {
-    fn(ref);
-    fn(fast);
-  };
-  auto idle_both = [&](double dt) {
-    ref.idle(Secs{dt});
-    fast.idle_cached(Secs{dt});
-  };
-  idle_both(10.0);
-  idle_both(0.25);            // memo hit: same (f_cpu, f_imc)
-  step([](SimNode& n) { n.set_cpu_pstate(Pstate{3}); });
-  idle_both(4.0);             // memo miss: core frequency moved
-  step([](SimNode& n) {
-    n.set_uncore_limit_all({Freq::ghz(1.6), Freq::ghz(1.2)});
-  });
-  idle_both(4.0);             // memo miss: uncore window narrowed
-  step([](SimNode& n) { (void)n.execute_iteration(demand()); });
-  idle_both(7.5);             // governor state perturbed by busy work
-  idle_both(7.5);             // and hit again
-  EXPECT_EQ(ref.inm().exact().value, fast.inm().exact().value);
-  EXPECT_EQ(ref.clock().value, fast.clock().value);
-  EXPECT_EQ(ref.counters().elapsed_seconds, fast.counters().elapsed_seconds);
-  EXPECT_EQ(ref.counters().cpu_freq_cycles, fast.counters().cpu_freq_cycles);
-  EXPECT_EQ(ref.counters().imc_freq_cycles, fast.counters().imc_freq_cycles);
-  EXPECT_EQ(ref.rapl().pkg(0).raw(), fast.rapl().pkg(0).raw());
-  EXPECT_EQ(ref.rapl().pkg(1).raw(), fast.rapl().pkg(1).raw());
-  EXPECT_EQ(ref.rapl().dram().raw(), fast.rapl().dram().raw());
-  EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
-}
-
 // Every field of a PerfResult as raw bits, so equality means bitwise.
 std::vector<std::uint64_t> bits(const PerfResult& r) {
   return {std::bit_cast<std::uint64_t>(r.iter_time.value),
@@ -218,6 +182,85 @@ std::vector<std::uint64_t> bits(const PerfResult& r) {
           std::bit_cast<std::uint64_t>(r.compute_time.value),
           std::bit_cast<std::uint64_t>(r.bandwidth_time.value),
           r.bandwidth_bound ? 1u : 0u};
+}
+
+// Every field of a node a caller can read, as raw bits: the clock, the
+// INM ground truth, reading and elapsed time, the three RAPL registers,
+// the PMU counters and the uncore frequency.
+std::vector<std::uint64_t> bits(const SimNode& n) {
+  const PmuCounters& c = n.counters();
+  return {std::bit_cast<std::uint64_t>(n.clock().value),
+          std::bit_cast<std::uint64_t>(n.inm().exact().value),
+          n.inm().read_joules(),
+          std::bit_cast<std::uint64_t>(n.inm().elapsed().value),
+          n.rapl().pkg(0).raw(),
+          n.rapl().pkg(1).raw(),
+          n.rapl().dram().raw(),
+          std::bit_cast<std::uint64_t>(c.instructions),
+          std::bit_cast<std::uint64_t>(c.cycles),
+          std::bit_cast<std::uint64_t>(c.avx512_ops),
+          std::bit_cast<std::uint64_t>(c.cas_transactions),
+          std::bit_cast<std::uint64_t>(c.cpu_freq_cycles),
+          std::bit_cast<std::uint64_t>(c.imc_freq_cycles),
+          std::bit_cast<std::uint64_t>(c.elapsed_seconds),
+          std::bit_cast<std::uint64_t>(c.wait_seconds),
+          n.uncore_freq().as_khz()};
+}
+
+// settle_idle(dt, k) is the event core's lazy idle path: it must leave a
+// node exactly as k idle(dt) calls do, at any k, under any interleaving
+// of P-state moves, uncore-window writes and busy iterations — and the
+// next busy iteration must not tell the two apart.
+TEST(SimNode, SettleIdleEqualsRepeatedIdle) {
+  for (const std::uint64_t k : {0u, 1u, 2u, 63u, 1000u}) {
+    SimNode ref(make_skylake_6148_node(), 9);
+    SimNode fast(make_skylake_6148_node(), 9);
+    const auto both = [&](auto&& fn) {
+      fn(ref);
+      fn(fast);
+    };
+    const auto idle_both = [&](double dt) {
+      for (std::uint64_t i = 0; i < k; ++i) ref.idle(Secs{dt});
+      fast.settle_idle(Secs{dt}, k);
+      EXPECT_EQ(bits(ref), bits(fast)) << k << " rounds of " << dt << " s";
+    };
+    idle_both(1.0);
+    idle_both(0.25);  // publishes on every fourth round
+    both([](SimNode& n) { n.set_cpu_pstate(Pstate{3}); });
+    idle_both(0.75);  // core frequency moved: idle power must not
+    both([](SimNode& n) {
+      n.set_uncore_limit_all({Freq::ghz(1.6), Freq::ghz(1.2)});
+    });
+    idle_both(0.5);  // uncore window narrowed: a new quantum
+    both([](SimNode& n) { (void)n.execute_iteration(demand()); });
+    idle_both(0.3);  // from an off-grid clock, governor state perturbed
+    const IterationOutcome a = ref.execute_iteration(demand());
+    const IterationOutcome b = fast.execute_iteration(demand());
+    EXPECT_EQ(bits(a.perf), bits(b.perf)) << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.energy.value),
+              std::bit_cast<std::uint64_t>(b.energy.value));
+    EXPECT_EQ(a.uncore_freq.as_khz(), b.uncore_freq.as_khz());
+    EXPECT_EQ(bits(ref), bits(fast)) << k;
+  }
+}
+
+// idle_until lands on the requested time whatever the rounding of the
+// gap, and is idle() of that gap otherwise.
+TEST(SimNode, IdleUntilLandsExactly) {
+  SimNode a(make_skylake_6148_node(), 3);
+  SimNode b(make_skylake_6148_node(), 3);
+  (void)a.execute_iteration(demand());
+  (void)b.execute_iteration(demand());
+  const double t = 7.0;
+  const double gap = t - a.clock().value;
+  a.idle_until(Secs{t});
+  b.idle(Secs{gap});
+  EXPECT_EQ(a.clock().value, t);
+  EXPECT_EQ(a.inm().counts(), b.inm().counts());
+  EXPECT_EQ(a.rapl().dram().raw(), b.rapl().dram().raw());
+  a.idle_until(Secs{t - 1.0});  // already past: no-op
+  EXPECT_EQ(a.clock().value, t);
+  EXPECT_EQ(a.inm().counts(), b.inm().counts());
 }
 
 TEST(IterationMemo, MatchesKernelBitwise) {

@@ -72,6 +72,38 @@ TEST(RaplDomains, PerSocketAndDram) {
   EXPECT_THROW(d.deposit_pkg(2, Joules{1.0}), common::InvariantError);
 }
 
+// The accumulator counts 2^-30 J: the RAPL register is a shift of it,
+// and running past 64 bits fails a check instead of wrapping.
+TEST(Rapl, RegisterIsAShiftOfTheFixedPointCounter) {
+  RaplCounter c;
+  c.add(std::uint64_t{3} << 16);  // three register units
+  EXPECT_EQ(c.raw(), 3u);
+  c.add((std::uint64_t{1} << 16) - 1);  // one count short of a fourth
+  EXPECT_EQ(c.raw(), 3u);
+  c.add(1);
+  EXPECT_EQ(c.raw(), 4u);
+}
+
+TEST(Rapl, OverflowFailsACheckInsteadOfWrapping) {
+  RaplCounter c;
+  c.add(~std::uint64_t{0} - 1);
+  EXPECT_THROW(c.add(2), common::InvariantError);
+  // A single deposit beyond 2^64 counts (1.7e10 J) is refused too.
+  RaplCounter d;
+  EXPECT_THROW(d.deposit(Joules{2e10}), common::InvariantError);
+}
+
+TEST(Inm, RepeatedDepositsAddInOneStep) {
+  NodeManagerCounter one, many;
+  for (int i = 0; i < 10; ++i) one.deposit(Joules{70.0}, Secs{0.3});
+  many.add(to_energy_counts(Joules{70.0}), Secs{0.3}, 10);
+  EXPECT_EQ(one.counts(), many.counts());
+  EXPECT_EQ(one.read_joules(), many.read_joules());
+  EXPECT_EQ(one.elapsed().value, many.elapsed().value);
+  EXPECT_THROW(many.add(~std::uint64_t{0}, Secs{1.0}, 1),
+               common::InvariantError);
+}
+
 TEST(Inm, PublishesOnlyAtWholeSeconds) {
   NodeManagerCounter inm;
   inm.deposit(Joules{100.0}, Secs{0.4});

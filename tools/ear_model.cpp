@@ -86,8 +86,7 @@ int run(const common::ArgParser& args) {
   const double unc_th = args.get("unc-th", 0.02);
   const double sig_th = args.get("sig-th", 0.15);
   const bool hw_guided = !args.flag("ng-u");
-  const std::size_t jobs =
-      static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  const std::size_t jobs = args.get("jobs", std::uint64_t{0});
 
   std::vector<EnvConfig> envs{{1.0, 0.3}, {0.3, 0.5}, {0.1, 0.6}};
   if (args.has("share")) {
@@ -106,12 +105,9 @@ int run(const common::ArgParser& args) {
 
   analysis::CheckerOptions opts;
   opts.jobs = jobs;
-  opts.max_states =
-      static_cast<std::size_t>(args.get("max-states", std::int64_t{500'000}));
-  opts.determinism_samples =
-      static_cast<std::size_t>(args.get("samples", std::int64_t{32}));
-  opts.max_violations = static_cast<std::size_t>(
-      args.get("max-violations", std::int64_t{25}));
+  opts.max_states = args.get("max-states", std::uint64_t{500'000});
+  opts.determinism_samples = args.get("samples", std::uint64_t{32});
+  opts.max_violations = args.get("max-violations", std::uint64_t{25});
   opts.hw_guided = hw_guided;
   opts.unc_policy_th = unc_th;
   opts.sig_change_th = sig_th;

@@ -23,6 +23,7 @@
 // EAR_SIM_JOBS environment variable sets the default. Results are
 // bitwise independent of the job count.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -135,13 +136,13 @@ int cmd_run(const common::ArgParser& args) {
   sim::ExperimentConfig cfg{
       .app = app,
       .earl = settings_from(args),
-      .seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}))};
+      .seed = args.get("seed", std::uint64_t{1})};
   if (args.has("budget")) {
     cfg.eargm = eargm::EargmConfig{
         .cluster_budget = {args.get("budget", 0.0)}};
   }
-  const auto runs = static_cast<std::size_t>(args.get("runs", std::int64_t{3}));
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  const auto runs = args.get("runs", std::uint64_t{3});
+  const auto jobs = args.get("jobs", std::uint64_t{0});
 
   const sim::RunResult one = sim::run_experiment(cfg);
   const sim::AveragedResult avg = sim::run_averaged(cfg, runs, jobs);
@@ -187,11 +188,10 @@ int cmd_sweep(const common::ArgParser& args) {
   const std::string app_name = args.positional_or(1, "");
   if (app_name.empty()) return usage();
   const workload::AppModel app = resolve_app(args, app_name);
-  const auto pstate = static_cast<simhw::Pstate>(
-      args.get("cpu-pstate",
-               static_cast<std::int64_t>(app.node_config.pstates
-                                             .nominal_pstate())));
-  const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  const auto pstate = static_cast<simhw::Pstate>(args.get(
+      "cpu-pstate",
+      std::uint64_t{app.node_config.pstates.nominal_pstate()}));
+  const auto jobs = args.get("jobs", std::uint64_t{0});
 
   auto pinned_cfg = [&](std::optional<simhw::UncoreRatioLimit> window) {
     sim::ExperimentConfig cfg{.app = app,
@@ -279,9 +279,9 @@ int cmd_chaos(const common::ArgParser& args) {
   opts.app = args.positional_or(base, opts.app);
   opts.plan = std::make_shared<const faults::FaultPlan>(
       faults::load_fault_plan(plan_path));
-  opts.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  opts.runs = static_cast<std::size_t>(args.get("runs", std::int64_t{2}));
-  opts.jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  opts.seed = args.get("seed", std::uint64_t{1});
+  opts.runs = args.get("runs", std::uint64_t{2});
+  opts.jobs = args.get("jobs", std::uint64_t{0});
   opts.time_penalty_bound_pct =
       args.get("penalty-bound", opts.time_penalty_bound_pct);
   if (args.has("budget")) opts.budget_w = args.get("budget", 0.0);
@@ -311,20 +311,32 @@ int cmd_facility(const common::ArgParser& args) {
       return usage();
     }
   }
-  const auto nodes =
-      static_cast<std::size_t>(args.get("nodes", std::int64_t{64}));
-  const auto islands =
-      static_cast<std::size_t>(args.get("islands", std::int64_t{2}));
-  const auto job_count =
-      static_cast<std::size_t>(args.get("job-count", std::int64_t{24}));
-  const auto seed =
-      static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
+  // Every option value is read and checked before anything is built: a
+  // bad one is a usage error (exit 2) before any job is allocated or any
+  // thread started.
+  std::uint64_t nodes = 0;
+  std::uint64_t islands = 0;
+  std::uint64_t job_count = 0;
+  std::uint64_t seed = 0;
+  sim::FacilityConfig opts;
+  try {
+    nodes = args.get("nodes", std::uint64_t{64});
+    islands = args.get("islands", std::uint64_t{2});
+    job_count = args.get("job-count", std::uint64_t{24});
+    seed = args.get("seed", std::uint64_t{1});
+    opts.round_s = args.get("round", opts.round_s);
+    opts.sim_jobs = args.get("jobs", std::uint64_t{0});
+    sim::check_facility_timing(opts);
+  } catch (const common::ConfigError& e) {
+    std::fprintf(stderr, "ear_sim facility: %s\n", e.what());
+    return 2;
+  }
 
   sim::FacilityConfig cfg =
       sim::make_facility_config(nodes, islands, job_count, seed);
   if (args.has("budget")) cfg.budget = {args.get("budget", 0.0)};
-  cfg.round_s = args.get("round", cfg.round_s);
-  cfg.sim_jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  cfg.round_s = opts.round_s;
+  cfg.sim_jobs = opts.sim_jobs;
   if (args.flag("no-backfill")) cfg.backfill = false;
   const std::string plan_path = args.get("faults", std::string());
   if (!plan_path.empty()) {
@@ -368,13 +380,12 @@ int cmd_serve(const common::ArgParser& args) {
   const service::SweepSpec spec = service::parse_sweep_spec(in);
 
   service::SweepOptions opts;
-  opts.jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
+  opts.jobs = args.get("jobs", std::uint64_t{0});
   opts.fresh = args.flag("fresh");
   opts.progress = true;
-  opts.halt_after_slots =
-      static_cast<std::size_t>(args.get("halt-after", std::int64_t{0}));
-  opts.slot_delay_ms = static_cast<std::uint32_t>(
-      args.get("slot-delay-ms", std::int64_t{0}));
+  opts.halt_after_slots = args.get("halt-after", std::uint64_t{0});
+  opts.slot_delay_ms = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      args.get("slot-delay-ms", std::uint64_t{0}), UINT32_MAX));
   opts.spec_text = spec_text;
 
   const service::SweepOutcome out = service::run_sweep(spec, store, opts);
@@ -395,8 +406,7 @@ int cmd_serve(const common::ArgParser& args) {
 
 int cmd_trace(const common::ArgParser& args) {
   const std::string sub = args.positional_or(1, "");
-  const auto limit =
-      static_cast<std::size_t>(args.get("limit", std::int64_t{16}));
+  const auto limit = args.get("limit", std::uint64_t{16});
   if (sub == "dump") {
     const std::string path = args.positional_or(2, "");
     if (path.empty()) return usage();
