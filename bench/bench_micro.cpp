@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark): runtime costs of the EAR components
 // that sit on the application's critical path — DynAIS per-event cost,
 // signature computation, model prediction, policy invocation — plus the
-// simulator's own iteration cost.
+// simulator's own iteration cost and its governor's dither draws.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dynais/dynais.hpp"
 #include "metrics/accumulator.hpp"
 #include "oracles/reference_dynais.hpp"
@@ -14,6 +17,7 @@
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
+#include "simhw/dither_lanes.hpp"
 #include "workload/catalog.hpp"
 #include "workload/synthetic.hpp"
 
@@ -98,6 +102,41 @@ void BM_NodeIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeIteration);
+
+// The governor's dither draws of one iteration: `lanes` streams (two per
+// node) with period counts like paper_campaign's (170-202, mean 186; a
+// node's two sockets share one), socket 0 of each node uncounted as in
+// SimNode. dispatched:0 times the scalar loop, dispatched:1 the variant
+// dither_lanes picks (the label names it); bench_guard.py holds their
+// ratio at 26 lanes.
+void BM_DitherLanes(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const simhw::DitherVariant variant = state.range(1) != 0
+                                           ? simhw::dither_variant(n)
+                                           : simhw::DitherVariant::kScalar;
+  common::Rng pick(42);
+  std::vector<simhw::DitherLane> lanes(n);
+  std::uint64_t draws = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    lanes[j] = simhw::DitherLane{
+        .state = common::Rng(pick.next_u64()).state(),
+        .periods = j % 2 == 1 ? lanes[j - 1].periods : 170 + pick.below(33),
+        .threshold = static_cast<std::uint64_t>(0.12 * 0x1p53) + 1,
+        .counted = j % 2 == 1};
+    draws += lanes[j].periods;
+  }
+  for (auto _ : state) {
+    simhw::dither_lanes(lanes, variant);
+    benchmark::DoNotOptimize(lanes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(simhw::dither_variant_name(variant)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    draws));
+}
+BENCHMARK(BM_DitherLanes)
+    ->ArgsProduct({{2, 26}, {0, 1}})
+    ->ArgNames({"lanes", "dispatched"});
 
 void BM_SignatureComputation(benchmark::State& state) {
   const auto cfg = simhw::make_skylake_6148_node();

@@ -78,11 +78,10 @@ std::uint64_t ArgParser::get(const std::string& name,
   return parse_integer<std::uint64_t>(it->second, "option --" + name);
 }
 
-std::vector<std::string> ArgParser::option_names() const {
-  std::vector<std::string> out;
-  out.reserve(options_.size());
-  for (const auto& [k, v] : options_) out.push_back(k);
-  return out;
+void ArgParser::require_known(const std::set<std::string>& known) const {
+  for (const auto& [name, value] : options_) {
+    if (known.count(name) == 0) throw ConfigError("unknown option --" + name);
+  }
 }
 
 }  // namespace ear::common

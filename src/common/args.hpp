@@ -45,8 +45,10 @@ class ArgParser {
   [[nodiscard]] std::uint64_t get(const std::string& name,
                                   std::uint64_t def) const;
 
-  /// Names of all options seen (for unknown-option checks).
-  [[nodiscard]] std::vector<std::string> option_names() const;
+  /// Throw ConfigError ("unknown option --bogus") when an option outside
+  /// `known` was given: a command lists every option it reads, so a typo
+  /// is refused instead of silently running the default.
+  void require_known(const std::set<std::string>& known) const;
 
  private:
   std::vector<std::string> positional_;

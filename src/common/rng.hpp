@@ -4,6 +4,7 @@
 // (unlike std::default_random_engine / distributions).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace ear::common {
@@ -38,10 +39,17 @@ constexpr std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t run) {
 /// xoshiro256** generator with convenience floating-point draws.
 class Rng {
  public:
+  /// The generator's whole state: a stream resumes from it exactly.
+  using State = std::array<std::uint64_t, 4>;
+
   explicit constexpr Rng(std::uint64_t seed) {
     SplitMix64 sm(seed);
     for (auto& s : s_) s = sm.next();
   }
+
+  /// The stream that continues from `state` (a state() taken earlier).
+  static constexpr Rng resume(const State& state) { return Rng(state); }
+  [[nodiscard]] constexpr const State& state() const { return s_; }
 
   constexpr std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -84,6 +92,8 @@ class Rng {
   }
 
  private:
+  explicit constexpr Rng(const State& state) : s_(state) {}
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
@@ -96,7 +106,7 @@ class Rng {
     s_[2] ^= t;
     s_[3] = rotl(s_[3], 45);
   }
-  std::uint64_t s_[4] = {};
+  State s_{};
 };
 
 }  // namespace ear::common

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "simhw/node.hpp"
@@ -19,6 +20,14 @@ class Cluster {
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] SimNode& node(std::size_t i);
   [[nodiscard]] const SimNode& node(std::size_t i) const;
+
+  /// SimNode::run_governors over every node: node i's governor for its
+  /// next iteration of `demands[i]`, its IMC average to `f_imc[i]`. Each
+  /// node then runs finish_iteration with both.
+  void run_governors(std::span<const WorkDemand> demands,
+                     std::span<common::Freq> f_imc) {
+    SimNode::run_governors(nodes_, demands, f_imc);
+  }
 
   /// Total DC energy across nodes (exact, ground truth).
   [[nodiscard]] common::Joules total_energy() const;

@@ -94,9 +94,8 @@ UfsStretchSummary summarise(const NodeConfig& cfg, const HwUfsParams& params,
   return out;
 }
 
-/// A period dithers when its draw's top 53 bits are below this:
-/// ceil(p * 2^53), the integer form of `uniform() < p`. Only for an
-/// open gate (p > 0).
+/// The draw_dithers threshold: ceil(p * 2^53), the integer form of
+/// `uniform() < p`. Only for an open gate (p > 0).
 std::uint64_t dither_threshold(const HwUfsParams& params) {
   // uniform() is k * 2^-53 with k the draw's top 53 bits, so uniform() < p
   // holds exactly when k < p * 2^53 (a power-of-two scaling, exact for
@@ -108,49 +107,64 @@ std::uint64_t dither_threshold(const HwUfsParams& params) {
                   : static_cast<std::uint64_t>(std::ceil(p * kSpan));
 }
 
+/// The sum of the selected frequencies in kHz, `dithers` of the periods
+/// one bin down: bitwise the per-period sum in a double, because every
+/// partial sum is an integer below 2^53 (plan_ufs_periods checks).
+double period_sum(const UfsPeriods& plan, std::uint64_t dithers) {
+  return static_cast<double>(
+      dithers * plan.summary.dithered.as_khz() +
+      (plan.periods - dithers) * plan.summary.steady.as_khz());
+}
+
 }  // namespace
+
+Freq UfsPeriods::average(std::uint64_t dithers) const {
+  EAR_EXPECT(periods > 0);
+  return Freq::khz(static_cast<std::uint64_t>(
+      period_sum(*this, dithers) / static_cast<double>(periods)));
+}
+
+UfsPeriods plan_ufs_periods(const NodeConfig& cfg, const HwUfsParams& params,
+                            const UfsInputs& in, const UncoreRatioLimit& limit,
+                            std::size_t periods) {
+  UfsPeriods plan{.summary = summarise(cfg, params, in, limit),
+                  .periods = periods};
+  // Every period adds at most the steady selection, so below 2^53 each
+  // partial sum of a period-by-period double accumulation is an exact
+  // integer, and the count converted once by period_sum is that sum bit
+  // for bit.
+  EAR_EXPECT_MSG(static_cast<double>(periods) *
+                         static_cast<double>(plan.summary.steady.as_khz()) <
+                     0x1p53,
+                 "periods x kHz must stay below 2^53 for an exact sum");
+  if (plan.summary.can_dither) plan.threshold = dither_threshold(params);
+  return plan;
+}
 
 double UfsLoopState::evaluate_periods(const NodeConfig& cfg,
                                       const HwUfsParams& params,
                                       const UfsInputs& in,
                                       const UncoreRatioLimit& limit,
                                       std::size_t periods) {
-  if (periods == 0) return 0.0;
-  const UfsStretchSummary s = summarise(cfg, params, in, limit);
-  const std::uint64_t steady_khz = s.steady.as_khz();
-  // Every period adds at most steady_khz, so below 2^53 each partial sum
-  // of a period-by-period double accumulation is an exact integer, and
-  // the count converted once below is that sum bit for bit.
-  EAR_EXPECT_MSG(
-      static_cast<double>(periods) * static_cast<double>(steady_khz) < 0x1p53,
-      "periods x kHz must stay below 2^53 for an exact sum");
-
-  std::uint64_t dithers = 0;
-  current_ = s.steady;
-  if (s.can_dither) {
-    const std::uint64_t threshold = dither_threshold(params);
-    bool last = false;
-    for (std::size_t i = 0; i < periods; ++i) {
-      last = draw_dithers(threshold);
-      dithers += last ? 1 : 0;
-    }
-    if (last) current_ = s.dithered;
+  const UfsPeriods plan = plan_ufs_periods(cfg, params, in, limit, periods);
+  if (!plan.draws()) {
+    finish(plan, nullptr);
+    return period_sum(plan, 0);
   }
-  return static_cast<double>(dithers * s.dithered.as_khz() +
-                             (periods - dithers) * steady_khz);
+  DitherLane one = lane(plan, /*counted=*/true);
+  dither_lanes({&one, 1});
+  finish(plan, &one);
+  return period_sum(plan, one.dithers);
 }
 
-void UfsLoopState::advance_periods(const NodeConfig& cfg,
-                                   const HwUfsParams& params,
-                                   const UfsInputs& in,
-                                   const UncoreRatioLimit& limit,
-                                   std::size_t periods) {
-  if (periods == 0) return;
-  const UfsStretchSummary s = summarise(cfg, params, in, limit);
-  current_ = s.steady;
-  if (!s.can_dither) return;
-  rng_.discard(periods - 1);
-  if (draw_dithers(dither_threshold(params))) current_ = s.dithered;
+void UfsLoopState::finish(const UfsPeriods& plan, const DitherLane* lane) {
+  if (plan.periods == 0) return;
+  current_ = plan.summary.steady;
+  if (lane == nullptr) return;
+  rng_ = common::Rng::resume(lane->state);
+  if (draw_dithers(lane->last, plan.threshold)) {
+    current_ = plan.summary.dithered;
+  }
 }
 
 UfsStretchSummary UfsLoopState::integrate_stretch(

@@ -23,6 +23,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simhw/config.hpp"
+#include "simhw/dither_lanes.hpp"
 #include "simhw/msr.hpp"
 
 namespace ear::simhw {
@@ -114,6 +115,33 @@ struct UfsStretchSummary {
   }
 };
 
+/// A stretch of control periods under constant inputs, planned before any
+/// draw: the two selections, the period count and the dither threshold.
+/// Every socket of a node runs its node's plan on its own stream.
+struct UfsPeriods {
+  UfsStretchSummary summary;
+  std::uint64_t periods = 0;
+  std::uint64_t threshold = 0;  // see draw_dithers (open gates only)
+
+  /// An open gate over at least one period: one draw per period.
+  [[nodiscard]] bool draws() const {
+    return summary.can_dither && periods > 0;
+  }
+  /// The time-averaged selection when `dithers` of the periods dithered:
+  /// the per-period sum (evaluate_periods) over the period count,
+  /// truncated to whole kHz. Needs at least one period.
+  [[nodiscard]] Freq average(std::uint64_t dithers) const;
+};
+
+/// Plan `periods` periods under `in` and `limit`. Precondition: `periods`
+/// times the steady selection in kHz is below 2^53, so every partial sum
+/// is an exact double (docs/performance.md §3, "The dither loop").
+[[nodiscard]] UfsPeriods plan_ufs_periods(const NodeConfig& cfg,
+                                          const HwUfsParams& params,
+                                          const UfsInputs& in,
+                                          const UncoreRatioLimit& limit,
+                                          std::size_t periods);
+
 /// One socket's control-loop state: its dither stream and the selection
 /// of the last period. That is all of the loop that differs between
 /// sockets, so a node keeps one inline per socket; the node description
@@ -133,21 +161,26 @@ class UfsLoopState {
   /// when the dither gate can open, none otherwise — a gate that cannot
   /// change the selection, i.e. dither_probability <= 0 or NaN, counts as
   /// closed and consumes nothing). `current()` afterwards is the last
-  /// period's selection. `periods == 0` is a no-op returning 0.
-  /// Precondition: `periods` times the steady selection in kHz is below
-  /// 2^53, so every partial sum is an exact double (docs/performance.md
-  /// §3, "The dither loop").
+  /// period's selection. `periods == 0` is a no-op returning 0. The
+  /// precondition of plan_ufs_periods applies.
   double evaluate_periods(const NodeConfig& cfg, const HwUfsParams& params,
                           const UfsInputs& in, const UncoreRatioLimit& limit,
                           std::size_t periods);
 
-  /// evaluate_periods without the sum: the same draws, the same final
-  /// `current()`, nothing returned. Only the last period's draw is
-  /// compared; the others just advance the stream. For sockets whose
-  /// average nobody reads.
-  void advance_periods(const NodeConfig& cfg, const HwUfsParams& params,
-                       const UfsInputs& in, const UncoreRatioLimit& limit,
-                       std::size_t periods);
+  /// This socket's stream as a lane of a dither pass over `plan`
+  /// (dither_lanes); `counted` when the caller reads its dither count.
+  [[nodiscard]] DitherLane lane(const UfsPeriods& plan, bool counted) const {
+    return DitherLane{.state = rng_.state(),
+                      .periods = plan.periods,
+                      .threshold = plan.threshold,
+                      .counted = counted};
+  }
+
+  /// Close `plan` after its pass: take the stream back from `lane` (null
+  /// when the plan draws nothing) and select the last period, one bin
+  /// down when the lane's last draw dithered. A plan of no periods
+  /// changes nothing.
+  void finish(const UfsPeriods& plan, const DitherLane* lane);
 
   /// Closed-form stretch integration: summarise the per-period behaviour
   /// under constant inputs without advancing the RNG, and leave
@@ -163,8 +196,8 @@ class UfsLoopState {
 
   /// Idle fast path: with no active cores any number of periods settles
   /// on hw_ufs_idle_freq — no rng, no input vector. Bitwise identical to
-  /// evaluate_periods with an idle input at any period count (proved
-  /// against idle() in test_node.cpp).
+  /// evaluate_periods with an idle input at any period count (proved in
+  /// test_node.cpp).
   Freq settle_idle(const NodeConfig& cfg, const UncoreRatioLimit& limit) {
     current_ = hw_ufs_idle_freq(cfg, limit);
     return current_;
@@ -173,12 +206,6 @@ class UfsLoopState {
   [[nodiscard]] Freq current() const { return current_; }
 
  private:
-  /// A period dithers when its draw's top 53 bits are below `threshold`
-  /// (see dither_threshold in hw_ufs.cpp).
-  [[nodiscard]] bool draw_dithers(std::uint64_t threshold) {
-    return (rng_.next_u64() >> 11) < threshold;
-  }
-
   common::Rng rng_;
   Freq current_;
 };
@@ -199,12 +226,6 @@ class HwUfsGovernor {
   double evaluate_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
                           std::size_t periods) {
     return state_.evaluate_periods(cfg_, params_, in, limit, periods);
-  }
-
-  /// UfsLoopState::advance_periods over this governor's config.
-  void advance_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
-                       std::size_t periods) {
-    state_.advance_periods(cfg_, params_, in, limit, periods);
   }
 
   [[nodiscard]] Freq current() const { return state_.current(); }

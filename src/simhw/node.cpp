@@ -78,33 +78,61 @@ UncoreRatioLimit SimNode::uncore_limit() const {
 
 Freq SimNode::uncore_freq() const { return sockets_.front().ufs.current(); }
 
-Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
-  const NodeConfig& cfg = spec_->config;
-  const HwUfsParams& params = spec_->ufs;
-  // The loop re-evaluates every ~10 ms; average its output across the
-  // periods an iteration spans (bounded to keep long iterations cheap —
-  // beyond a few hundred periods the average has converged anyway).
-  const auto periods = static_cast<std::size_t>(std::clamp(
-      duration.value / params.evaluation_period_s, 1.0, 400.0));
-  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
-  // Each socket's governor has its own rng stream, so batching all of one
-  // governor's periods before the next (instead of interleaving sockets
-  // within each period) leaves every stream — and thus every selection —
-  // unchanged. The last socket drives the reported value, matching the
-  // interleaved loop this replaces; other sockets track identically
-  // because EAR applies node-level workloads symmetrically, so they only
-  // advance their streams and keep their last selection.
-  const std::span<Socket> all = sockets();
-  for (Socket& s : all.first(all.size() - 1)) {
-    s.ufs.advance_periods(cfg, params, in, limit, periods);
+void SimNode::run_governors(std::span<SimNode> nodes,
+                            std::span<const WorkDemand> demands,
+                            std::span<Freq> f_imc) {
+  EAR_CHECK(demands.size() == nodes.size() && f_imc.size() == nodes.size());
+  // Passes of at most 16 nodes (the catalog's largest app; 32 lanes fill
+  // whole vector groups) keep the scratch small and on the stack.
+  constexpr std::size_t kPassNodes = 16;
+  std::array<UfsPeriods, kPassNodes> plans{};
+  std::array<DitherLane, kPassNodes * kMaxSockets> lanes{};
+  for (std::size_t first = 0; first < nodes.size(); first += kPassNodes) {
+    const std::size_t n = std::min(kPassNodes, nodes.size() - first);
+    const std::span<SimNode> pass = nodes.subspan(first, n);
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      plans[i] = pass[i].plan_governor(demands[first + i]);
+      used += pass[i].load_lanes(plans[i], std::span(lanes).subspan(used));
+    }
+    dither_lanes(std::span(lanes).first(used));
+    used = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = plans[i].draws() ? pass[i].config().sockets : 0;
+      f_imc[first + i] =
+          pass[i].settle_lanes(plans[i], std::span(lanes).subspan(used, k));
+      used += k;
+    }
   }
-  const double sum_khz =
-      all.back().ufs.evaluate_periods(cfg, params, in, limit, periods);
-  return Freq::khz(static_cast<std::uint64_t>(
-      sum_khz / static_cast<double>(periods)));
 }
 
-IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
+std::size_t SimNode::load_lanes(const UfsPeriods& plan,
+                                std::span<DitherLane> out) {
+  if (!plan.draws()) return 0;
+  // Each socket's governor has its own rng stream, so drawing all of one
+  // governor's periods in its own lane (instead of interleaving sockets
+  // within each period) leaves every stream — and thus every selection —
+  // unchanged. The last socket drives the reported value; the others
+  // track identically because EAR applies node-level workloads
+  // symmetrically, so nobody reads their counts.
+  const std::span<Socket> all = sockets();
+  for (std::size_t s = 0; s < all.size(); ++s) {
+    const bool counted = s + 1 == all.size();
+    out[s] = all[s].ufs.lane(plan, counted);
+  }
+  return all.size();
+}
+
+Freq SimNode::settle_lanes(const UfsPeriods& plan,
+                           std::span<const DitherLane> lanes) {
+  const std::span<Socket> all = sockets();
+  for (std::size_t s = 0; s < all.size(); ++s) {
+    all[s].ufs.finish(plan, lanes.empty() ? nullptr : &lanes[s]);
+  }
+  return plan.average(lanes.empty() ? 0 : lanes.back().dithers);
+}
+
+UfsPeriods SimNode::plan_governor(const WorkDemand& demand) {
   const NodeConfig& cfg = spec_->config;
   const Freq f_cpu = cpu_freq();
   // Effective clock the governor keys on: VPI-weighted blend of the
@@ -124,12 +152,35 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   };
   if (inputs.epb == 0) inputs.epb = 6;  // unprogrammed MSR -> default bias
 
-  // First pass: estimate duration at the governor's current setting to
-  // know how many control periods the iteration spans.
+  // Estimate the duration at the governor's current setting to know how
+  // many control periods the iteration spans. The loop re-evaluates
+  // every ~10 ms; its output is averaged across those periods (bounded
+  // to keep long iterations cheap — beyond a few hundred periods the
+  // average has converged anyway).
   const PerfResult estimate =
       memo_.evaluate(cfg, demand, f_cpu, sockets_.front().ufs.current());
-  const Freq f_imc = run_governor(inputs, estimate.iter_time);
+  const auto periods = static_cast<std::size_t>(
+      std::clamp(estimate.iter_time.value / spec_->ufs.evaluation_period_s,
+                 1.0, 400.0));
+  return plan_ufs_periods(cfg, spec_->ufs, inputs,
+                          sockets_.front().msr.uncore_limit(), periods);
+}
 
+IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
+  // run_governors' steps for this node alone. Its own sockets never fill
+  // a vector, so dither_lanes takes the scalar loop.
+  const UfsPeriods plan = plan_governor(demand);
+  std::array<DitherLane, kMaxSockets> lanes{};
+  const std::size_t used = load_lanes(plan, lanes);
+  const std::span<DitherLane> mine = std::span(lanes).first(used);
+  dither_lanes(mine);
+  return finish_iteration(demand, settle_lanes(plan, mine));
+}
+
+IterationOutcome SimNode::finish_iteration(const WorkDemand& demand,
+                                           Freq f_imc) {
+  const NodeConfig& cfg = spec_->config;
+  const Freq f_cpu = cpu_freq();
   PerfResult perf = memo_.evaluate(cfg, demand, f_cpu, f_imc);
 
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
@@ -252,12 +303,12 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
       bw_in = inputs.bw_utilisation;
       // Every socket's governor integrates the stretch so current()
       // tracks exactly as the per-period loop would; the last socket
-      // drives the value, like run_governor.
+      // drives the value, like settle_lanes.
       UfsStretchSummary s{};
       for (Socket& k : sockets()) {
         s = k.ufs.integrate_stretch(cfg, params, inputs, limit);
       }
-      // Dither-free this is bitwise run_governor's khz(sum/periods): the
+      // Dither-free this is bitwise settle_lanes' khz(sum/periods): the
       // sum is exactly steady*periods, so the quotient is exact and the
       // truncation lands on the same integer. Dithered, the Bernoulli
       // per-period average is replaced by its expectation.
@@ -322,14 +373,7 @@ void SimNode::idle(Secs dt) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0) return;
   const NodeConfig& cfg = spec_->config;
-  const Freq f_imc = run_governor(
-      UfsInputs{.requested_core_freq = cpu_freq(),
-                .effective_core_freq = cpu_freq(),
-                .bw_utilisation = 0.0,
-                .relaxed_fraction = 1.0,
-                .active_cores = 0,
-                .epb = 6},
-      dt);
+  const Freq f_imc = settle_governors_idle();
   const PowerBreakdown power = idle_power(f_imc, dt);
   const Joules energy = power.total() * dt;
   for (std::size_t s = 0; s < cfg.sockets; ++s) {
@@ -347,6 +391,16 @@ void SimNode::idle(Secs dt) {
   clock_ += dt;
 }
 
+Freq SimNode::settle_governors_idle() {
+  // With no active cores the loop settles on the window's floor for any
+  // period count and draws nothing (hw_ufs_idle_freq). The last socket
+  // drives the value, like settle_lanes.
+  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
+  Freq f_imc{};
+  for (Socket& s : sockets()) f_imc = s.ufs.settle_idle(spec_->config, limit);
+  return f_imc;
+}
+
 void SimNode::idle_until(Secs t) {
   const double gap = t.value - clock_.value;
   if (!(gap > 0.0)) return;
@@ -358,12 +412,7 @@ void SimNode::settle_idle(Secs dt, std::uint64_t rounds) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0 || rounds == 0) return;
   const NodeConfig& cfg = spec_->config;
-  // The governor's idle special case: draw-free, the same result and
-  // state as run_governor at idle for any period count. The last socket
-  // drives the value, like run_governor.
-  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
-  Freq f_imc{};
-  for (Socket& s : sockets()) f_imc = s.ufs.settle_idle(cfg, limit);
+  const Freq f_imc = settle_governors_idle();
   // idle()'s deposits, quantised once and multiplied.
   const PowerBreakdown power = idle_power(f_imc, dt);
   const std::uint64_t pkg = to_energy_counts(Joules{

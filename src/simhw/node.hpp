@@ -96,8 +96,26 @@ class SimNode {
   [[nodiscard]] common::Secs clock() const { return clock_; }
 
   // --- Simulation driver -------------------------------------------------
-  /// Execute one application iteration under the current settings.
+  /// Execute one application iteration under the current settings: the
+  /// steps of run_governors over this node alone, then finish_iteration.
   IterationOutcome execute_iteration(const WorkDemand& demand);
+
+  /// The governor half of execute_iteration for every node of `nodes`,
+  /// node i running `demands[i]`: plan each node's control periods, make
+  /// every socket's dither draws in one dither_lanes pass, and write each
+  /// node's time-averaged uncore frequency to `f_imc[i]`. A node's result
+  /// and state are bitwise what its own execute_iteration would produce,
+  /// because no node's governor reads another node's state. The scratch
+  /// is on the stack: nothing is allocated.
+  static void run_governors(std::span<SimNode> nodes,
+                            std::span<const WorkDemand> demands,
+                            std::span<common::Freq> f_imc);
+
+  /// The rest of execute_iteration, with the uncore averaging `f_imc`:
+  /// what run_governors wrote for this node and `demand`, with nothing
+  /// but MSR locks changed on the node in between.
+  IterationOutcome finish_iteration(const WorkDemand& demand,
+                                    common::Freq f_imc);
 
   /// Execute up to `max_iters` iterations of the same demand, stopping
   /// before any iteration that would *start* at or past `stop_before_s`
@@ -160,9 +178,19 @@ class SimNode {
 
   /// The node's sockets: the first config().sockets entries.
   std::span<Socket> sockets() { return {sockets_.data(), config().sockets}; }
-  /// Run the HW governor for the periods covering `duration` and return
-  /// the time-averaged uncore frequency it produced.
-  common::Freq run_governor(const UfsInputs& in, common::Secs duration);
+  /// The governor's inputs for `demand`, and the control periods an
+  /// iteration spans at the current uncore setting.
+  [[nodiscard]] UfsPeriods plan_governor(const WorkDemand& demand);
+  /// Write the sockets' lanes of `plan` to `out`, the last socket's
+  /// counted (it drives the reported value), and return how many: none
+  /// when the plan draws nothing.
+  std::size_t load_lanes(const UfsPeriods& plan, std::span<DitherLane> out);
+  /// Take the lanes back after the pass and return the time-averaged
+  /// uncore frequency of the periods.
+  common::Freq settle_lanes(const UfsPeriods& plan,
+                            std::span<const DitherLane> lanes);
+  /// Settle every socket's governor at idle and return the frequency.
+  common::Freq settle_governors_idle();
   /// The power breakdown of an idle stretch of `dt` with the uncore at
   /// `f_imc` (idle() and settle_idle share it).
   [[nodiscard]] PowerBreakdown idle_power(common::Freq f_imc,

@@ -92,12 +92,16 @@ TEST(Args, NegativeNumbers) {
   EXPECT_DOUBLE_EQ(a.get("f", 0.0), -0.5);
 }
 
-TEST(Args, OptionNames) {
-  const auto a = parse({"--b=1", "--a=2"});
-  const auto names = a.option_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");  // map ordering
-  EXPECT_EQ(names[1], "b");
+TEST(Args, UnknownOptionRejected) {
+  const auto a = parse({"--jobs=2", "--compare", "--bogus", "1"});
+  EXPECT_NO_THROW(a.require_known({"jobs", "compare", "bogus", "seed"}));
+  try {
+    a.require_known({"jobs", "compare"});
+    FAIL() << "an unknown option must throw";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "unknown option --bogus");
+  }
+  EXPECT_NO_THROW(parse({"run", "bqcd"}).require_known({}));
 }
 
 }  // namespace

@@ -139,6 +139,53 @@ class BenchGuardTest(GuardTestBase):
         self.assertIn("bad input", r.stderr)
 
 
+def dither_lanes(scalar_ns, dispatched_ns, variant):
+    return [
+        {"name": "BM_DitherLanes/lanes:26/dispatched:0",
+         "real_time": scalar_ns, "time_unit": "ns", "label": "scalar"},
+        {"name": "BM_DitherLanes/lanes:26/dispatched:1",
+         "real_time": dispatched_ns, "time_unit": "ns", "label": variant},
+    ]
+
+
+def dither_baseline(**floor):
+    base = baseline()
+    base["dither_lanes"] = {"floor": floor}
+    return base
+
+
+class DitherLanesGuardTest(GuardTestBase):
+    def guard(self, scalar_ns, dispatched_ns, variant, base):
+        return self.run_guard(
+            self.write("report.json", bench_report(
+                extra=dither_lanes(scalar_ns, dispatched_ns, variant))),
+            self.write("baseline.json", base),
+        )
+
+    def test_vector_variant_above_its_floor_passes(self):
+        r = self.guard(9000.0, 3000.0, "avx512",
+                       dither_baseline(avx512=1.5, avx2=1.1))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("scalar/avx512 at 26 lanes = 3.00x", r.stdout)
+
+    def test_vector_variant_below_its_floor_fails(self):
+        r = self.guard(9000.0, 8500.0, "avx2",
+                       dither_baseline(avx512=1.5, avx2=1.1))
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertIn("avx2 dither kernel", r.stderr)
+
+    def test_scalar_runner_prints_a_notice(self):
+        r = self.guard(9000.0, 9000.0, "scalar", dither_baseline())
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("notice", r.stdout)
+
+    def test_missing_floor_for_the_variant_is_exit_2(self):
+        r = self.guard(9000.0, 3000.0, "avx512", dither_baseline(avx2=1.1))
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("dither_lanes.floor.avx512", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+
 def event_core_report(speedup=4.7, nodes=10000, host_cpus=4,
                       scale=2.3, schema="event_core_baseline_v2"):
     """A minimal event_core_baseline_v2 document with one entry."""

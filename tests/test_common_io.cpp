@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <cmath>
@@ -5,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -328,6 +330,53 @@ TEST_F(Log, MessageAtTheThresholdPrints) {
   EAR_LOG_INFO("test", "below");
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "[WARN] test: at threshold\n");
+}
+
+// Each message is one write: concurrent loggers (campaign workers) never
+// merge lines.
+TEST_F(Log, ConcurrentMessagesStayWholeLines) {
+  set_log_level(LogLevel::kWarn);
+  constexpr int kThreads = 4;
+  constexpr int kMessages = 500;
+  testing::internal::CaptureStderr();
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([t] {
+        for (int i = 0; i < kMessages; ++i) {
+          EAR_LOG_WARN("worker", "thread %d message %d of a campaign", t, i);
+        }
+      });
+    }
+  }
+  const std::string out = testing::internal::GetCapturedStderr();
+  std::vector<std::string> got;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) got.push_back(line);
+  std::vector<std::string> want;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kMessages; ++i) {
+      std::string line = "[WARN] worker: thread ";
+      line += std::to_string(t);
+      line += " message ";
+      line += std::to_string(i);
+      line += " of a campaign";
+      want.push_back(line);
+    }
+  }
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want) << "some lines were merged or split";
+}
+
+TEST_F(Log, LongMessageIsWrittenWhole) {
+  set_log_level(LogLevel::kWarn);
+  const std::string body(5000, 'x');
+  testing::internal::CaptureStderr();
+  EAR_LOG_WARN("test", "%s", body.c_str());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] test: " + body + "\n");
 }
 
 }  // namespace

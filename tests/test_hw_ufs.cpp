@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "simhw/dither_lanes.hpp"
 
 namespace ear::simhw {
 namespace {
@@ -202,10 +206,11 @@ TEST(HwUfsGovernor, CurrentTracksLastEvaluation) {
 // --- The dither loop against its per-period spec -------------------------
 //
 // evaluate_periods counts dithered periods with an integer compare on the
-// raw draw and converts the sum once; advance_periods skips everything but
-// the last draw. The oracle below is the spec both must match, written
-// out period by period: one uniform() draw per period while the gate is
-// open, `uniform() < p ? dithered : steady`, summed in a double.
+// raw draw and converts the sum once; an uncounted lane (a socket whose
+// count nobody reads) only steps its stream up to the last draw. The
+// oracle below is the spec both must match, written out period by
+// period: one uniform() draw per period while the gate is open,
+// `uniform() < p ? dithered : steady`, summed in a double.
 
 struct SpecLoop {
   const NodeConfig& cfg;
@@ -239,6 +244,21 @@ struct SpecLoop {
     return sum;
   }
 };
+
+/// A socket's loop run through the lane path uncounted, as a node runs
+/// every socket but its last.
+void run_uncounted(UfsLoopState& state, const NodeConfig& node,
+                   const HwUfsParams& params, const UfsInputs& in,
+                   const UncoreRatioLimit& limit, std::size_t periods) {
+  const UfsPeriods plan = plan_ufs_periods(node, params, in, limit, periods);
+  if (!plan.draws()) {
+    state.finish(plan, nullptr);
+    return;
+  }
+  DitherLane lane = state.lane(plan, /*counted=*/false);
+  dither_lanes({&lane, 1});
+  state.finish(plan, &lane);
+}
 
 struct DitherCase {
   double p;
@@ -279,39 +299,40 @@ UfsInputs idle_inputs() {  // rule 1: floor target, gate closed
   return in;
 }
 
-/// Run one case through evaluate_periods, advance_periods and the spec,
-/// then a follow-up call on an open gate that exposes any difference in
-/// stream position. Empty on agreement, else what differed.
+/// Run one case through evaluate_periods, the uncounted lane path and
+/// the spec, then a follow-up call on an open gate that exposes any
+/// difference in stream position. Empty on agreement, else what
+/// differed.
 std::string mismatch(const DitherCase& c) {
   const NodeConfig node = cfg();
   HwUfsParams params;
   params.dither_probability = c.p;
   HwUfsGovernor counted(node, params, c.seed);
-  HwUfsGovernor advanced(node, params, c.seed);
+  UfsLoopState stepped(node.uncore.max(), c.seed);
   SpecLoop spec(node, params, c.seed);
 
   const double got = counted.evaluate_periods(c.in, c.limit, c.periods);
-  advanced.advance_periods(c.in, c.limit, c.periods);
+  run_uncounted(stepped, node, params, c.in, c.limit, c.periods);
   const double want = spec.run(c.in, c.limit, c.periods);
   if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want)) {
     return "sum " + std::to_string(got) + " != spec " + std::to_string(want);
   }
   if (counted.current() != spec.current) return "current() != spec";
-  if (advanced.current() != spec.current) return "advance current() != spec";
+  if (stepped.current() != spec.current) return "uncounted current() != spec";
 
   constexpr std::size_t kFollowUp = 97;
   const double want_next = spec.run(base_inputs(), kOpen, kFollowUp);
   const double got_next = counted.evaluate_periods(base_inputs(), kOpen,
                                                    kFollowUp);
-  const double adv_next = advanced.evaluate_periods(base_inputs(), kOpen,
-                                                    kFollowUp);
+  const double stepped_next = stepped.evaluate_periods(
+      node, params, base_inputs(), kOpen, kFollowUp);
   if (std::bit_cast<std::uint64_t>(got_next) !=
       std::bit_cast<std::uint64_t>(want_next)) {
     return "stream position differs from spec";
   }
-  if (std::bit_cast<std::uint64_t>(adv_next) !=
+  if (std::bit_cast<std::uint64_t>(stepped_next) !=
       std::bit_cast<std::uint64_t>(want_next)) {
-    return "advance stream position differs from spec";
+    return "uncounted stream position differs from spec";
   }
   return {};
 }
@@ -386,6 +407,173 @@ TEST(HwUfsDitherLoop, PeriodCountMustKeepTheSumExact) {
             static_cast<double>(most * khz));
   EXPECT_THROW((void)gov.evaluate_periods(base_inputs(), kOpen, most + 1),
                common::ContractViolation);
+}
+
+// --- The lane kernel against the per-period oracle -----------------------
+//
+// Every dither_lanes variant the host runs must leave each lane exactly as
+// one draw per period from its own stream does: the count of draws with
+// uniform() < p, the last raw draw and the final stream state. Calls mix
+// lane counts that leave partial vector groups, period counts from 0 to
+// 401 (so one group has an unmasked head and a masked tail), counted and
+// uncounted lanes, and probabilities including p exactly at a draw the
+// stream produces and one ulp above it.
+
+struct LaneCase {
+  std::uint64_t seed;
+  double p;
+  std::uint64_t periods;
+  bool counted;
+};
+
+struct LaneOracle {
+  std::uint64_t dithers = 0;
+  std::uint64_t last = 0;
+  common::Rng::State state{};
+};
+
+LaneOracle per_period(const LaneCase& c) {
+  common::Rng rng(c.seed);
+  LaneOracle out;
+  for (std::uint64_t i = 0; i < c.periods; ++i) {
+    common::Rng peek = rng;
+    out.last = peek.next_u64();
+    if (rng.uniform() < c.p) ++out.dithers;
+  }
+  out.state = rng.state();
+  return out;
+}
+
+/// The lane plan_ufs_periods sets up for `c` on an open-gate input: the
+/// threshold is 0 for a closed gate (p <= 0 or NaN), which matches
+/// `uniform() < p` failing on every draw.
+DitherLane lane_for(const LaneCase& c) {
+  const NodeConfig node = cfg();
+  HwUfsParams params;
+  params.dither_probability = c.p;
+  const UfsPeriods plan =
+      plan_ufs_periods(node, params, base_inputs(), kOpen, c.periods);
+  return DitherLane{.state = common::Rng(c.seed).state(),
+                    .periods = c.periods,
+                    .threshold = plan.threshold,
+                    .counted = c.counted,
+                    .dithers = 7,
+                    .last = 0xdeadbeef};
+}
+
+/// Empty on agreement, else the first lane that differs and how.
+std::string run_lanes(const std::vector<LaneCase>& cases,
+                      DitherVariant variant) {
+  std::vector<DitherLane> lanes;
+  for (const LaneCase& c : cases) lanes.push_back(lane_for(c));
+  dither_lanes(lanes, variant);
+  for (std::size_t j = 0; j < cases.size(); ++j) {
+    const LaneCase& c = cases[j];
+    const DitherLane& got = lanes[j];
+    const LaneOracle want = per_period(c);
+    std::ostringstream why;
+    why.precision(17);
+    why << "lane " << j << " of " << cases.size() << " (seed " << c.seed
+        << ", p " << c.p << ", periods " << c.periods << "): ";
+    if (got.state != want.state) return why.str() + "final state";
+    if (c.periods == 0) {
+      if (got.dithers != 7 || got.last != 0xdeadbeef) {
+        return why.str() + "a lane without periods was written";
+      }
+      continue;
+    }
+    if (got.last != want.last) return why.str() + "last draw";
+    if (c.counted && got.dithers != want.dithers) {
+      return why.str() + "count " + std::to_string(got.dithers) +
+             " != " + std::to_string(want.dithers);
+    }
+  }
+  return {};
+}
+
+TEST(DitherLanes, EveryVariantMatchesThePerPeriodOracle) {
+  const double ps[] = {-0.1, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                       1e-9, 0.12, 0.5, 1.0, 1.5};
+  std::vector<std::string> ran;
+  for (const DitherVariant variant : supported_dither_variants()) {
+    common::Rng pick(2025);
+    std::size_t failures = 0;
+    std::string first;
+    for (std::size_t n = 1; n <= 33; ++n) {
+      for (int round = 0; round < 4; ++round) {
+        std::vector<LaneCase> cases;
+        for (std::size_t j = 0; j < n; ++j) {
+          // Counts 0-401, with the edges of the masked tail (0, 1, the
+          // 400-period cap and one past it) forced in.
+          const std::uint64_t periods =
+              (j + static_cast<std::size_t>(round)) % 11 == 0
+                  ? std::array<std::uint64_t, 4>{0, 1, 400, 401}[j % 4]
+                  : pick.below(402);
+          cases.push_back({.seed = 1 + pick.below(1'000'000),
+                           .p = ps[pick.below(std::size(ps))],
+                           .periods = periods,
+                           .counted = pick.below(4) != 0});
+        }
+        const std::string why = run_lanes(cases, variant);
+        if (!why.empty() && failures++ == 0) {
+          first = "n=" + std::to_string(n) + " " + why;
+        }
+      }
+    }
+    EXPECT_EQ(failures, 0u) << dither_variant_name(variant) << ": " << first;
+    ran.emplace_back(dither_variant_name(variant));
+  }
+  std::string names;
+  for (const std::string& r : ran) names += (names.empty() ? "" : ",") + r;
+  std::printf("dither_lanes variants run: %s\n", names.c_str());
+#if defined(__x86_64__) && defined(__GNUC__)
+  // The host's own answer, independent of the library's list: a variant
+  // the CPU supports must have run.
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_NE(std::find(ran.begin(), ran.end(), "avx2"), ran.end());
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    EXPECT_NE(std::find(ran.begin(), ran.end(), "avx512"), ran.end());
+  }
+#endif
+}
+
+TEST(DitherLanes, ThresholdIsExactAtTheDrawsInEveryVariant) {
+  // p equal to a draw a lane's stream produces must not dither on that
+  // draw, p one ulp above it must: the boundary of the integer compare,
+  // in every lane position of a vector group.
+  for (const DitherVariant variant : supported_dither_variants()) {
+    std::vector<LaneCase> cases;
+    for (const std::uint64_t seed : {1ULL, 99ULL, 0xC0FFEEULL, 4242ULL}) {
+      common::Rng peek(seed);
+      for (std::uint64_t j = 0; j < 8; ++j) {
+        const double u = peek.uniform();
+        cases.push_back({seed, u, j + 1, true});
+        cases.push_back({seed, std::nextafter(u, 1.0), j + 1, true});
+        cases.push_back({seed, u, 200 + j, true});
+      }
+    }
+    EXPECT_EQ(run_lanes(cases, variant), "") << dither_variant_name(variant);
+  }
+}
+
+TEST(DitherLanes, DispatchFollowsLaneCountAndCpu) {
+  const std::vector<DitherVariant> have = supported_dither_variants();
+  const auto has = [&](DitherVariant v) {
+    return std::find(have.begin(), have.end(), v) != have.end();
+  };
+  ASSERT_TRUE(has(DitherVariant::kScalar));
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const DitherVariant v = dither_variant(n);
+    EXPECT_TRUE(has(v)) << n;
+    if (n >= 8 && has(DitherVariant::kAvx512)) {
+      EXPECT_EQ(v, DitherVariant::kAvx512) << n;
+    } else if (n >= 4 && has(DitherVariant::kAvx2)) {
+      EXPECT_EQ(v, DitherVariant::kAvx2) << n;
+    } else {
+      EXPECT_EQ(v, DitherVariant::kScalar) << n;
+    }
+  }
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ std::vector<std::uint64_t> bits(const SimNode& n) {
           n.inm().read_joules(),
           std::bit_cast<std::uint64_t>(n.inm().elapsed().value),
           n.rapl().pkg(0).raw(),
-          n.rapl().pkg(1).raw(),
+          n.config().sockets > 1 ? n.rapl().pkg(1).raw() : 0,
           n.rapl().dram().raw(),
           std::bit_cast<std::uint64_t>(c.instructions),
           std::bit_cast<std::uint64_t>(c.cycles),
@@ -352,6 +352,113 @@ TEST(Cluster, AllocationsDoNotGrowWithNodeCount) {
   const std::size_t small = allocations(100);
   EXPECT_GT(small, 0u);  // the counter sees the node array itself
   EXPECT_EQ(allocations(1000), small);
+}
+
+// The batched governor pass (one dither_lanes call over every socket of
+// every node) leaves each node exactly as its own execute_iteration does:
+// across pass boundaries (more than 16 nodes), partial vector groups,
+// closed dither gates (idle nodes, a zero probability), pinned and
+// narrowed windows, P-state and EPB moves, one- and two-socket nodes.
+TEST(Cluster, BatchedGovernorsEqualPerNodeIterations) {
+  for (const std::size_t sockets : {std::size_t{1}, std::size_t{2}}) {
+    for (const double p : {0.12, 0.0}) {
+      NodeConfig cfg = make_skylake_6148_node();
+      cfg.sockets = sockets;
+      const HwUfsParams ufs{.dither_probability = p};
+      constexpr std::size_t kNodes = 37;
+      Cluster ref(cfg, kNodes, 5, NoiseModel{}, ufs);
+      Cluster batched(cfg, kNodes, 5, NoiseModel{}, ufs);
+      std::vector<WorkDemand> demands;
+      for (std::size_t n = 0; n < kNodes; ++n) {
+        WorkDemand d = demand();
+        d.bytes = 5e9 * static_cast<double>(1 + n % 9);
+        d.instructions_per_core = 1.0e9 * static_cast<double>(1 + n % 5);
+        d.active_cores = cfg.total_cores();
+        if (n % 7 == 3) {  // no active cores: the gate stays closed
+          d.active_cores = 0;
+          d.instructions_per_core = 0.0;
+        }
+        demands.push_back(d);
+      }
+      std::vector<Freq> f_imc(kNodes);
+      for (int it = 0; it < 12; ++it) {
+        if (it == 4) {
+          for (Cluster* c : {&ref, &batched}) {
+            c->node(1).set_uncore_limit_all({Freq::ghz(1.7), Freq::ghz(1.7)});
+            c->node(2).set_uncore_limit_all({Freq::ghz(2.0), Freq::ghz(1.2)});
+            c->node(5).set_cpu_pstate(Pstate{4});
+            for (std::size_t s = 0; s < sockets; ++s) {
+              c->node(6).msr(s).write(kMsrEnergyPerfBias, 10);
+            }
+          }
+        }
+        batched.run_governors(demands, f_imc);
+        for (std::size_t n = 0; n < kNodes; ++n) {
+          const IterationOutcome a = ref.node(n).execute_iteration(demands[n]);
+          const IterationOutcome b =
+              batched.node(n).finish_iteration(demands[n], f_imc[n]);
+          ASSERT_EQ(a.uncore_freq, b.uncore_freq)
+              << sockets << " sockets, p " << p << ", node " << n
+              << ", iteration " << it;
+          ASSERT_EQ(bits(a.perf), bits(b.perf));
+          ASSERT_EQ(bits(ref.node(n)), bits(batched.node(n)))
+              << sockets << " sockets, p " << p << ", node " << n
+              << ", iteration " << it;
+        }
+      }
+    }
+  }
+}
+
+TEST(Cluster, RunGovernorsAllocatesNothing) {
+  Cluster cluster(make_skylake_6148_node(), 40, 9);
+  const std::vector<WorkDemand> demands(cluster.size(), demand());
+  std::vector<Freq> f_imc(cluster.size());
+  const std::size_t before = g_allocations.load();
+  for (int it = 0; it < 3; ++it) cluster.run_governors(demands, f_imc);
+  EXPECT_EQ(g_allocations.load(), before);
+}
+
+// idle() and settle_idle() take the governor's idle frequency straight
+// from hw_ufs_idle_freq; this proves it is what the per-period loop
+// selects with no active cores, at any period count and window, and that
+// the loop draws nothing there.
+TEST(SimNode, IdleFreqIsTheGovernorAtIdle) {
+  const NodeConfig cfg = make_skylake_6148_node();
+  const UfsInputs idle_in{.requested_core_freq = Freq::ghz(2.4),
+                          .effective_core_freq = Freq::ghz(2.4),
+                          .bw_utilisation = 0.0,
+                          .relaxed_fraction = 1.0,
+                          .active_cores = 0,
+                          .epb = 6};
+  for (const UncoreRatioLimit limit :
+       {UncoreRatioLimit{Freq::ghz(2.4), Freq::ghz(1.2)},
+        UncoreRatioLimit{Freq::ghz(1.7), Freq::ghz(1.7)},
+        UncoreRatioLimit{Freq::ghz(2.0), Freq::ghz(1.2)},
+        UncoreRatioLimit{Freq::ghz(2.4), Freq::ghz(1.6)}}) {
+    const Freq want = hw_ufs_idle_freq(cfg, limit);
+    for (const std::size_t periods : {1u, 2u, 25u, 100u, 400u}) {
+      HwUfsGovernor gov(cfg, HwUfsParams{}, 11);
+      HwUfsGovernor fresh(cfg, HwUfsParams{}, 11);
+      const double sum = gov.evaluate_periods(idle_in, limit, periods);
+      EXPECT_EQ(sum, static_cast<double>(periods * want.as_khz()));
+      EXPECT_EQ(gov.current(), want);
+      // The stream is untouched: the next open-gate stretch matches a
+      // fresh governor's.
+      UfsInputs busy = idle_in;
+      busy.active_cores = 40;
+      EXPECT_EQ(gov.evaluate_periods(busy, limit, 97),
+                fresh.evaluate_periods(busy, limit, 97));
+    }
+    for (const double dt : {0.001, 0.25, 1.0, 5.0}) {
+      SimNode node(cfg, 3);
+      node.set_uncore_limit_all(limit);
+      node.idle(Secs{dt});
+      EXPECT_EQ(node.uncore_freq(), want);
+      EXPECT_EQ(node.counters().imc_freq_cycles,
+                static_cast<double>(want.as_khz()) * dt);
+    }
+  }
 }
 
 TEST(SimNode, RefusesMoreSocketsThanTheBound) {

@@ -14,6 +14,14 @@ Inputs:
   * the committed baseline ``bench/BENCH_hotpath_baseline.json`` holding
     the pre-PR and post-PR reference numbers
 
+The same mode also guards the governor's vector dither kernel: at 26
+lanes, ``BM_DitherLanes`` times the scalar loop (``dispatched:0``) and
+the variant ``dither_lanes`` dispatches to (``dispatched:1``, named by
+the benchmark's label). When a vector variant ran, the scalar/dispatched
+time ratio must reach the baseline's ``dither_lanes.floor`` for that
+variant; on a runner without one (label ``scalar``), or when the report
+has no such benchmark, the guard prints a notice instead.
+
 Event-core mode (``--event-core``) reinterprets both positional inputs
 as ``event_core_baseline_v2`` JSON (the ``bench_cluster_scale
 --event-diff --diff-out`` output) and guards, at the largest size both
@@ -33,7 +41,8 @@ import sys
 
 
 def load_benchmarks(path):
-    """Map benchmark name -> real_time in ns from a google-benchmark JSON."""
+    """Map benchmark name -> (real_time in ns, label) from a
+    google-benchmark JSON."""
     with open(path) as f:
         report = json.load(f)
     out = {}
@@ -44,8 +53,46 @@ def load_benchmarks(path):
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
         if scale is None:
             raise ValueError(f"unknown time_unit {unit!r} for {b.get('name')}")
-        out[b["name"]] = float(b["real_time"]) * scale
+        out[b["name"]] = (float(b["real_time"]) * scale, b.get("label", ""))
     return out
+
+
+DITHER_SCALAR = "BM_DitherLanes/lanes:26/dispatched:0"
+DITHER_DISPATCHED = "BM_DitherLanes/lanes:26/dispatched:1"
+
+
+def check_dither_lanes(report, baseline, baseline_path):
+    """0 = within the floor or nothing to hold, 1 = regression, 2 = bad
+    baseline. `report` maps name -> (ns, label)."""
+    if DITHER_SCALAR not in report or DITHER_DISPATCHED not in report:
+        print("bench_guard: notice — no BM_DitherLanes at 26 lanes in the "
+              "report; dither kernel not checked")
+        return 0
+    scalar_ns, _ = report[DITHER_SCALAR]
+    dispatched_ns, variant = report[DITHER_DISPATCHED]
+    if variant == "scalar":
+        print("bench_guard: notice — this CPU ran no vector dither variant; "
+              "dither kernel not checked")
+        return 0
+    floors = (baseline.get("dither_lanes") or {}).get("floor")
+    floor = floors.get(variant) if isinstance(floors, dict) else None
+    if not isinstance(floor, (int, float)):
+        print(f"bench_guard: baseline {baseline_path} has no numeric "
+              f"dither_lanes.floor.{variant}", file=sys.stderr)
+        return 2
+    if not dispatched_ns > 0:
+        print(f"bench_guard: report key {DITHER_DISPATCHED} is "
+              f"{dispatched_ns!r}; rerun the benchmark", file=sys.stderr)
+        return 2
+    ratio = scalar_ns / dispatched_ns
+    print(f"bench_guard: dither lanes scalar/{variant} at 26 lanes = "
+          f"{ratio:.2f}x (floor {floor:g}x)")
+    if ratio < floor:
+        print(f"bench_guard: FAIL — the {variant} dither kernel is only "
+              f"{ratio:.2f}x the scalar loop, below the {floor:g}x floor",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def load_event_core(path, label):
@@ -212,12 +259,13 @@ def main():
         return run_event_core(args)
 
     try:
-        bench = load_benchmarks(args.report)
+        report = load_benchmarks(args.report)
         with open(args.baseline) as f:
             baseline = json.load(f)
     except (OSError, ValueError, KeyError) as e:
         print(f"bench_guard: bad input: {e}", file=sys.stderr)
         return 2
+    bench = {name: ns for name, (ns, _) in report.items()}
 
     needed = ("BM_DynaisPush", "BM_DynaisPushNonPeriodic")
     missing = [n for n in needed if n not in bench]
@@ -283,6 +331,9 @@ def main():
         print(f"bench_guard:   BM_CampaignSweep: "
               f"{bench['BM_CampaignSweep'] / 1e6:.3f} ms")
 
+    dither = check_dither_lanes(report, baseline, args.baseline)
+    if dither == 2:
+        return 2
     if now_ratio > limit:
         print(
             "bench_guard: FAIL — the DynAIS worst-case path regressed "
@@ -290,6 +341,8 @@ def main():
             "steady-state push on this machine",
             file=sys.stderr,
         )
+        return 1
+    if dither == 1:
         return 1
     print("bench_guard: OK")
     return 0

@@ -21,7 +21,6 @@
 // (counterexamples on stdout and, if requested, in the
 // --counterexample-out file), 2 = usage error or a bad option value
 // ("ear_model: <message>" on stderr).
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -72,16 +71,9 @@ std::string hex_digest(std::uint64_t d) {
 
 int run(const common::ArgParser& args) {
   if (args.flag("help")) return usage();
-  for (const std::string& name : args.option_names()) {
-    static const std::vector<std::string> known = {
-        "unc-th", "sig-th", "ng-u", "share", "jobs", "samples",
-        "max-states", "max-violations", "counterexample-out",
-        "recheck-serial", "help"};
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      std::fprintf(stderr, "ear_model: unknown option --%s\n", name.c_str());
-      return usage();
-    }
-  }
+  args.require_known({"unc-th", "sig-th", "ng-u", "share", "jobs", "samples",
+                      "max-states", "max-violations", "counterexample-out",
+                      "recheck-serial", "help"});
 
   const double unc_th = args.get("unc-th", 0.02);
   const double sig_th = args.get("sig-th", 0.15);

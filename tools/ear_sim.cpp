@@ -28,7 +28,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/args.hpp"
 #include "common/error.hpp"
@@ -129,6 +128,8 @@ workload::AppModel resolve_app(const common::ArgParser& args,
 }
 
 int cmd_run(const common::ArgParser& args) {
+  args.require_known({"policy", "cpu-th", "unc-th", "runs", "seed", "trace",
+                      "budget", "compare", "workload-file", "jobs"});
   const std::string app_name = args.positional_or(1, "");
   if (app_name.empty()) return usage();
   const workload::AppModel app = resolve_app(args, app_name);
@@ -185,6 +186,7 @@ int cmd_run(const common::ArgParser& args) {
 }
 
 int cmd_sweep(const common::ArgParser& args) {
+  args.require_known({"cpu-pstate", "jobs", "workload-file"});
   const std::string app_name = args.positional_or(1, "");
   if (app_name.empty()) return usage();
   const workload::AppModel app = resolve_app(args, app_name);
@@ -236,6 +238,7 @@ int cmd_sweep(const common::ArgParser& args) {
 }
 
 int cmd_learn(const common::ArgParser& args) {
+  args.require_known({"gpu-node", "save"});
   const auto cfg = args.flag("gpu-node")
                        ? simhw::make_skylake_6142m_gpu_node()
                        : simhw::make_skylake_6148_node();
@@ -267,6 +270,8 @@ int cmd_learn(const common::ArgParser& args) {
 }
 
 int cmd_chaos(const common::ArgParser& args) {
+  args.require_known({"faults", "policies", "runs", "seed", "budget",
+                      "penalty-bound", "jobs", "chaos"});
   const std::string plan_path = args.get("faults", std::string());
   if (plan_path.empty()) {
     std::fprintf(stderr, "ear_sim chaos: --faults PLAN is required\n");
@@ -301,36 +306,19 @@ int cmd_chaos(const common::ArgParser& args) {
 }
 
 int cmd_facility(const common::ArgParser& args) {
-  for (const std::string& name : args.option_names()) {
-    static const std::vector<std::string> known = {
-        "nodes", "islands", "job-count", "seed", "budget", "round",
-        "faults", "no-backfill", "jobs", "check"};
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
-      std::fprintf(stderr, "ear_sim facility: unknown option --%s\n",
-                   name.c_str());
-      return usage();
-    }
-  }
+  args.require_known({"nodes", "islands", "job-count", "seed", "budget",
+                      "round", "faults", "no-backfill", "jobs", "check"});
   // Every option value is read and checked before anything is built: a
   // bad one is a usage error (exit 2) before any job is allocated or any
   // thread started.
-  std::uint64_t nodes = 0;
-  std::uint64_t islands = 0;
-  std::uint64_t job_count = 0;
-  std::uint64_t seed = 0;
+  const std::uint64_t nodes = args.get("nodes", std::uint64_t{64});
+  const std::uint64_t islands = args.get("islands", std::uint64_t{2});
+  const std::uint64_t job_count = args.get("job-count", std::uint64_t{24});
+  const std::uint64_t seed = args.get("seed", std::uint64_t{1});
   sim::FacilityConfig opts;
-  try {
-    nodes = args.get("nodes", std::uint64_t{64});
-    islands = args.get("islands", std::uint64_t{2});
-    job_count = args.get("job-count", std::uint64_t{24});
-    seed = args.get("seed", std::uint64_t{1});
-    opts.round_s = args.get("round", opts.round_s);
-    opts.sim_jobs = args.get("jobs", std::uint64_t{0});
-    sim::check_facility_timing(opts);
-  } catch (const common::ConfigError& e) {
-    std::fprintf(stderr, "ear_sim facility: %s\n", e.what());
-    return 2;
-  }
+  opts.round_s = args.get("round", opts.round_s);
+  opts.sim_jobs = args.get("jobs", std::uint64_t{0});
+  sim::check_facility_timing(opts);
 
   sim::FacilityConfig cfg =
       sim::make_facility_config(nodes, islands, job_count, seed);
@@ -355,7 +343,8 @@ int cmd_facility(const common::ArgParser& args) {
   return 0;
 }
 
-int cmd_version() {
+int cmd_version(const common::ArgParser& args) {
+  args.require_known({"version"});
   const service::BuildStamp& s = service::build_stamp();
   std::printf("ear_sim %s\n", s.line().c_str());
   std::printf("  git:      %s\n", s.git_describe.c_str());
@@ -368,6 +357,8 @@ int cmd_version() {
 }
 
 int cmd_serve(const common::ArgParser& args) {
+  args.require_known({"spec", "store", "jobs", "fresh", "halt-after",
+                      "slot-delay-ms"});
   const std::string spec_path = args.get("spec", std::string());
   const std::string store = args.get("store", std::string());
   if (spec_path.empty() || store.empty()) {
@@ -405,6 +396,7 @@ int cmd_serve(const common::ArgParser& args) {
 }
 
 int cmd_trace(const common::ArgParser& args) {
+  args.require_known({"limit"});
   const std::string sub = args.positional_or(1, "");
   const auto limit = args.get("limit", std::uint64_t{16});
   if (sub == "dump") {
@@ -471,22 +463,38 @@ int cmd_trace(const common::ArgParser& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A bad or unknown option (or input file) is a usage error, exit 2,
+  // reported as "ear_sim <command>: <message>"; any other failure exits 1.
+  std::string cmd;
   try {
     const common::ArgParser args(
         argc, argv,
         {"compare", "gpu-node", "chaos", "check", "no-backfill", "fresh",
          "version"});
-    const std::string cmd = args.positional_or(0, "");
-    if (cmd == "list") return cmd_list();
+    cmd = args.positional_or(0, "");
+    if (cmd == "list") {
+      args.require_known({});
+      return cmd_list();
+    }
     if (cmd == "run") return cmd_run(args);
     if (cmd == "sweep") return cmd_sweep(args);
     if (cmd == "learn") return cmd_learn(args);
     if (cmd == "facility") return cmd_facility(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "version" || args.flag("version")) return cmd_version();
-    if (cmd == "chaos" || args.flag("chaos")) return cmd_chaos(args);
+    if (cmd == "version" || args.flag("version")) {
+      cmd = "version";
+      return cmd_version(args);
+    }
+    if (cmd == "chaos" || args.flag("chaos")) {
+      cmd = "chaos";
+      return cmd_chaos(args);
+    }
     return usage();
+  } catch (const common::ConfigError& e) {
+    std::fprintf(stderr, "ear_sim%s%s: %s\n", cmd.empty() ? "" : " ",
+                 cmd.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ear_sim: %s\n", e.what());
     return 1;
