@@ -111,9 +111,9 @@ BENCHMARK(BM_NodeIteration);
 // ratio at 26 lanes.
 void BM_DitherLanes(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const simhw::DitherVariant variant = state.range(1) != 0
+  const simhw::LaneVariant variant = state.range(1) != 0
                                            ? simhw::dither_variant(n)
-                                           : simhw::DitherVariant::kScalar;
+                                           : simhw::LaneVariant::kScalar;
   common::Rng pick(42);
   std::vector<simhw::DitherLane> lanes(n);
   std::uint64_t draws = 0;
@@ -130,12 +130,43 @@ void BM_DitherLanes(benchmark::State& state) {
     benchmark::DoNotOptimize(lanes.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(simhw::dither_variant_name(variant)));
+  state.SetLabel(std::string(simhw::lane_variant_name(variant)));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     draws));
 }
 BENCHMARK(BM_DitherLanes)
     ->ArgsProduct({{2, 26}, {0, 1}})
+    ->ArgNames({"lanes", "dispatched"});
+
+// The noise draws of one facility block: `lanes` node streams, each with
+// a row of 1-8 pairs (two Rng::normal() draws per iteration).
+// dispatched:0 times the scalar loop, dispatched:1 the variant
+// noise_lanes picks (the label names it); bench_guard.py holds their
+// ratio at 16 lanes.
+void BM_NoiseLanes(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const simhw::LaneVariant variant = state.range(1) != 0
+                                         ? simhw::noise_variant(n)
+                                         : simhw::LaneVariant::kScalar;
+  common::Rng pick(42);
+  std::vector<simhw::NoiseLane> lanes(n);
+  std::uint64_t pairs = 0;
+  for (simhw::NoiseLane& lane : lanes) {
+    lane.state = common::Rng(pick.next_u64()).state();
+    lane.pairs = 1 + pick.below(simhw::kNoisePairs);
+    pairs += lane.pairs;
+  }
+  for (auto _ : state) {
+    simhw::noise_lanes(lanes, variant);
+    benchmark::DoNotOptimize(lanes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(simhw::lane_variant_name(variant)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    pairs));
+}
+BENCHMARK(BM_NoiseLanes)
+    ->ArgsProduct({{2, 16}, {0, 1}})
     ->ArgNames({"lanes", "dispatched"});
 
 void BM_SignatureComputation(benchmark::State& state) {

@@ -158,20 +158,20 @@ RunResult run_experiment(const ExperimentConfig& cfg) {
       cluster.run_governors(demands, f_imc);
       for (std::size_t n = 0; n < app.nodes; ++n) {
         if (injector) injector->poll(n);  // scheduled locks fire here
-        const auto outcome =
-            cluster.node(n).finish_iteration(demands[n], f_imc[n]);
-        rapl[n].poll(cluster.node(n));
+        simhw::SimNode& node = cluster.node(n);
+        const auto outcome = node.finish_iteration(demands[n], f_imc[n]);
+        rapl[n].poll(node);
         round_power[n] = outcome.power.total().value;
         if (injector && injector->power_reading_dropped(n)) {
           // The node's report never reaches EARGM this round.
           round_power[n] = std::numeric_limits<double>::quiet_NaN();
         }
         if (n == 0 && iter_index % stride == 0) {
-          out.imc_timeline.emplace_back(cluster.node(0).clock().value,
+          out.imc_timeline.emplace_back(node.clock().value,
                                         outcome.uncore_freq.as_ghz());
           out.timeline.push_back(TimelinePoint{
-              .t_s = cluster.node(0).clock().value,
-              .cpu_ghz = cluster.node(0).cpu_freq().as_ghz(),
+              .t_s = node.clock().value,
+              .cpu_ghz = node.cpu_freq().as_ghz(),
               .imc_ghz = outcome.uncore_freq.as_ghz(),
               .dc_power_w = outcome.power.total().value,
           });
@@ -190,8 +190,8 @@ RunResult run_experiment(const ExperimentConfig& cfg) {
           RunObserver::IterationSample sample{
               .phase = phase_index,
               .iteration = iter_index,
-              .t_s = cluster.node(0).clock().value,
-              .cpu_freq = cluster.node(0).cpu_freq(),
+              .t_s = node.clock().value,
+              .cpu_freq = node.cpu_freq(),
               .imc_freq = outcome.uncore_freq,
               .dc_power = outcome.power.total()};
           if (cfg.attach_earl) {

@@ -1,7 +1,9 @@
 #include "sim/shard.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <span>
 
 #include "simhw/energy_counts.hpp"
 #include "simhw/msr.hpp"
@@ -63,43 +65,67 @@ void Shard::advance(NodeChunk& chunk) {
   // Iterate the cluster directly: node(n) is an out-of-line
   // bounds-checked call, and this loop is the simulator's innermost.
   const auto nodes = cluster->begin();
+  // Each round's busy nodes go in blocks whose stretches run as one
+  // batch, which draws their noise in one vector pass. The block
+  // scratch is on the stack and written before it is read.
+  constexpr std::size_t kBlock = 16;
+  std::array<simhw::SimNode::StretchRun, kBlock> runs;
+  std::array<std::uint64_t, kBlock> e0;
+  std::array<double, kBlock> t0;
   for (std::size_t w = 0; w < window_rounds && !chunk.busy.empty(); ++w) {
     const std::size_t r = window_first_round + w;
     const double round_end = static_cast<double>(r) * round_s + round_s;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < chunk.busy.size(); ++i) {
-      const std::uint32_t n = chunk.busy[i];
-      simhw::SimNode& node = nodes[static_cast<std::ptrdiff_t>(n)];
-      NodeSlot& slot = slots[n];
-      const std::uint64_t e0 = node.inm().counts();
-      const double t0 = node.clock().value;
-      // Guard on the clock too: a multi-second iteration overshoots the
-      // round boundary and then sits out the following rounds, and
-      // execute_stretch's hoisted setup is pure waste on those.
-      if (slot.iters_left > 0 && t0 < round_end) {
-        // One phase-stable stretch: closed-form governor integration in
-        // place of the reference loop's iteration-at-a-time stepping.
-        const simhw::StretchSummary s =
-            node.execute_stretch(*slot.demand, slot.iters_left, round_end);
-        slot.iters_left -= s.iterations;
-        if (slot.iters_left == 0) slot.done_round = r;
+    for (std::size_t first = 0; first < chunk.busy.size(); first += kBlock) {
+      const std::size_t size = std::min(kBlock, chunk.busy.size() - first);
+      const std::span<const std::uint32_t> block(&chunk.busy[first], size);
+      std::size_t stretches = 0;
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        simhw::SimNode& node = nodes[static_cast<std::ptrdiff_t>(block[i])];
+        const NodeSlot& slot = slots[block[i]];
+        e0[i] = node.inm().counts();
+        t0[i] = node.clock().value;
+        // Guard on the clock too: a multi-second iteration overshoots
+        // the round boundary and then sits out the following rounds,
+        // and a stretch's hoisted setup is pure waste on those.
+        if (slot.iters_left > 0 && t0[i] < round_end) {
+          runs[stretches++] = {.node = &node,
+                               .demand = slot.demand,
+                               .max_iters = slot.iters_left,
+                               .stop_before_s = round_end};
+        }
       }
-      node.idle_until(common::Secs{round_end});
-      const std::uint64_t e1 = node.inm().counts();
-      const double dt = node.clock().value - t0;
-      // Power is the INM delta over the clock delta, and a stalled clock
-      // holds the last reading — the reference loop's rule.
-      if (dt > 0.0) slot.reading_mw = reading_mw(e1 - e0, dt);
-      chunk.visited_mw[w] += slot.reading_mw;
-      if (slot.done_round == r) slot.done_counts = e1;
-      if (slot.iters_left == 0 && node.clock().value == round_end) {
-        slot.idle_since = r + 1;
-        slot.idle_counts = node.idle_inm_counts(common::Secs{round_s});
-        slot.idle_mw = reading_mw(slot.idle_counts, round_s);
-        slot.idle_window = node.msr(0).read(simhw::kMsrUncoreRatioLimit);
-        chunk.joined_mw[w] += slot.idle_mw;
-      } else {
-        chunk.busy[kept++] = n;
+      // One phase-stable stretch per node: closed-form governor
+      // integration in place of the reference loop's iteration-at-a-time
+      // stepping.
+      simhw::SimNode::execute_stretches(std::span(runs).first(stretches));
+      stretches = 0;
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const std::uint32_t n = block[i];
+        simhw::SimNode& node = nodes[static_cast<std::ptrdiff_t>(n)];
+        NodeSlot& slot = slots[n];
+        if (slot.iters_left > 0 && t0[i] < round_end) {
+          slot.iters_left -= runs[stretches++].out.iterations;
+          if (slot.iters_left == 0) slot.done_round = r;
+        }
+        node.idle_until(common::Secs{round_end});
+        const std::uint64_t e1 = node.inm().counts();
+        const double dt = node.clock().value - t0[i];
+        // Power is the INM delta over the clock delta, and a stalled
+        // clock holds the last reading — the reference loop's rule.
+        if (dt > 0.0) slot.reading_mw = reading_mw(e1 - e0[i], dt);
+        chunk.visited_mw[w] += slot.reading_mw;
+        if (slot.done_round == r) slot.done_counts = e1;
+        if (slot.iters_left == 0 && node.clock().value == round_end) {
+          slot.idle_since = r + 1;
+          slot.idle_counts = node.idle_inm_counts(common::Secs{round_s});
+          slot.idle_mw = reading_mw(slot.idle_counts, round_s);
+          slot.idle_window = node.msr(0).read(simhw::kMsrUncoreRatioLimit);
+          chunk.joined_mw[w] += slot.idle_mw;
+        } else {
+          // Never past the block's own entries: kept <= first + i.
+          chunk.busy[kept++] = n;
+        }
       }
     }
     chunk.busy.resize(kept);

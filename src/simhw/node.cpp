@@ -1,7 +1,7 @@
 #include "simhw/node.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -18,6 +18,12 @@ namespace {
 constexpr double kCoreFreqDroop = 0.995;
 /// Frequency idle cores report through APERF/MPERF-style averaging.
 const Freq kIdleReportFreq = Freq::ghz(2.0);
+
+/// The relative jitter of one noise draw: max(0.5, 1 + normal(0, sigma))
+/// from normal()'s value `z` (Rng::normal(mean, sd) is mean + sd * z).
+double jitter(double z, double sigma) {
+  return std::max(0.5, 1.0 + (0.0 + sigma * z));
+}
 
 PowerBreakdown scale(PowerBreakdown p, double factor) {
   p.base.value *= factor;
@@ -83,24 +89,27 @@ void SimNode::run_governors(std::span<SimNode> nodes,
                             std::span<Freq> f_imc) {
   EAR_CHECK(demands.size() == nodes.size() && f_imc.size() == nodes.size());
   // Passes of at most 16 nodes (the catalog's largest app; 32 lanes fill
-  // whole vector groups) keep the scratch small and on the stack.
+  // whole vector groups) keep the scratch small and on the stack. Every
+  // slot a pass reads it writes first, so nothing is initialised up
+  // front: a disengaged optional and a DitherLane cost no stores.
   constexpr std::size_t kPassNodes = 16;
-  std::array<UfsPeriods, kPassNodes> plans{};
-  std::array<DitherLane, kPassNodes * kMaxSockets> lanes{};
+  std::array<std::optional<UfsPeriods>, kPassNodes> plans;
+  std::array<DitherLane, kPassNodes * kMaxSockets> lanes;
   for (std::size_t first = 0; first < nodes.size(); first += kPassNodes) {
     const std::size_t n = std::min(kPassNodes, nodes.size() - first);
     const std::span<SimNode> pass = nodes.subspan(first, n);
     std::size_t used = 0;
     for (std::size_t i = 0; i < n; ++i) {
       plans[i] = pass[i].plan_governor(demands[first + i]);
-      used += pass[i].load_lanes(plans[i], std::span(lanes).subspan(used));
+      used += pass[i].load_lanes(*plans[i], std::span(lanes).subspan(used));
     }
     dither_lanes(std::span(lanes).first(used));
     used = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = plans[i].draws() ? pass[i].config().sockets : 0;
+      const UfsPeriods& plan = *plans[i];
+      const std::size_t k = plan.draws() ? pass[i].config().sockets : 0;
       f_imc[first + i] =
-          pass[i].settle_lanes(plans[i], std::span(lanes).subspan(used, k));
+          pass[i].settle_lanes(plan, std::span(lanes).subspan(used, k));
       used += k;
     }
   }
@@ -170,7 +179,7 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   // run_governors' steps for this node alone. Its own sockets never fill
   // a vector, so dither_lanes takes the scalar loop.
   const UfsPeriods plan = plan_governor(demand);
-  std::array<DitherLane, kMaxSockets> lanes{};
+  std::array<DitherLane, kMaxSockets> lanes;
   const std::size_t used = load_lanes(plan, lanes);
   const std::span<DitherLane> mine = std::span(lanes).first(used);
   dither_lanes(mine);
@@ -184,30 +193,18 @@ IterationOutcome SimNode::finish_iteration(const WorkDemand& demand,
   PerfResult perf = memo_.evaluate(cfg, demand, f_cpu, f_imc);
 
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
-  const double tnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.time_sigma));
-  perf.iter_time.value *= tnoise;
+  perf.iter_time.value *= jitter(rng_.normal(), spec_->noise.time_sigma);
   perf.gbps = perf.iter_time.value > 0.0
                   ? perf.bytes / perf.iter_time.value / 1e9
                   : 0.0;
 
-  PowerBreakdown power = evaluate_power(cfg, demand, perf, f_cpu, f_imc);
-  const double pnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.power_sigma));
-  power = scale(power, pnoise);
+  const PowerBreakdown power =
+      scale(evaluate_power(cfg, demand, perf, f_cpu, f_imc),
+            jitter(rng_.normal(), spec_->noise.power_sigma));
 
   const Secs dt = perf.iter_time;
   const Joules energy = power.total() * dt;
-
-  // Energy counters.
-  const Joules pkg_each =
-      power.package() * dt;  // split evenly across sockets
-  for (std::size_t s = 0; s < cfg.sockets; ++s) {
-    rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                static_cast<double>(cfg.sockets)});
-  }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
+  deposit(power, dt);
 
   // PMU counters (node aggregated).
   const double active = static_cast<double>(demand.active_cores);
@@ -247,13 +244,21 @@ IterationOutcome SimNode::finish_iteration(const WorkDemand& demand,
                           .energy = energy};
 }
 
-StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
-                                        std::size_t max_iters,
-                                        double stop_before_s) {
-  StretchSummary out;
-  const NodeConfig& cfg = spec_->config;
-  const HwUfsParams& params = spec_->ufs;
+/// What holds for all of a stretch, and the operating point its
+/// bandwidth input gives.
+struct SimNode::Stretch {
+  const WorkDemand* demand;
+  UfsInputs inputs;  // bw_utilisation: the input `base` is for
+  UncoreRatioLimit limit;
+  double active;        // active cores
+  double avg_core_khz;  // reported core clock
+  Freq f_imc;
+  PerfResult base;       // noise-free, at f_imc
+  PowerBreakdown power;  // evaluate_power at `base`
+};
 
+SimNode::Stretch SimNode::prepare_stretch(const WorkDemand& demand) {
+  const NodeConfig& cfg = spec_->config;
   // Hoisted invariants: the caller guarantees no control-plane mutation
   // mid-stretch, so everything the governor keys on except the bandwidth
   // feedback is fixed for the whole stretch.
@@ -264,7 +269,6 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
       demand.vpi * static_cast<double>(f_cap.as_khz())));
   std::uint64_t epb = sockets_.front().msr.read(kMsrEnergyPerfBias);
   if (epb == 0) epb = 6;  // unprogrammed MSR -> default bias
-  const UncoreRatioLimit limit = sockets_.front().msr.uncore_limit();
 
   const double active = static_cast<double>(demand.active_cores);
   const double idle_cores =
@@ -273,92 +277,193 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
   const double active_khz =
       (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
       demand.vpi * static_cast<double>(f_cap.as_khz());
-  const double avg_core_khz =
-      total > 0.0
-          ? (active * active_khz * kCoreFreqDroop +
-             idle_cores * static_cast<double>(kIdleReportFreq.as_khz())) /
-                total
-          : 0.0;
+  Stretch s{
+      .demand = &demand,
+      .inputs = {.requested_core_freq = f_cpu,
+                 .effective_core_freq = f_eff,
+                 .bw_utilisation = last_bw_utilisation_,
+                 .relaxed_fraction = demand.relaxed_wait_fraction,
+                 .active_cores = demand.active_cores,
+                 .epb = epb},
+      .limit = sockets_.front().msr.uncore_limit(),
+      .active = active,
+      .avg_core_khz =
+          total > 0.0
+              ? (active * active_khz * kCoreFreqDroop +
+                 idle_cores * static_cast<double>(kIdleReportFreq.as_khz())) /
+                    total
+              : 0.0};
+  refresh_stretch(s);
+  return s;
+}
 
-  // The governor is reactive through last iteration's bandwidth
-  // utilisation, which is itself a pure function of the chosen IMC
-  // frequency — so the (f_imc, perf) pair reaches a fixed point after a
-  // couple of warmup iterations and the cached state below stops being
-  // recomputed. The recompute key is the bandwidth input alone.
-  bool cached = false;
-  double bw_in = 0.0;
-  Freq f_imc{};
-  PerfResult base{};
+void SimNode::refresh_stretch(Stretch& s) {
+  const NodeConfig& cfg = spec_->config;
+  const HwUfsParams& params = spec_->ufs;
+  // Every socket's governor integrates the stretch so current() tracks
+  // exactly as the per-period loop would; the last socket drives the
+  // value, like settle_lanes.
+  UfsStretchSummary u{};
+  for (Socket& k : sockets()) {
+    u = k.ufs.integrate_stretch(cfg, params, s.inputs, s.limit);
+  }
+  // Dither-free this is bitwise settle_lanes' khz(sum/periods): the sum
+  // is exactly steady*periods, so the quotient is exact and the
+  // truncation lands on the same integer. Dithered, the Bernoulli
+  // per-period average is replaced by its expectation.
+  s.f_imc = u.expected_freq(params.dither_probability);
+  const Freq f_cpu = s.inputs.requested_core_freq;
+  s.base = memo_.evaluate(cfg, *s.demand, f_cpu, s.f_imc);
+  s.power = evaluate_power(cfg, *s.demand, s.base, f_cpu, s.f_imc);
+}
+
+StretchSummary SimNode::run_stretch(Stretch& s, std::size_t max_iters,
+                                    double stop_before_s,
+                                    const NoiseLane* row) {
+  StretchSummary out;
+  const NodeConfig& cfg = spec_->config;
+  const NoiseModel& noise = spec_->noise;
+  const WorkDemand& demand = *s.demand;
+  const std::size_t pairs = row != nullptr ? row->pairs : 0;
+  // Only the DRAM term of a CPU node's power moves with the noisy time;
+  // a GPU node's busy fraction moves too, so it re-evaluates it all.
+  const bool gpu = cfg.power.gpu_count > 0;
 
   while (out.iterations < max_iters && clock_.value < stop_before_s) {
-    UfsInputs inputs{
-        .requested_core_freq = f_cpu,
-        .effective_core_freq = f_eff,
-        .bw_utilisation = last_bw_utilisation_,
-        .relaxed_fraction = demand.relaxed_wait_fraction,
-        .active_cores = demand.active_cores,
-        .epb = epb,
-    };
-    if (!cached || inputs.bw_utilisation != bw_in) {
-      bw_in = inputs.bw_utilisation;
-      // Every socket's governor integrates the stretch so current()
-      // tracks exactly as the per-period loop would; the last socket
-      // drives the value, like settle_lanes.
-      UfsStretchSummary s{};
-      for (Socket& k : sockets()) {
-        s = k.ufs.integrate_stretch(cfg, params, inputs, limit);
-      }
-      // Dither-free this is bitwise settle_lanes' khz(sum/periods): the
-      // sum is exactly steady*periods, so the quotient is exact and the
-      // truncation lands on the same integer. Dithered, the Bernoulli
-      // per-period average is replaced by its expectation.
-      f_imc = s.expected_freq(params.dither_probability);
-      base = memo_.evaluate(cfg, demand, f_cpu, f_imc);
-      cached = true;
+    // The governor is reactive through last iteration's bandwidth
+    // utilisation, which is itself a pure function of the chosen IMC
+    // frequency — so the (f_imc, perf) pair reaches a fixed point after a
+    // couple of warmup iterations and the state stops being recomputed.
+    if (last_bw_utilisation_ != s.inputs.bw_utilisation) {
+      s.inputs.bw_utilisation = last_bw_utilisation_;
+      refresh_stretch(s);
     }
 
-    // Per-iteration tail, replicated from execute_iteration: same noise
-    // draws in the same order, same accumulation arithmetic.
-    PerfResult perf = base;
-    const double tnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.time_sigma));
-    perf.iter_time.value *= tnoise;
-    perf.gbps = perf.iter_time.value > 0.0
-                    ? perf.bytes / perf.iter_time.value / 1e9
-                    : 0.0;
-
-    PowerBreakdown power = evaluate_power(cfg, demand, perf, f_cpu, f_imc);
-    const double pnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, spec_->noise.power_sigma));
-    power = scale(power, pnoise);
-
-    const Secs dt = perf.iter_time;
-    const Joules energy = power.total() * dt;
-    const Joules pkg_each = power.package() * dt;
-    for (std::size_t s = 0; s < cfg.sockets; ++s) {
-      rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                  static_cast<double>(cfg.sockets)});
+    // The iteration's two noise draws, time then power (execute_
+    // iteration's order): from the row while it lasts, then from the
+    // stream, resumed after the row's last pair.
+    const std::size_t i = out.iterations;
+    double z_time = 0.0;
+    double z_power = 0.0;
+    if (i < pairs) {
+      z_time = row->normals[i][0];
+      z_power = row->normals[i][1];
+    } else {
+      if (i == pairs && i > 0) rng_ = common::Rng::resume(row->after[i - 1]);
+      z_time = rng_.normal();
+      z_power = rng_.normal();
     }
-    rapl_.deposit_dram(power.dram * dt);
-    inm_.deposit(energy, dt);
 
-    counters_.instructions += perf.instructions_per_core * active;
-    counters_.cycles += perf.cycles_per_core * active;
+    // Per-iteration tail, replicated from finish_iteration: same
+    // accumulation arithmetic.
+    const Secs dt{s.base.iter_time.value * jitter(z_time, noise.time_sigma)};
+    const double gbps =
+        dt.value > 0.0 ? s.base.bytes / dt.value / 1e9 : 0.0;
+    PowerBreakdown power = s.power;
+    if (gpu) {
+      PerfResult perf = s.base;
+      perf.iter_time = dt;
+      perf.gbps = gbps;
+      power = evaluate_power(cfg, demand, perf, s.inputs.requested_core_freq,
+                             s.f_imc);
+    } else {
+      power.dram = dram_power(cfg.power, gbps);
+    }
+    power = scale(power, jitter(z_power, noise.power_sigma));
+    deposit(power, dt);
+
+    counters_.instructions += s.base.instructions_per_core * s.active;
+    counters_.cycles += s.base.cycles_per_core * s.active;
     counters_.avx512_ops +=
-        demand.vpi * demand.instructions_per_core * active;
-    counters_.cas_transactions += perf.bytes / 64.0;
-    counters_.cpu_freq_cycles += avg_core_khz * dt.value;
+        demand.vpi * demand.instructions_per_core * s.active;
+    counters_.cas_transactions += s.base.bytes / 64.0;
+    counters_.cpu_freq_cycles += s.avg_core_khz * dt.value;
     counters_.imc_freq_cycles +=
-        static_cast<double>(f_imc.as_khz()) * dt.value;
+        static_cast<double>(s.f_imc.as_khz()) * dt.value;
     counters_.elapsed_seconds += dt.value;
     counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
 
     clock_ += dt;
-    last_bw_utilisation_ = perf.bw_utilisation;
+    last_bw_utilisation_ = s.base.bw_utilisation;
     ++out.iterations;
-    out.uncore_freq = f_imc;
+    out.uncore_freq = s.f_imc;
+  }
+  if (out.iterations > 0 && out.iterations <= pairs) {
+    rng_ = common::Rng::resume(row->after[out.iterations - 1]);
   }
   return out;
+}
+
+StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
+                                        std::size_t max_iters,
+                                        double stop_before_s) {
+  if (max_iters == 0 || !(clock_.value < stop_before_s)) return {};
+  Stretch s = prepare_stretch(demand);
+  return run_stretch(s, max_iters, stop_before_s, nullptr);
+}
+
+StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
+                                        std::size_t max_iters,
+                                        double stop_before_s,
+                                        const NoiseLane& row) {
+  EAR_CHECK_MSG(row.state == rng_.state() && row.pairs <= kNoisePairs,
+                "a noise row must start at the node's stream");
+  if (max_iters == 0 || !(clock_.value < stop_before_s)) return {};
+  Stretch s = prepare_stretch(demand);
+  return run_stretch(s, max_iters, stop_before_s, &row);
+}
+
+void SimNode::execute_stretches(std::span<StretchRun> runs) {
+  // Passes of at most 16 stretches (two AVX-512 noise groups) keep the
+  // scratch on the stack; like run_governors', it is written before it
+  // is read, so nothing is initialised up front.
+  constexpr std::size_t kPass = 16;
+  std::array<std::optional<Stretch>, kPass> stretches;
+  std::array<NoiseLane, kPass> rows;
+  for (std::size_t first = 0; first < runs.size(); first += kPass) {
+    const std::size_t n = std::min(kPass, runs.size() - first);
+    for (std::size_t i = 0; i < n; ++i) {
+      StretchRun& run = runs[first + i];
+      SimNode& node = *run.node;
+      rows[i].state = node.rng_.state();
+      rows[i].pairs = 0;
+      stretches[i].reset();
+      const double left = run.stop_before_s - node.clock_.value;
+      if (run.max_iters == 0 || !(left > 0.0)) continue;
+      const Stretch& s =
+          stretches[i].emplace(node.prepare_stretch(*run.demand));
+      // The iterations that fit before the stop at the first one's
+      // noise-free time, rounded up (the last one overshoots). A wrong
+      // guess costs time only: a longer stretch draws on from the
+      // stream, a shorter one leaves pairs unused.
+      const double fit = left / s.base.iter_time.value;
+      std::size_t guess = kNoisePairs;
+      if (fit < static_cast<double>(kNoisePairs)) {
+        guess = static_cast<std::size_t>(fit);
+        if (static_cast<double>(guess) < fit) ++guess;
+      }
+      rows[i].pairs = std::min(guess, run.max_iters);
+    }
+    noise_lanes(std::span(rows).first(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      StretchRun& run = runs[first + i];
+      run.out = stretches[i]
+                    ? run.node->run_stretch(*stretches[i], run.max_iters,
+                                            run.stop_before_s, &rows[i])
+                    : StretchSummary{};
+    }
+  }
+}
+
+void SimNode::deposit(const PowerBreakdown& power, Secs dt) {
+  // The package energy splits evenly across the sockets.
+  const Joules pkg_share{(power.package() * dt).value /
+                         static_cast<double>(config().sockets)};
+  for (std::size_t s = 0; s < config().sockets; ++s) {
+    rapl_.deposit_pkg(s, pkg_share);
+  }
+  rapl_.deposit_dram(power.dram * dt);
+  inm_.deposit(power.total() * dt, dt);
 }
 
 PowerBreakdown SimNode::idle_power(Freq f_imc, Secs dt) const {
@@ -372,17 +477,8 @@ PowerBreakdown SimNode::idle_power(Freq f_imc, Secs dt) const {
 void SimNode::idle(Secs dt) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0) return;
-  const NodeConfig& cfg = spec_->config;
   const Freq f_imc = settle_governors_idle();
-  const PowerBreakdown power = idle_power(f_imc, dt);
-  const Joules energy = power.total() * dt;
-  for (std::size_t s = 0; s < cfg.sockets; ++s) {
-    rapl_.deposit_pkg(
-        s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg.sockets)});
-  }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
+  deposit(idle_power(f_imc, dt), dt);
   counters_.elapsed_seconds += dt.value;
   counters_.cpu_freq_cycles +=
       static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;

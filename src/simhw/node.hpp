@@ -21,6 +21,7 @@
 #include "simhw/config.hpp"
 #include "simhw/counters.hpp"
 #include "simhw/demand.hpp"
+#include "simhw/dither_lanes.hpp"
 #include "simhw/hw_ufs.hpp"
 #include "simhw/inm.hpp"
 #include "simhw/kernel_memo.hpp"
@@ -127,9 +128,10 @@ class SimNode {
   /// The per-iteration governor period loop is replaced by its closed
   /// form (UfsLoopState::integrate_stretch), and everything that is
   /// constant across the stretch — effective clock, governor target,
-  /// memoised perf model, PMU increments — is hoisted out of the loop.
-  /// The per-iteration noise draws still happen, in the same order and
-  /// from the same stream as execute_iteration, so:
+  /// memoised perf model, power but the DRAM term, PMU increments — is
+  /// hoisted out of the loop and recomputed only when the bandwidth
+  /// feedback moves. The per-iteration noise draws still happen, in the
+  /// same order and from the same stream as execute_iteration, so:
   ///   * with the dither gate closed (dither_probability == 0, or no
   ///     headroom above the uncore floor) the node state afterwards is
   ///     bitwise identical to calling execute_iteration in a loop;
@@ -139,6 +141,38 @@ class SimNode {
   StretchSummary execute_stretch(const WorkDemand& demand,
                                  std::size_t max_iters,
                                  double stop_before_s);
+
+  /// execute_stretch with the first `row.pairs` iterations' noise draws
+  /// taken from `row`, drawn ahead from this node's stream (`row.state`
+  /// must be noise_state(); checked). Bitwise the plain stretch, stream
+  /// included: a stretch longer than the row draws on from the state
+  /// after the row's last pair, a shorter one resumes from the state
+  /// after the last pair it used.
+  StretchSummary execute_stretch(const WorkDemand& demand,
+                                 std::size_t max_iters,
+                                 double stop_before_s, const NoiseLane& row);
+
+  /// One stretch of a batch: execute_stretch's arguments and its result.
+  struct StretchRun {
+    SimNode* node;
+    const WorkDemand* demand;
+    std::size_t max_iters;
+    double stop_before_s;
+    StretchSummary out;  // written by execute_stretches
+  };
+
+  /// execute_stretch for every run, the nodes distinct: prepare each
+  /// stretch, predict its iterations from the first one's noise-free
+  /// time, draw every prediction's noise in one noise_lanes pass, then
+  /// run each stretch over its row. Each node's state and result are
+  /// bitwise its own execute_stretch's, whatever the prediction. The
+  /// scratch is on the stack: nothing is allocated.
+  static void execute_stretches(std::span<StretchRun> runs);
+
+  /// The node's noise stream (a NoiseLane's `state`).
+  [[nodiscard]] const common::Rng::State& noise_state() const {
+    return rng_.state();
+  }
 
   /// Advance idle time (no application work; cores idle).
   void idle(common::Secs dt);
@@ -191,6 +225,22 @@ class SimNode {
                             std::span<const DitherLane> lanes);
   /// Settle every socket's governor at idle and return the frequency.
   common::Freq settle_governors_idle();
+  /// A stretch's hoisted state (see execute_stretch; node.cpp).
+  struct Stretch;
+  /// The stretch's hoisted state and its first iteration's operating
+  /// point. Call only when that iteration runs: it moves the governors.
+  [[nodiscard]] Stretch prepare_stretch(const WorkDemand& demand);
+  /// Integrate the governors and evaluate the model and power at
+  /// `s.inputs`.
+  void refresh_stretch(Stretch& s);
+  /// The stretch loop over a prepared stretch, the noise from `row`
+  /// while it lasts (null: every draw from the stream).
+  StretchSummary run_stretch(Stretch& s, std::size_t max_iters,
+                             double stop_before_s, const NoiseLane* row);
+
+  /// Deposit `power` over `dt` into the energy counters, the package
+  /// energy split evenly across the sockets.
+  void deposit(const PowerBreakdown& power, common::Secs dt);
   /// The power breakdown of an idle stretch of `dt` with the uncore at
   /// `f_imc` (idle() and settle_idle share it).
   [[nodiscard]] PowerBreakdown idle_power(common::Freq f_imc,

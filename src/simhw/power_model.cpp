@@ -51,7 +51,7 @@ PowerBreakdown evaluate_power(const NodeConfig& cfg, const WorkDemand& demand,
   out.uncore = Watts{static_cast<double>(cfg.sockets) * uncore_per_socket};
 
   // --- DRAM --------------------------------------------------------------
-  out.dram = Watts{pm.dram_background_watts + pm.dram_w_per_gbps * perf.gbps};
+  out.dram = dram_power(pm, perf.gbps);
 
   // --- GPUs --------------------------------------------------------------
   if (pm.gpu_count > 0) {

@@ -33,6 +33,12 @@ struct PowerBreakdown {
   }
 };
 
+/// DIMM power at an observed node bandwidth: evaluate_power's DRAM term,
+/// which a stretch recomputes alone for every iteration's noisy time.
+[[nodiscard]] inline Watts dram_power(const PowerModel& pm, double gbps) {
+  return Watts{pm.dram_background_watts + pm.dram_w_per_gbps * gbps};
+}
+
 /// Evaluate average power over an iteration whose performance result is
 /// `perf` (the observed IPC/VPI/bandwidth determine switching activity).
 [[nodiscard]] PowerBreakdown evaluate_power(const NodeConfig& cfg,

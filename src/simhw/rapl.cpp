@@ -16,18 +16,6 @@ RaplDomains::RaplDomains(std::size_t sockets) : sockets_(sockets) {
   EAR_CHECK_MSG(sockets <= kMaxSockets, "more sockets than kMaxSockets");
 }
 
-void RaplDomains::deposit_pkg(std::size_t socket, Joules e) {
-  EAR_CHECK(socket < sockets_);
-  pkg_[socket].deposit(e);
-}
-
-void RaplDomains::add_pkg(std::size_t socket, std::uint64_t counts) {
-  EAR_CHECK(socket < sockets_);
-  pkg_[socket].add(counts);
-}
-
-void RaplDomains::deposit_dram(Joules e) { dram_.deposit(e); }
-
 const RaplCounter& RaplDomains::pkg(std::size_t socket) const {
   EAR_CHECK(socket < sockets_);
   return pkg_[socket];

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "simhw/config.hpp"
 #include "simhw/energy_counts.hpp"
@@ -35,6 +36,10 @@ class RaplCounter {
     counts_ = add_energy_counts(counts_, counts);
   }
 
+  /// The unwrapped accumulator in 2^-30 J counts (ground truth, for
+  /// test oracles).
+  [[nodiscard]] std::uint64_t counts() const { return counts_; }
+
   /// Raw 32-bit register value as MSR reads would return it.
   [[nodiscard]] std::uint32_t raw() const {
     return static_cast<std::uint32_t>(counts_ >> kRegisterShift);
@@ -57,10 +62,16 @@ class RaplDomains {
   /// At most kMaxSockets sockets (checked).
   explicit RaplDomains(std::size_t sockets);
 
-  void deposit_pkg(std::size_t socket, Joules e);
-  void deposit_dram(Joules e);
+  void deposit_pkg(std::size_t socket, Joules e) {
+    EAR_CHECK(socket < sockets_);
+    pkg_[socket].deposit(e);
+  }
+  void deposit_dram(Joules e) { dram_.deposit(e); }
   /// The same, for energy already in 2^-30 J counts.
-  void add_pkg(std::size_t socket, std::uint64_t counts);
+  void add_pkg(std::size_t socket, std::uint64_t counts) {
+    EAR_CHECK(socket < sockets_);
+    pkg_[socket].add(counts);
+  }
   void add_dram(std::uint64_t counts) { dram_.add(counts); }
 
   [[nodiscard]] std::size_t sockets() const { return sockets_; }

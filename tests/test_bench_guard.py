@@ -186,6 +186,48 @@ class DitherLanesGuardTest(GuardTestBase):
         self.assertNotIn("Traceback", r.stderr)
 
 
+def noise_lanes(scalar_ns, dispatched_ns, variant):
+    return [
+        {"name": "BM_NoiseLanes/lanes:16/dispatched:0",
+         "real_time": scalar_ns, "time_unit": "ns", "label": "scalar"},
+        {"name": "BM_NoiseLanes/lanes:16/dispatched:1",
+         "real_time": dispatched_ns, "time_unit": "ns", "label": variant},
+    ]
+
+
+class NoiseLanesGuardTest(GuardTestBase):
+    def guard(self, scalar_ns, dispatched_ns, variant, floor):
+        base = baseline()
+        base["noise_lanes"] = {"floor": floor}
+        return self.run_guard(
+            self.write("report.json", bench_report(
+                extra=noise_lanes(scalar_ns, dispatched_ns, variant))),
+            self.write("baseline.json", base),
+        )
+
+    def test_vector_variant_above_its_floor_passes(self):
+        r = self.guard(2600.0, 1300.0, "avx512", {"avx512": 1.3})
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("noise lanes scalar/avx512 at 16 lanes = 2.00x",
+                      r.stdout)
+
+    def test_vector_variant_below_its_floor_fails(self):
+        r = self.guard(2600.0, 2500.0, "avx512", {"avx512": 1.3})
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertIn("avx512 noise kernel", r.stderr)
+
+    def test_cpu_without_avx512dq_prints_a_notice(self):
+        r = self.guard(2600.0, 2600.0, "scalar", {"avx512": 1.3})
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("no vector noise variant", r.stdout)
+
+    def test_missing_floor_is_exit_2(self):
+        r = self.guard(2600.0, 1300.0, "avx512", {})
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("noise_lanes.floor.avx512", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+
 def event_core_report(speedup=4.7, nodes=10000, host_cpus=4,
                       scale=2.3, schema="event_core_baseline_v2"):
     """A minimal event_core_baseline_v2 document with one entry."""

@@ -463,7 +463,7 @@ DitherLane lane_for(const LaneCase& c) {
 
 /// Empty on agreement, else the first lane that differs and how.
 std::string run_lanes(const std::vector<LaneCase>& cases,
-                      DitherVariant variant) {
+                      LaneVariant variant) {
   std::vector<DitherLane> lanes;
   for (const LaneCase& c : cases) lanes.push_back(lane_for(c));
   dither_lanes(lanes, variant);
@@ -495,7 +495,7 @@ TEST(DitherLanes, EveryVariantMatchesThePerPeriodOracle) {
   const double ps[] = {-0.1, 0.0, std::numeric_limits<double>::quiet_NaN(),
                        1e-9, 0.12, 0.5, 1.0, 1.5};
   std::vector<std::string> ran;
-  for (const DitherVariant variant : supported_dither_variants()) {
+  for (const LaneVariant variant : supported_dither_variants()) {
     common::Rng pick(2025);
     std::size_t failures = 0;
     std::string first;
@@ -520,8 +520,8 @@ TEST(DitherLanes, EveryVariantMatchesThePerPeriodOracle) {
         }
       }
     }
-    EXPECT_EQ(failures, 0u) << dither_variant_name(variant) << ": " << first;
-    ran.emplace_back(dither_variant_name(variant));
+    EXPECT_EQ(failures, 0u) << lane_variant_name(variant) << ": " << first;
+    ran.emplace_back(lane_variant_name(variant));
   }
   std::string names;
   for (const std::string& r : ran) names += (names.empty() ? "" : ",") + r;
@@ -542,7 +542,7 @@ TEST(DitherLanes, ThresholdIsExactAtTheDrawsInEveryVariant) {
   // p equal to a draw a lane's stream produces must not dither on that
   // draw, p one ulp above it must: the boundary of the integer compare,
   // in every lane position of a vector group.
-  for (const DitherVariant variant : supported_dither_variants()) {
+  for (const LaneVariant variant : supported_dither_variants()) {
     std::vector<LaneCase> cases;
     for (const std::uint64_t seed : {1ULL, 99ULL, 0xC0FFEEULL, 4242ULL}) {
       common::Rng peek(seed);
@@ -553,26 +553,160 @@ TEST(DitherLanes, ThresholdIsExactAtTheDrawsInEveryVariant) {
         cases.push_back({seed, u, 200 + j, true});
       }
     }
-    EXPECT_EQ(run_lanes(cases, variant), "") << dither_variant_name(variant);
+    EXPECT_EQ(run_lanes(cases, variant), "") << lane_variant_name(variant);
   }
 }
 
 TEST(DitherLanes, DispatchFollowsLaneCountAndCpu) {
-  const std::vector<DitherVariant> have = supported_dither_variants();
-  const auto has = [&](DitherVariant v) {
+  const std::vector<LaneVariant> have = supported_dither_variants();
+  const auto has = [&](LaneVariant v) {
     return std::find(have.begin(), have.end(), v) != have.end();
   };
-  ASSERT_TRUE(has(DitherVariant::kScalar));
+  ASSERT_TRUE(has(LaneVariant::kScalar));
   for (std::size_t n = 0; n <= 64; ++n) {
-    const DitherVariant v = dither_variant(n);
+    const LaneVariant v = dither_variant(n);
     EXPECT_TRUE(has(v)) << n;
-    if (n >= 8 && has(DitherVariant::kAvx512)) {
-      EXPECT_EQ(v, DitherVariant::kAvx512) << n;
-    } else if (n >= 4 && has(DitherVariant::kAvx2)) {
-      EXPECT_EQ(v, DitherVariant::kAvx2) << n;
+    if (n >= 8 && has(LaneVariant::kAvx512)) {
+      EXPECT_EQ(v, LaneVariant::kAvx512) << n;
+    } else if (n >= 4 && has(LaneVariant::kAvx2)) {
+      EXPECT_EQ(v, LaneVariant::kAvx2) << n;
     } else {
-      EXPECT_EQ(v, DitherVariant::kScalar) << n;
+      EXPECT_EQ(v, LaneVariant::kScalar) << n;
     }
+  }
+}
+
+// --- The noise kernel against Rng::normal() ------------------------------
+//
+// Every noise_lanes variant the host runs must leave each lane exactly as
+// two Rng::normal() calls per pair from its own stream do: both values
+// bit for bit and the stream after every pair. Calls cover 0-33 lanes
+// (partial vector groups padded with idle lanes) and rows of unequal
+// depth in one group (0 to kNoisePairs pairs, so the shallow lanes of a
+// group skip their stores), and a lane's entries from `pairs` on and its
+// `state` must be left as they were.
+
+/// Empty on agreement, else the first lane that differs and how.
+std::string run_noise(const std::vector<std::uint64_t>& seeds,
+                      const std::vector<std::size_t>& pairs,
+                      LaneVariant variant) {
+  constexpr double kUnset = -123.0;
+  const common::Rng::State unset_state{1, 2, 3, 4};
+  std::vector<NoiseLane> lanes(seeds.size());
+  for (std::size_t j = 0; j < lanes.size(); ++j) {
+    lanes[j].state = common::Rng(seeds[j]).state();
+    lanes[j].pairs = pairs[j];
+    for (std::size_t k = 0; k < kNoisePairs; ++k) {
+      lanes[j].normals[k] = {kUnset, kUnset};
+      lanes[j].after[k] = unset_state;
+    }
+  }
+  noise_lanes(lanes, variant);
+  for (std::size_t j = 0; j < lanes.size(); ++j) {
+    const NoiseLane& got = lanes[j];
+    const std::string why = "lane " + std::to_string(j) + " of " +
+                            std::to_string(lanes.size()) + " (seed " +
+                            std::to_string(seeds[j]) + ", " +
+                            std::to_string(pairs[j]) + " pairs): ";
+    common::Rng rng(seeds[j]);
+    if (got.state != rng.state()) return why + "state was written";
+    for (std::size_t k = 0; k < kNoisePairs; ++k) {
+      if (k >= pairs[j]) {
+        if (got.normals[k][0] != kUnset || got.normals[k][1] != kUnset ||
+            got.after[k] != unset_state) {
+          return why + "pair " + std::to_string(k) + " past the row written";
+        }
+        continue;
+      }
+      for (int h = 0; h < 2; ++h) {
+        const double want = rng.normal();
+        if (std::bit_cast<std::uint64_t>(got.normals[k][h]) !=
+            std::bit_cast<std::uint64_t>(want)) {
+          return why + "pair " + std::to_string(k) + " value " +
+                 std::to_string(h);
+        }
+      }
+      if (got.after[k] != rng.state()) {
+        return why + "state after pair " + std::to_string(k);
+      }
+    }
+  }
+  return {};
+}
+
+TEST(NoiseLanes, EveryVariantMatchesNormalPairs) {
+  std::vector<std::string> ran;
+  for (const LaneVariant variant : supported_noise_variants()) {
+    common::Rng pick(2026);
+    std::size_t failures = 0;
+    std::string first;
+    for (std::size_t n = 0; n <= 33; ++n) {
+      for (int round = 0; round < 4; ++round) {
+        std::vector<std::uint64_t> seeds;
+        std::vector<std::size_t> pairs;
+        for (std::size_t j = 0; j < n; ++j) {
+          seeds.push_back(1 + pick.below(1'000'000));
+          // Depths 0-kNoisePairs, with both ends forced in.
+          pairs.push_back((j + static_cast<std::size_t>(round)) % 5 == 0
+                              ? (j % 2 == 0 ? 0 : kNoisePairs)
+                              : pick.below(kNoisePairs + 1));
+        }
+        const std::string why = run_noise(seeds, pairs, variant);
+        if (!why.empty() && failures++ == 0) {
+          first = "n=" + std::to_string(n) + " " + why;
+        }
+      }
+    }
+    // Every lane of a group at full depth, and one deep lane among
+    // shallow ones.
+    for (const std::size_t deep : {std::size_t{0}, std::size_t{5}}) {
+      std::vector<std::uint64_t> seeds;
+      std::vector<std::size_t> pairs;
+      for (std::size_t j = 0; j < 16; ++j) {
+        seeds.push_back(99 + j);
+        pairs.push_back(deep == 0 || j == deep ? kNoisePairs : 1);
+      }
+      const std::string why = run_noise(seeds, pairs, variant);
+      if (!why.empty() && failures++ == 0) first = why;
+    }
+    EXPECT_EQ(failures, 0u) << lane_variant_name(variant) << ": " << first;
+    ran.emplace_back(lane_variant_name(variant));
+  }
+  std::string names;
+  for (const std::string& r : ran) names += (names.empty() ? "" : ",") + r;
+  std::printf("noise_lanes variants run: %s\n", names.c_str());
+#if defined(__x86_64__) && defined(__GNUC__)
+  // The host's own answer, independent of the library's list.
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    EXPECT_NE(std::find(ran.begin(), ran.end(), "avx512"), ran.end());
+  }
+#endif
+}
+
+TEST(NoiseLanes, DispatchFollowsLaneCountAndCpu) {
+  const std::vector<LaneVariant> have = supported_noise_variants();
+  ASSERT_EQ(have.front(), LaneVariant::kScalar);
+  const bool avx512 = std::find(have.begin(), have.end(),
+                                LaneVariant::kAvx512) != have.end();
+  EXPECT_EQ(std::find(have.begin(), have.end(), LaneVariant::kAvx2),
+            have.end());
+  for (std::size_t n = 0; n <= 64; ++n) {
+    EXPECT_EQ(noise_variant(n), n >= 3 && avx512 ? LaneVariant::kAvx512
+                                                 : LaneVariant::kScalar)
+        << n;
+  }
+}
+
+TEST(NoiseLanes, RowDeeperThanItHoldsIsRefused) {
+  for (const LaneVariant variant : supported_noise_variants()) {
+    std::vector<NoiseLane> lanes(8);
+    for (NoiseLane& lane : lanes) {
+      lane.state = common::Rng(5).state();
+      lane.pairs = 1;
+    }
+    lanes[3].pairs = kNoisePairs + 1;
+    EXPECT_THROW(noise_lanes(lanes, variant), common::InvariantError)
+        << lane_variant_name(variant);
   }
 }
 

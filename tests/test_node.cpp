@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -261,6 +262,204 @@ TEST(SimNode, IdleUntilLandsExactly) {
   a.idle_until(Secs{t - 1.0});  // already past: no-op
   EXPECT_EQ(a.clock().value, t);
   EXPECT_EQ(a.inm().counts(), b.inm().counts());
+}
+
+// Everything a stretch moves, as raw bits: bits(n), the RAPL and INM
+// accumulators in whole counts, and the noise stream the node's next
+// iteration draws from.
+std::vector<std::uint64_t> stretch_bits(const SimNode& n) {
+  std::vector<std::uint64_t> out = bits(n);
+  out.push_back(n.inm().counts());
+  for (std::size_t s = 0; s < n.config().sockets; ++s) {
+    out.push_back(n.rapl().pkg(s).counts());
+  }
+  out.push_back(n.rapl().dram().counts());
+  for (const std::uint64_t word : n.noise_state()) out.push_back(word);
+  return out;
+}
+
+/// Nodes and demands a stretch runs: memory-bound, compute-bound and
+/// MPI-waiting work on the two-socket Skylake, a one-socket node, and a
+/// GPU node whose busy fraction moves with every iteration's time.
+struct StretchCase {
+  const char* name;
+  NodeConfig cfg;
+  WorkDemand demand;
+};
+
+std::vector<StretchCase> stretch_cases() {
+  std::vector<StretchCase> out;
+  WorkDemand memory = demand();
+  memory.instructions_per_core = 2.0e8;
+  memory.bytes = 8e9;
+  WorkDemand compute = memory;
+  compute.bytes = 1e8;
+  compute.vpi = 0.4;
+  WorkDemand mpi = memory;
+  mpi.comm_seconds = 0.03;
+  mpi.relaxed_wait_fraction = 0.3;
+  out.push_back({"memory", make_skylake_6148_node(), memory});
+  out.push_back({"compute", make_skylake_6148_node(), compute});
+  out.push_back({"mpi", make_skylake_6148_node(), mpi});
+  NodeConfig one = make_skylake_6148_node();
+  one.sockets = 1;
+  WorkDemand half = memory;
+  half.active_cores = one.total_cores();
+  out.push_back({"one-socket", one, half});
+  WorkDemand gpu = compute;
+  gpu.gpu_seconds = 0.05;
+  gpu.gpus_busy = 1;
+  gpu.active_cores = 4;
+  out.push_back({"gpu", make_skylake_6142m_gpu_node(), gpu});
+  return out;
+}
+
+// With the dither gate closed a stretch is execute_iteration in a loop
+// under the same stop rule, bit for bit: clock, PMU counters, RAPL and
+// INM counts, the published INM value, the uncore frequency and the
+// noise stream. Rounds of 0.3 s run several iterations each, every
+// fourth is cut by max_iters, and both nodes idle to each boundary as
+// the facility does.
+TEST(SimNode, StretchMatchesIterationLoop) {
+  const HwUfsParams closed{.dither_probability = 0.0};
+  for (const StretchCase& c : stretch_cases()) {
+    SimNode stretch(c.cfg, 21, NoiseModel{}, closed);
+    SimNode loop(c.cfg, 21, NoiseModel{}, closed);
+    stretch.set_cpu_pstate(Pstate{2});
+    loop.set_cpu_pstate(Pstate{2});
+    std::size_t left = 60;
+    for (int round = 1; round <= 40 && left > 0; ++round) {
+      const double stop = 0.3 * round;
+      const std::size_t cap = round % 4 == 0 ? 1 : left;
+      const StretchSummary s = stretch.execute_stretch(c.demand, cap, stop);
+      std::size_t ran = 0;
+      Freq f_imc{};
+      while (ran < cap && loop.clock().value < stop) {
+        f_imc = loop.execute_iteration(c.demand).uncore_freq;
+        ++ran;
+      }
+      ASSERT_EQ(s.iterations, ran) << c.name << ", round " << round;
+      ASSERT_EQ(s.uncore_freq, f_imc) << c.name << ", round " << round;
+      ASSERT_EQ(stretch_bits(stretch), stretch_bits(loop))
+          << c.name << ", round " << round;
+      left -= ran;
+      stretch.idle_until(Secs{stop});
+      loop.idle_until(Secs{stop});
+    }
+    EXPECT_EQ(left, 0u) << c.name;
+  }
+}
+
+// A stretch over a pre-drawn noise row is the plain stretch, stream
+// included, whatever the row's depth: empty, shorter than the iterations
+// run, as long, longer, and the deepest row, for stretches cut by the
+// stop time and by max_iters, with the dither gate open.
+TEST(SimNode, PredrawnStretchMatchesScalar) {
+  for (const StretchCase& c : stretch_cases()) {
+    for (const std::size_t cap : {std::size_t{1000}, std::size_t{3}}) {
+      // Both nodes step once first, so neither stream nor governor is
+      // fresh; the probe counts the iterations the stretch runs, about
+      // five before the stop.
+      const auto warm = [&c] {
+        SimNode n(c.cfg, 31);
+        (void)n.execute_iteration(c.demand);
+        return n;
+      };
+      SimNode probe = warm();
+      const double stop = probe.clock().value * 5.5;
+      const std::size_t k =
+          probe.execute_stretch(c.demand, cap, stop).iterations;
+      ASSERT_GT(k, 1u) << c.name;
+      ASSERT_LT(k, kNoisePairs) << c.name;
+      for (const std::size_t pairs :
+           {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1, kNoisePairs}) {
+        SimNode plain = warm();
+        SimNode pre = warm();
+        NoiseLane row;
+        row.state = pre.noise_state();
+        row.pairs = pairs;
+        noise_lanes({&row, 1});
+        const StretchSummary a = plain.execute_stretch(c.demand, cap, stop);
+        const StretchSummary b = pre.execute_stretch(c.demand, cap, stop, row);
+        const std::string where = std::string(c.name) + ", cap " +
+                                  std::to_string(cap) + ", " +
+                                  std::to_string(pairs) + " pairs";
+        EXPECT_EQ(a.iterations, k) << where;
+        EXPECT_EQ(b.iterations, k) << where;
+        EXPECT_EQ(a.uncore_freq, b.uncore_freq) << where;
+        EXPECT_EQ(stretch_bits(plain), stretch_bits(pre)) << where;
+        // The next iteration cannot tell the two apart.
+        const IterationOutcome x = plain.execute_iteration(c.demand);
+        const IterationOutcome y = pre.execute_iteration(c.demand);
+        EXPECT_EQ(bits(x.perf), bits(y.perf)) << where;
+        EXPECT_EQ(stretch_bits(plain), stretch_bits(pre)) << where;
+      }
+    }
+  }
+  // A row must start where the node's stream is, and a stretch that
+  // cannot start moves nothing.
+  SimNode node(make_skylake_6148_node(), 5);
+  NoiseLane row;
+  row.state = node.noise_state();
+  row.pairs = 2;
+  noise_lanes({&row, 1});
+  const std::vector<std::uint64_t> before = stretch_bits(node);
+  EXPECT_EQ(node.execute_stretch(demand(), 5, 0.0, row).iterations, 0u);
+  EXPECT_EQ(node.execute_stretch(demand(), 0, 10.0, row).iterations, 0u);
+  EXPECT_EQ(stretch_bits(node), before);
+  (void)node.execute_iteration(demand());
+  EXPECT_THROW((void)node.execute_stretch(demand(), 5, 10.0, row),
+               common::InvariantError);
+}
+
+// execute_stretches leaves every node as its own execute_stretch does,
+// whatever its row's prediction: stretches longer than a row holds,
+// shorter than predicted (cut by max_iters), none at all (no iterations
+// left, or a clock already past the stop), over two passes (more than 16
+// runs) listed in an order unrelated to the nodes'. It allocates
+// nothing.
+TEST(SimNode, StretchBatchMatchesPlainStretches) {
+  constexpr std::size_t kNodes = 37;
+  const NodeConfig cfg = make_skylake_6148_node();
+  Cluster plain(cfg, kNodes, 13);
+  Cluster batched(cfg, kNodes, 13);
+  std::vector<WorkDemand> demands;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    WorkDemand d = demand();
+    d.instructions_per_core = 5.0e7 * static_cast<double>(1 + n % 13);
+    d.bytes = 1e9 * static_cast<double>(1 + n % 7);
+    if (n % 9 == 8) d.instructions_per_core = 4.0e9;  // overshoots rounds
+    demands.push_back(d);
+  }
+  for (int round = 1; round <= 8; ++round) {
+    const double stop = 0.5 * round;
+    std::vector<SimNode::StretchRun> runs;
+    std::vector<StretchSummary> want(kNodes);
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      const std::size_t n = kNodes - 1 - k;
+      const std::size_t cap = n % 11 == 4 ? 0 : (n % 5 == 2 ? 2 : 1000);
+      want[n] = plain.node(n).execute_stretch(demands[n], cap, stop);
+      runs.push_back({.node = &batched.node(n),
+                      .demand = &demands[n],
+                      .max_iters = cap,
+                      .stop_before_s = stop});
+    }
+    const std::size_t allocations = g_allocations.load();
+    SimNode::execute_stretches(runs);
+    EXPECT_EQ(g_allocations.load(), allocations);
+    for (std::size_t k = 0; k < kNodes; ++k) {
+      const std::size_t n = kNodes - 1 - k;
+      ASSERT_EQ(runs[k].out.iterations, want[n].iterations)
+          << "node " << n << ", round " << round;
+      ASSERT_EQ(runs[k].out.uncore_freq, want[n].uncore_freq);
+      ASSERT_EQ(stretch_bits(plain.node(n)), stretch_bits(batched.node(n)))
+          << "node " << n << ", round " << round;
+    }
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      plain.node(n).idle_until(Secs{stop});
+      batched.node(n).idle_until(Secs{stop});
+    }
+  }
 }
 
 TEST(IterationMemo, MatchesKernelBitwise) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "simhw/inm.hpp"
 #include "simhw/rapl.hpp"
 
@@ -102,6 +103,27 @@ TEST(Inm, RepeatedDepositsAddInOneStep) {
   EXPECT_EQ(one.elapsed().value, many.elapsed().value);
   EXPECT_THROW(many.add(~std::uint64_t{0}, Secs{1.0}, 1),
                common::InvariantError);
+}
+
+// A single deposit takes the inline path, without the replay loop; it
+// must leave the counter exactly as a one-round replay does, across
+// second boundaries landed on exactly (the first 40 deposits of 0.25 s),
+// crossed and missed.
+TEST(Inm, SingleDepositEqualsOneRoundReplay) {
+  NodeManagerCounter single, replay;
+  common::Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    const double dt = i < 40        ? 0.25
+                      : i % 11 == 0 ? 0.0
+                                    : rng.uniform(0.0, 1.5);
+    const std::uint64_t counts = rng.below(std::uint64_t{1} << 40);
+    single.add(counts, Secs{dt});
+    replay.add(counts, Secs{dt}, 1);
+    ASSERT_EQ(single.counts(), replay.counts()) << i;
+    ASSERT_EQ(single.read_joules(), replay.read_joules()) << i;
+    ASSERT_EQ(single.elapsed().value, replay.elapsed().value) << i;
+  }
+  EXPECT_THROW(single.add(1, Secs{-0.5}), common::InvariantError);
 }
 
 TEST(Inm, PublishesOnlyAtWholeSeconds) {

@@ -14,13 +14,16 @@ Inputs:
   * the committed baseline ``bench/BENCH_hotpath_baseline.json`` holding
     the pre-PR and post-PR reference numbers
 
-The same mode also guards the governor's vector dither kernel: at 26
-lanes, ``BM_DitherLanes`` times the scalar loop (``dispatched:0``) and
-the variant ``dither_lanes`` dispatches to (``dispatched:1``, named by
-the benchmark's label). When a vector variant ran, the scalar/dispatched
-time ratio must reach the baseline's ``dither_lanes.floor`` for that
-variant; on a runner without one (label ``scalar``), or when the report
-has no such benchmark, the guard prints a notice instead.
+The same mode also guards the vector lane kernels: ``BM_DitherLanes``
+at 26 lanes (the governor's dither draws) and ``BM_NoiseLanes`` at 16
+lanes (a facility block's noise draws) each time the scalar loop
+(``dispatched:0``) and the variant the kernel dispatches to
+(``dispatched:1``, named by the benchmark's label). When a vector
+variant ran, the scalar/dispatched time ratio must reach the baseline's
+``dither_lanes.floor`` or ``noise_lanes.floor`` for that variant; on a
+runner without one (label ``scalar``: no AVX2 for the dither kernel, no
+AVX-512F with AVX-512DQ for the noise kernel), or when the report has no
+such benchmark, the guard prints a notice instead.
 
 Event-core mode (``--event-core``) reinterprets both positional inputs
 as ``event_core_baseline_v2`` JSON (the ``bench_cluster_scale
@@ -57,38 +60,43 @@ def load_benchmarks(path):
     return out
 
 
-DITHER_SCALAR = "BM_DitherLanes/lanes:26/dispatched:0"
-DITHER_DISPATCHED = "BM_DitherLanes/lanes:26/dispatched:1"
+# The lane kernels: (benchmark, lane count, baseline key, kernel name).
+LANE_KERNELS = (
+    ("BM_DitherLanes", 26, "dither_lanes", "dither"),
+    ("BM_NoiseLanes", 16, "noise_lanes", "noise"),
+)
 
 
-def check_dither_lanes(report, baseline, baseline_path):
+def check_lanes(report, baseline, baseline_path, bench, lanes, key, what):
     """0 = within the floor or nothing to hold, 1 = regression, 2 = bad
     baseline. `report` maps name -> (ns, label)."""
-    if DITHER_SCALAR not in report or DITHER_DISPATCHED not in report:
-        print("bench_guard: notice — no BM_DitherLanes at 26 lanes in the "
-              "report; dither kernel not checked")
+    scalar_name = f"{bench}/lanes:{lanes}/dispatched:0"
+    dispatched_name = f"{bench}/lanes:{lanes}/dispatched:1"
+    if scalar_name not in report or dispatched_name not in report:
+        print(f"bench_guard: notice — no {bench} at {lanes} lanes in the "
+              f"report; {what} kernel not checked")
         return 0
-    scalar_ns, _ = report[DITHER_SCALAR]
-    dispatched_ns, variant = report[DITHER_DISPATCHED]
+    scalar_ns, _ = report[scalar_name]
+    dispatched_ns, variant = report[dispatched_name]
     if variant == "scalar":
-        print("bench_guard: notice — this CPU ran no vector dither variant; "
-              "dither kernel not checked")
+        print(f"bench_guard: notice — this CPU ran no vector {what} "
+              f"variant; {what} kernel not checked")
         return 0
-    floors = (baseline.get("dither_lanes") or {}).get("floor")
+    floors = (baseline.get(key) or {}).get("floor")
     floor = floors.get(variant) if isinstance(floors, dict) else None
     if not isinstance(floor, (int, float)):
         print(f"bench_guard: baseline {baseline_path} has no numeric "
-              f"dither_lanes.floor.{variant}", file=sys.stderr)
+              f"{key}.floor.{variant}", file=sys.stderr)
         return 2
     if not dispatched_ns > 0:
-        print(f"bench_guard: report key {DITHER_DISPATCHED} is "
+        print(f"bench_guard: report key {dispatched_name} is "
               f"{dispatched_ns!r}; rerun the benchmark", file=sys.stderr)
         return 2
     ratio = scalar_ns / dispatched_ns
-    print(f"bench_guard: dither lanes scalar/{variant} at 26 lanes = "
+    print(f"bench_guard: {what} lanes scalar/{variant} at {lanes} lanes = "
           f"{ratio:.2f}x (floor {floor:g}x)")
     if ratio < floor:
-        print(f"bench_guard: FAIL — the {variant} dither kernel is only "
+        print(f"bench_guard: FAIL — the {variant} {what} kernel is only "
               f"{ratio:.2f}x the scalar loop, below the {floor:g}x floor",
               file=sys.stderr)
         return 1
@@ -331,8 +339,9 @@ def main():
         print(f"bench_guard:   BM_CampaignSweep: "
               f"{bench['BM_CampaignSweep'] / 1e6:.3f} ms")
 
-    dither = check_dither_lanes(report, baseline, args.baseline)
-    if dither == 2:
+    lanes = [check_lanes(report, baseline, args.baseline, *kernel)
+             for kernel in LANE_KERNELS]
+    if 2 in lanes:
         return 2
     if now_ratio > limit:
         print(
@@ -342,7 +351,7 @@ def main():
             file=sys.stderr,
         )
         return 1
-    if dither == 1:
+    if 1 in lanes:
         return 1
     print("bench_guard: OK")
     return 0
