@@ -9,8 +9,30 @@ namespace ear::common {
 
 namespace {
 
-/// Spins between yields while waiting on the epoch or the done count.
+/// Plain spins before the first yield while waiting on the epoch or the
+/// done count: about a millisecond, which keeps the helpers runnable
+/// through the short serial gaps between windows. A crew that yielded
+/// from the start was seen to stay on its creator's CPU for about a
+/// second after launch.
+constexpr std::size_t kBusySpins = std::size_t{1} << 20;
+/// Spins between yields after that.
 constexpr std::size_t kSpinLimit = 4096;
+
+/// Wait until `ready()` holds: kBusySpins plain spins, then a yield every
+/// kSpinLimit spins, polite on a shared host during long serial phases.
+template <class Ready>
+void wait_until(const Ready& ready) {
+  for (std::size_t i = 0; i < kBusySpins; ++i) {
+    if (ready()) return;
+  }
+  std::size_t spins = 0;
+  while (!ready()) {
+    if (++spins > kSpinLimit) {
+      std::this_thread::yield();
+      spins = 0;
+    }
+  }
+}
 
 }  // namespace
 
@@ -58,13 +80,8 @@ void Crew::run(std::size_t n, const Body& body) {
   done_.store(0, std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_release);
   claim();
-  std::size_t spins = 0;
-  while (done_.load(std::memory_order_acquire) < helpers_) {
-    if (++spins > kSpinLimit) {
-      std::this_thread::yield();
-      spins = 0;
-    }
-  }
+  wait_until(
+      [this] { return done_.load(std::memory_order_acquire) >= helpers_; });
   if (error_) {
     std::exception_ptr e = error_;
     error_ = nullptr;
@@ -92,13 +109,9 @@ void Crew::worker() {
   std::uint64_t seen = 0;
   for (;;) {
     std::uint64_t e = seen;
-    std::size_t spins = 0;
-    while ((e = epoch_.load(std::memory_order_acquire)) == seen) {
-      if (++spins > kSpinLimit) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
+    wait_until([&] {
+      return (e = epoch_.load(std::memory_order_acquire)) != seen;
+    });
     seen = e;
     if (quit_.load(std::memory_order_relaxed)) return;
     claim();

@@ -29,10 +29,10 @@ namespace ear::common {
 /// Persistent workers behind an epoch spin-barrier. A condition-variable
 /// pool costs ~10 us per wake, and the facility event core dispatches
 /// once per window — every control round under a live federation — so
-/// workers spin (yielding periodically to stay polite on shared hosts)
-/// on an epoch counter instead: about a microsecond per dispatch. A crew
-/// of one thread has no helpers and runs the claim loop serially, in
-/// index order, on the calling thread.
+/// workers spin on an epoch counter instead: about a microsecond per
+/// dispatch. A wait spins plainly first, then yields periodically to
+/// stay polite on shared hosts. A crew of one thread has no helpers and
+/// runs the claim loop serially, in index order, on the calling thread.
 class Crew {
  public:
   using Body = std::function<void(std::size_t)>;

@@ -178,9 +178,9 @@ void check_facility_timing(const FacilityConfig& cfg);
 /// control round, the engine:
 ///
 ///   * integrates each node's energy/time analytically through
-///     phase-stable stretches (simhw::SimNode::execute_stretch —
-///     memoised iteration kernel + closed-form UFS governor
-///     integration);
+///     phase-stable stretches (simhw::SimNode::execute_stretches —
+///     closed-form UFS governor integration, the model point and power
+///     hoisted, and shared by the nodes of one job);
 ///   * advances shard-local state (one shard per island, per-shard RNG
 ///     streams rooted at mix_seed(seed, island)) in parallel on one
 ///     common::Crew, workers claiming fixed-size node chunks, through

@@ -171,7 +171,7 @@ UfsStretchSummary UfsLoopState::integrate_stretch(
     const NodeConfig& cfg, const HwUfsParams& params, const UfsInputs& in,
     const UncoreRatioLimit& limit) {
   const UfsStretchSummary s = summarise(cfg, params, in, limit);
-  current_ = s.steady;
+  hold(s);
   return s;
 }
 

@@ -194,6 +194,10 @@ class UfsLoopState {
                                       const UfsInputs& in,
                                       const UncoreRatioLimit& limit);
 
+  /// Leave `current()` where integrate_stretch leaves it for a stretch
+  /// it summarised as `s`: on the steady selection.
+  void hold(const UfsStretchSummary& s) { current_ = s.steady; }
+
   /// Idle fast path: with no active cores any number of periods settles
   /// on hw_ufs_idle_freq — no rng, no input vector. Bitwise identical to
   /// evaluate_periods with an idle input at any period count (proved in

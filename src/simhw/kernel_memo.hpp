@@ -1,17 +1,18 @@
 // IterationMemo: evaluate_iteration() behind a one-entry last-point cache.
 //
 // The analytic performance model is pure: for a fixed NodeConfig the
-// result depends only on (demand, f_cpu, f_imc), and a node often asks
-// again for the point it asked for last: a phase runs at one P-state under
-// a settled governor, and the facility's stretch path evaluates the same
-// dither-averaged uncore frequency every control round until a cap, MSR
-// window or demand moves. That frequency lands between the 100 MHz uncore
-// steps, so a table indexed by the P-state ladder and the uncore grid
-// cannot serve it; remembering the last exact key can.
+// result depends only on (demand, f_cpu, f_imc), so a repeat of the last
+// exact key can return the stored result. No simulator path holds one:
+// a per-node memo cost every node 240 bytes and lost time on both
+// benchmark workloads, so nodes evaluate the model directly and the
+// facility shares a job's hoisted stretch instead (docs/performance.md
+// §3). The repository benchmark's driver replays its recorded model
+// points through one per slot to report simhw.memo_hit_ratio, and
+// test_node pins it bitwise against the kernel.
 //
 // Determinism: the entry stores the *noise-free* model output for the
-// exact key, bit for bit — run-to-run noise is applied by SimNode after
-// the lookup — so a hit returns the same bytes as the direct evaluation
+// exact key, bit for bit — run-to-run noise is the caller's to apply
+// after the lookup — so a hit returns the same bytes as the direct evaluation
 // it replaces, and results never depend on what happened to be cached.
 #pragma once
 
@@ -27,8 +28,7 @@ namespace ear::simhw {
 class IterationMemo {
  public:
   /// The memo is bound to one node configuration; `evaluate` must be
-  /// called with that same configuration (SimNode's config is immutable
-  /// after construction, which is what makes the binding safe).
+  /// called with that same configuration.
   explicit IterationMemo(const NodeConfig& /*cfg*/) {}
 
   /// Same contract (and bitwise-identical results) as

@@ -85,7 +85,6 @@ void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
   if (is_locked(addr)) return;  // silently dropped
   if (addr == kMsrUncoreRatioLimit) {
     uncore_raw_ = value;
-    uncore_decoded_ = UncoreRatioLimit::decode(value);
   } else if (addr == kMsrEnergyPerfBias) {
     epb_raw_ = value;
   } else {
@@ -100,7 +99,9 @@ bool MsrFile::is_locked(std::uint32_t addr) const {
   return e != nullptr && e->locked;
 }
 
-UncoreRatioLimit MsrFile::uncore_limit() const { return uncore_decoded_; }
+UncoreRatioLimit MsrFile::uncore_limit() const {
+  return UncoreRatioLimit::decode(uncore_raw_);
+}
 
 void MsrFile::set_uncore_limit(const UncoreRatioLimit& limit) {
   EAR_EXPECT_MSG(limit.min_freq <= limit.max_freq,

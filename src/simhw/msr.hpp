@@ -90,11 +90,10 @@ class MsrFile {
   [[nodiscard]] const SideEntry* find_side(std::uint32_t addr) const;
   SideEntry& side_entry(std::uint32_t addr);
 
-  // The modelled registers. The governor and stretch paths read them once
-  // per control step, so UNCORE_RATIO_LIMIT is also kept decoded. Zero
+  // The modelled registers, raw: uncore_limit() decodes on read (a few
+  // shifts), so no decoded copy adds to every node's footprint. Zero
   // initial values match the "unknown registers read as 0" contract.
   std::uint64_t uncore_raw_ = 0;
-  UncoreRatioLimit uncore_decoded_{};
   std::uint64_t epb_raw_ = 0;
   std::uint64_t writes_ = 0;
   MsrWriteInterceptor* interceptor_ = nullptr;

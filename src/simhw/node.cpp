@@ -44,7 +44,6 @@ SimNode::SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise,
 SimNode::SimNode(std::shared_ptr<const NodeSpec> spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       rng_(seed),
-      memo_(spec_->config),
       pstate_(spec_->config.pstates.nominal_pstate()),
       rapl_(spec_->config.sockets) {
   const NodeConfig& cfg = spec_->config;
@@ -166,8 +165,8 @@ UfsPeriods SimNode::plan_governor(const WorkDemand& demand) {
   // every ~10 ms; its output is averaged across those periods (bounded
   // to keep long iterations cheap — beyond a few hundred periods the
   // average has converged anyway).
-  const PerfResult estimate =
-      memo_.evaluate(cfg, demand, f_cpu, sockets_.front().ufs.current());
+  const PerfResult estimate = evaluate_iteration(
+      cfg, demand, f_cpu, sockets_.front().ufs.current());
   const auto periods = static_cast<std::size_t>(
       std::clamp(estimate.iter_time.value / spec_->ufs.evaluation_period_s,
                  1.0, 400.0));
@@ -190,7 +189,7 @@ IterationOutcome SimNode::finish_iteration(const WorkDemand& demand,
                                            Freq f_imc) {
   const NodeConfig& cfg = spec_->config;
   const Freq f_cpu = cpu_freq();
-  PerfResult perf = memo_.evaluate(cfg, demand, f_cpu, f_imc);
+  PerfResult perf = evaluate_iteration(cfg, demand, f_cpu, f_imc);
 
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
   perf.iter_time.value *= jitter(rng_.normal(), spec_->noise.time_sigma);
@@ -252,6 +251,7 @@ struct SimNode::Stretch {
   UncoreRatioLimit limit;
   double active;        // active cores
   double avg_core_khz;  // reported core clock
+  UfsStretchSummary ufs;  // the governors' summary at `inputs`
   Freq f_imc;
   PerfResult base;       // noise-free, at f_imc
   PowerBreakdown power;  // evaluate_power at `base`
@@ -303,18 +303,38 @@ void SimNode::refresh_stretch(Stretch& s) {
   // Every socket's governor integrates the stretch so current() tracks
   // exactly as the per-period loop would; the last socket drives the
   // value, like settle_lanes.
-  UfsStretchSummary u{};
   for (Socket& k : sockets()) {
-    u = k.ufs.integrate_stretch(cfg, params, s.inputs, s.limit);
+    s.ufs = k.ufs.integrate_stretch(cfg, params, s.inputs, s.limit);
   }
   // Dither-free this is bitwise settle_lanes' khz(sum/periods): the sum
   // is exactly steady*periods, so the quotient is exact and the
   // truncation lands on the same integer. Dithered, the Bernoulli
   // per-period average is replaced by its expectation.
-  s.f_imc = u.expected_freq(params.dither_probability);
+  s.f_imc = s.ufs.expected_freq(params.dither_probability);
   const Freq f_cpu = s.inputs.requested_core_freq;
-  s.base = memo_.evaluate(cfg, *s.demand, f_cpu, s.f_imc);
+  s.base = evaluate_iteration(cfg, *s.demand, f_cpu, s.f_imc);
   s.power = evaluate_power(cfg, *s.demand, s.base, f_cpu, s.f_imc);
+}
+
+bool SimNode::shares_stretch(const SimNode& other, const Stretch& prev,
+                             const WorkDemand& demand) const {
+  // The bandwidth key only saves work: run_stretch re-keys on the
+  // bandwidth input before every iteration, the first included.
+  const MsrFile& mine = sockets_.front().msr;
+  const MsrFile& theirs = other.sockets_.front().msr;
+  return &demand == prev.demand &&
+         last_bw_utilisation_ == prev.inputs.bw_utilisation &&
+         spec_ == other.spec_ && pstate_ == other.pstate_ &&
+         mine.read(kMsrEnergyPerfBias) == theirs.read(kMsrEnergyPerfBias) &&
+         mine.read(kMsrUncoreRatioLimit) ==
+             theirs.read(kMsrUncoreRatioLimit);
+}
+
+SimNode::Stretch SimNode::adopt_stretch(const Stretch& s) {
+  // refresh_stretch's only move on the node: every socket integrated the
+  // same inputs under the same window, so each holds the steady value.
+  for (Socket& k : sockets()) k.ufs.hold(s.ufs);
+  return s;
 }
 
 StretchSummary SimNode::run_stretch(Stretch& s, std::size_t max_iters,
@@ -422,6 +442,10 @@ void SimNode::execute_stretches(std::span<StretchRun> runs) {
   std::array<NoiseLane, kPass> rows;
   for (std::size_t first = 0; first < runs.size(); first += kPass) {
     const std::size_t n = std::min(kPass, runs.size() - first);
+    // The pass's last prepared stretch and its node, which the pass has
+    // not run yet: the next run may share it.
+    const Stretch* prev = nullptr;
+    const SimNode* prev_node = nullptr;
     for (std::size_t i = 0; i < n; ++i) {
       StretchRun& run = runs[first + i];
       SimNode& node = *run.node;
@@ -430,8 +454,12 @@ void SimNode::execute_stretches(std::span<StretchRun> runs) {
       stretches[i].reset();
       const double left = run.stop_before_s - node.clock_.value;
       if (run.max_iters == 0 || !(left > 0.0)) continue;
-      const Stretch& s =
-          stretches[i].emplace(node.prepare_stretch(*run.demand));
+      const Stretch& s = stretches[i].emplace(
+          prev != nullptr && node.shares_stretch(*prev_node, *prev, *run.demand)
+              ? node.adopt_stretch(*prev)
+              : node.prepare_stretch(*run.demand));
+      prev = &s;
+      prev_node = &node;
       // The iterations that fit before the stop at the first one's
       // noise-free time, rounded up (the last one overshoots). A wrong
       // guess costs time only: a longer stretch draws on from the

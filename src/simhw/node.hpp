@@ -24,7 +24,6 @@
 #include "simhw/dither_lanes.hpp"
 #include "simhw/hw_ufs.hpp"
 #include "simhw/inm.hpp"
-#include "simhw/kernel_memo.hpp"
 #include "simhw/msr.hpp"
 #include "simhw/perf_model.hpp"
 #include "simhw/power_model.hpp"
@@ -128,9 +127,9 @@ class SimNode {
   /// The per-iteration governor period loop is replaced by its closed
   /// form (UfsLoopState::integrate_stretch), and everything that is
   /// constant across the stretch — effective clock, governor target,
-  /// memoised perf model, power but the DRAM term, PMU increments — is
-  /// hoisted out of the loop and recomputed only when the bandwidth
-  /// feedback moves. The per-iteration noise draws still happen, in the
+  /// perf model, power but the DRAM term, PMU increments — is hoisted
+  /// out of the loop and recomputed only when the bandwidth feedback
+  /// moves. The per-iteration noise draws still happen, in the
   /// same order and from the same stream as execute_iteration, so:
   ///   * with the dither gate closed (dither_probability == 0, or no
   ///     headroom above the uncore floor) the node state afterwards is
@@ -164,9 +163,13 @@ class SimNode {
   /// execute_stretch for every run, the nodes distinct: prepare each
   /// stretch, predict its iterations from the first one's noise-free
   /// time, draw every prediction's noise in one noise_lanes pass, then
-  /// run each stretch over its row. Each node's state and result are
-  /// bitwise its own execute_stretch's, whatever the prediction. The
-  /// scratch is on the stack: nothing is allocated.
+  /// run each stretch over its row. A run whose hoisted state is its
+  /// pass's previous prepared run's (same NodeSpec, demand object,
+  /// P-state, socket-0 EPB and uncore window, and bandwidth input)
+  /// copies that stretch instead of preparing its own: the nodes of one
+  /// job, listed together, share the work. Each node's state and result
+  /// are bitwise its own execute_stretch's, whatever the prediction or
+  /// the sharing. The scratch is on the stack: nothing is allocated.
   static void execute_stretches(std::span<StretchRun> runs);
 
   /// The node's noise stream (a NoiseLane's `state`).
@@ -230,6 +233,15 @@ class SimNode {
   /// The stretch's hoisted state and its first iteration's operating
   /// point. Call only when that iteration runs: it moves the governors.
   [[nodiscard]] Stretch prepare_stretch(const WorkDemand& demand);
+  /// Whether prepare_stretch(demand) here would return `prev`, prepared
+  /// on `other`, which has not moved since: the hoisted state is a pure
+  /// function of the description, the demand, the P-state, socket 0's
+  /// EPB and uncore window and the bandwidth input, each compared exactly.
+  [[nodiscard]] bool shares_stretch(const SimNode& other, const Stretch& prev,
+                                    const WorkDemand& demand) const;
+  /// prepare_stretch for a node that shares_stretch `s`: a copy of it,
+  /// with the governors held where refresh_stretch would leave them.
+  [[nodiscard]] Stretch adopt_stretch(const Stretch& s);
   /// Integrate the governors and evaluate the model and power at
   /// `s.inputs`.
   void refresh_stretch(Stretch& s);
@@ -248,9 +260,6 @@ class SimNode {
 
   std::shared_ptr<const NodeSpec> spec_;
   common::Rng rng_;
-  // Last-point cache of the performance model (one entry, exact key);
-  // noise is applied after lookup, so results stay bitwise identical.
-  IterationMemo memo_;
   Pstate pstate_;
   std::array<Socket, kMaxSockets> sockets_{};
   PmuCounters counters_;

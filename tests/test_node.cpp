@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "simhw/cluster.hpp"
+#include "simhw/kernel_memo.hpp"
 
 // Every heap allocation in this test binary goes through here, so a test
 // can count what building nodes allocates.
@@ -412,12 +413,29 @@ TEST(SimNode, PredrawnStretchMatchesScalar) {
                common::InvariantError);
 }
 
+// A node stores only what differs per node, and a facility's size is
+// bounded by bytes per node. The budget, in bytes: the shared
+// description's pointer 16, the noise stream 32, the P-state 8, two
+// sockets of 96 (the MSR file's two raw registers, write count, fault
+// hook and side table 56; the UFS loop's stream and selection 40), the
+// PMU counters 64, RAPL 32, INM 24, the clock 8 and the bandwidth
+// feedback 8. Nothing derivable (a model cache, a decoded register)
+// is kept.
+TEST(SimNode, StaysWithinItsByteBudget) {
+  EXPECT_LE(sizeof(SimNode), 384u);
+}
+
 // execute_stretches leaves every node as its own execute_stretch does,
 // whatever its row's prediction: stretches longer than a row holds,
 // shorter than predicted (cut by max_iters), none at all (no iterations
 // left, or a clock already past the stop), over two passes (more than 16
 // runs) listed in an order unrelated to the nodes'. It allocates
-// nothing.
+// nothing. Consecutive runs of one job share one hoisted stretch, so the
+// second half lists a job's nodes together, interleaved with runs that
+// differ from their predecessor in exactly one of the keys the sharing
+// compares: the bandwidth input, the P-state, socket 0's EPB, the uncore
+// window, the node type, or the demand (other contents, or equal
+// contents in another object).
 TEST(SimNode, StretchBatchMatchesPlainStretches) {
   constexpr std::size_t kNodes = 37;
   const NodeConfig cfg = make_skylake_6148_node();
@@ -458,6 +476,82 @@ TEST(SimNode, StretchBatchMatchesPlainStretches) {
     for (std::size_t n = 0; n < kNodes; ++n) {
       plain.node(n).idle_until(Secs{stop});
       batched.node(n).idle_until(Secs{stop});
+    }
+  }
+
+  // A fully vectorised job under the AVX-512 licence: the governor
+  // tracks the licenced clock from the first iteration, so the EPB bias
+  // moves its target too.
+  WorkDemand job = demand();
+  job.instructions_per_core = 5.0e7;
+  job.bytes = 2e9;
+  job.vpi = 0.9;
+  const WorkDemand same = job;  // equal contents, another object
+  WorkDemand other = job;
+  other.bytes = 6e9;
+  WorkDemand busy = job;  // warms one node to another bandwidth input
+  busy.bytes = 20e9;
+  busy.vpi = 0.0;
+  NodeConfig varied = cfg;  // another node type, same ladder and window
+  varied.memory.fixed_latency_ns += 10.0;
+  varied.power.base_watts += 10.0;
+  const auto spec = std::make_shared<const NodeSpec>(NodeSpec{.config = cfg});
+  const auto varied_spec =
+      std::make_shared<const NodeSpec>(NodeSpec{.config = varied});
+  enum class Key { kNone, kBandwidth, kPstate, kEpb, kWindow, kType,
+                   kDemand, kSameDemand };
+  // One full pass of 16 runs, each differing run between two that
+  // differ in nothing, then three runs that cross into a second pass.
+  const std::vector<Key> layout = {
+      Key::kNone,   Key::kNone, Key::kBandwidth,  Key::kNone,
+      Key::kPstate, Key::kNone, Key::kEpb,        Key::kNone,
+      Key::kWindow, Key::kNone, Key::kType,       Key::kNone,
+      Key::kDemand, Key::kNone, Key::kSameDemand, Key::kNone,
+      Key::kNone,   Key::kNone, Key::kNone};
+  const auto build = [&](std::vector<SimNode>& nodes) {
+    nodes.reserve(layout.size());
+    for (std::size_t k = 0; k < layout.size(); ++k) {
+      const Key key = layout[k];
+      SimNode& node =
+          nodes.emplace_back(key == Key::kType ? varied_spec : spec, 50 + k);
+      if (key == Key::kBandwidth) (void)node.execute_iteration(busy);
+      if (key == Key::kPstate) node.set_cpu_pstate(Pstate{4});
+      if (key == Key::kEpb) node.msr(0).write(kMsrEnergyPerfBias, 12);
+      if (key == Key::kWindow) {
+        node.set_uncore_limit_all({Freq::ghz(1.5), Freq::ghz(1.5)});
+      }
+    }
+  };
+  const auto demand_of = [&](Key key) -> const WorkDemand* {
+    if (key == Key::kDemand) return &other;
+    return key == Key::kSameDemand ? &same : &job;
+  };
+  std::vector<SimNode> solo;
+  std::vector<SimNode> shared;
+  build(solo);
+  build(shared);
+  for (int round = 1; round <= 4; ++round) {
+    const double stop = 0.3 * round;
+    std::vector<SimNode::StretchRun> runs;
+    for (std::size_t k = 0; k < layout.size(); ++k) {
+      runs.push_back({.node = &shared[k],
+                      .demand = demand_of(layout[k]),
+                      .max_iters = 1000,
+                      .stop_before_s = stop});
+    }
+    SimNode::execute_stretches(runs);
+    for (std::size_t k = 0; k < layout.size(); ++k) {
+      const StretchSummary want =
+          solo[k].execute_stretch(*demand_of(layout[k]), 1000, stop);
+      ASSERT_GT(want.iterations, 1u) << "run " << k << ", round " << round;
+      ASSERT_EQ(runs[k].out.iterations, want.iterations)
+          << "run " << k << ", round " << round;
+      ASSERT_EQ(runs[k].out.uncore_freq, want.uncore_freq)
+          << "run " << k << ", round " << round;
+      ASSERT_EQ(stretch_bits(solo[k]), stretch_bits(shared[k]))
+          << "run " << k << ", round " << round;
+      solo[k].idle_until(Secs{stop});
+      shared[k].idle_until(Secs{stop});
     }
   }
 }
