@@ -105,15 +105,18 @@ BENCHMARK(BM_NodeIteration);
 
 // The governor's dither draws of one iteration: `lanes` streams (two per
 // node) with period counts like paper_campaign's (170-202, mean 186; a
-// node's two sockets share one), socket 0 of each node uncounted as in
-// SimNode. dispatched:0 times the scalar loop, dispatched:1 the variant
-// dither_lanes picks (the label names it); bench_guard.py holds their
-// ratio at 26 lanes.
+// node's two sockets share one). all_counted:0 is the campaign's mix,
+// socket 0 of each node uncounted as in SimNode; all_counted:1 counts
+// every lane. dispatched:0 times the scalar loop, dispatched:1 the
+// variant dither_lanes picks (the label names it); bench_guard.py holds
+// scalar/dispatched of the mix and all-counted/mix of the dispatched
+// variant at 26 lanes.
 void BM_DitherLanes(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const simhw::LaneVariant variant = state.range(1) != 0
                                            ? simhw::dither_variant(n)
                                            : simhw::LaneVariant::kScalar;
+  const bool all_counted = state.range(2) != 0;
   common::Rng pick(42);
   std::vector<simhw::DitherLane> lanes(n);
   std::uint64_t draws = 0;
@@ -122,7 +125,7 @@ void BM_DitherLanes(benchmark::State& state) {
         .state = common::Rng(pick.next_u64()).state(),
         .periods = j % 2 == 1 ? lanes[j - 1].periods : 170 + pick.below(33),
         .threshold = static_cast<std::uint64_t>(0.12 * 0x1p53) + 1,
-        .counted = j % 2 == 1};
+        .counted = all_counted || j % 2 == 1};
     draws += lanes[j].periods;
   }
   for (auto _ : state) {
@@ -135,8 +138,9 @@ void BM_DitherLanes(benchmark::State& state) {
                                                     draws));
 }
 BENCHMARK(BM_DitherLanes)
-    ->ArgsProduct({{2, 26}, {0, 1}})
-    ->ArgNames({"lanes", "dispatched"});
+    ->ArgNames({"lanes", "dispatched", "all_counted"})
+    ->ArgsProduct({{2, 26}, {0, 1}, {0}})
+    ->Args({26, 1, 1});
 
 // The noise draws of one facility block: `lanes` node streams, each with
 // a row of 1-8 pairs (two Rng::normal() draws per iteration).

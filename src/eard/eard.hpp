@@ -71,6 +71,11 @@ class NodeDaemon {
   void set_snapshot_filter(SnapshotFilter* filter) {
     snapshot_filter_ = filter;
   }
+  /// Whether snapshots pass through a filter (otherwise a snapshot is
+  /// the node's counters as they stand).
+  [[nodiscard]] bool filters_snapshots() const {
+    return snapshot_filter_ != nullptr;
+  }
 
   [[nodiscard]] const simhw::SimNode& node() const { return *node_; }
   [[nodiscard]] simhw::Pstate current_pstate() const {

@@ -68,11 +68,23 @@ void EarlSession::on_time_tick() {
 }
 
 void EarlSession::maybe_close_window() {
-  const metrics::Snapshot now = daemon_->snapshot();
-  const double elapsed = now.clock_s - window_start_.clock_s;
   const double interval = is_mpi_ ? settings_.signature_interval_s
                                   : settings_.time_guided_period_s;
-  if (elapsed < interval || iterations_in_window_ == 0) return;
+  // Written as the negated early return, so a NaN clock (a corrupted
+  // snapshot) still closes the window and is rejected there.
+  const auto due = [&](double now_s) {
+    return !(now_s - window_start_.clock_s < interval) &&
+           iterations_in_window_ != 0;
+  };
+  // An unfiltered snapshot's clock is the node's, so the node clock alone
+  // says whether the window is due. A filter draws from its fault stream
+  // on every call: a filtered daemon still serves one snapshot per
+  // iteration.
+  if (!daemon_->filters_snapshots() && !due(daemon_->node().clock().value)) {
+    return;
+  }
+  const metrics::Snapshot now = daemon_->snapshot();
+  if (!due(now.clock_s)) return;
 
   metrics::WindowReject why = metrics::WindowReject::kNone;
   const metrics::Signature sig = metrics::compute_signature(

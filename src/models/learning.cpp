@@ -1,6 +1,8 @@
 #include "models/learning.hpp"
 
-#include <vector>
+#include <algorithm>
+#include <array>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -10,49 +12,82 @@
 
 namespace ear::models {
 
-namespace {
-
-metrics::Signature measure(const simhw::NodeConfig& cfg,
-                           const simhw::WorkDemand& demand,
-                           simhw::Pstate pstate, std::size_t iterations,
-                           std::uint64_t seed) {
-  // Noise-free node: learning wants the clean response surface.
-  simhw::SimNode node(cfg, seed,
-                      simhw::NoiseModel{.time_sigma = 0.0, .power_sigma = 0.0});
-  node.set_cpu_pstate(pstate);
-  // One warm-up iteration lets the HW UFS governor settle on its target
-  // before the measurement window opens.
-  node.execute_iteration(demand);
-  const auto begin = metrics::Snapshot::take(node);
-  for (std::size_t i = 0; i < iterations; ++i) node.execute_iteration(demand);
-  return metrics::compute_signature(begin, metrics::Snapshot::take(node),
-                                    iterations);
-}
-
-}  // namespace
-
-LearnedModels learn_models(const simhw::NodeConfig& cfg,
-                           const LearningOptions& opts) {
+std::vector<simhw::WorkDemand> learning_demands(const simhw::NodeConfig& cfg) {
   const auto suite = workload::learning_suite();
-  const std::size_t num_p = cfg.pstates.size();
   EAR_CHECK_MSG(!suite.empty(), "empty learning suite");
-
-  // signatures[w * num_p + p]
-  std::vector<metrics::Signature> sigs(suite.size() * num_p);
-  for (std::size_t w = 0; w < suite.size(); ++w) {
-    workload::SyntheticSpec spec = suite[w];
+  std::vector<simhw::WorkDemand> out;
+  out.reserve(suite.size());
+  for (workload::SyntheticSpec spec : suite) {
     // The suite is sized for the main testbed; smaller nodes (the GPU
     // node's 32 cores) use all the cores they have.
     spec.active_cores = std::min(spec.active_cores, cfg.total_cores());
-    const auto demand = workload::make_demand(cfg, spec);
-    for (std::size_t p = 0; p < num_p; ++p) {
-      sigs[w * num_p + p] = measure(cfg, demand, p,
-                                    opts.iterations_per_sample,
-                                    opts.seed + w * 131 + p);
-      EAR_CHECK_MSG(sigs[w * num_p + p].valid,
+    out.push_back(workload::make_demand(cfg, spec));
+  }
+  return out;
+}
+
+std::vector<metrics::Signature> learning_signatures(
+    const simhw::NodeConfig& cfg, const LearningOptions& opts) {
+  const std::vector<simhw::WorkDemand> demands = learning_demands(cfg);
+  const std::size_t num_p = cfg.pstates.size();
+  const std::size_t samples = demands.size() * num_p;
+  // Noise-free nodes: learning wants the clean response surface.
+  const auto spec = std::make_shared<const simhw::NodeSpec>(simhw::NodeSpec{
+      .config = cfg,
+      .noise = simhw::NoiseModel{.time_sigma = 0.0, .power_sigma = 0.0}});
+  // Blocks of 16 sample nodes run each iteration's governors and noise in
+  // one SimNode::run_governors pass; a block's scratch is small, so the
+  // nodes are rebuilt in place, block after block.
+  constexpr std::size_t kBlock = 16;
+  std::vector<simhw::SimNode> nodes;
+  nodes.reserve(kBlock);
+  std::array<simhw::WorkDemand, kBlock> block_demands;
+  std::array<common::Freq, kBlock> f_imc;
+  std::array<simhw::NoisePair, kBlock> noise;
+  std::array<metrics::Snapshot, kBlock> begin;
+  std::vector<metrics::Signature> sigs(samples);
+  for (std::size_t first = 0; first < samples; first += kBlock) {
+    const std::size_t n = std::min(kBlock, samples - first);
+    nodes.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t w = (first + i) / num_p;
+      const std::size_t p = (first + i) % num_p;
+      nodes.emplace_back(spec, opts.seed + w * 131 + p);
+      nodes.back().set_cpu_pstate(p);
+      block_demands[i] = demands[w];
+    }
+    // One warm-up iteration lets the HW UFS governor settle on its target
+    // before the measurement window opens.
+    for (std::size_t it = 0; it <= opts.iterations_per_sample; ++it) {
+      if (it == 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+          begin[i] = metrics::Snapshot::take(nodes[i]);
+        }
+      }
+      simhw::SimNode::run_governors(nodes, std::span(block_demands).first(n),
+                                    std::span(f_imc).first(n),
+                                    std::span(noise).first(n));
+      for (std::size_t i = 0; i < n; ++i) {
+        (void)nodes[i].finish_iteration(block_demands[i], f_imc[i], noise[i]);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      sigs[first + i] = metrics::compute_signature(
+          begin[i], metrics::Snapshot::take(nodes[i]),
+          opts.iterations_per_sample);
+      EAR_CHECK_MSG(sigs[first + i].valid,
                     "learning sample produced an invalid signature");
     }
   }
+  return sigs;
+}
+
+LearnedModels fit_models(const simhw::NodeConfig& cfg,
+                         std::span<const metrics::Signature> sigs) {
+  const std::size_t num_p = cfg.pstates.size();
+  EAR_CHECK_MSG(!sigs.empty() && sigs.size() % num_p == 0,
+                "one signature per workload and P-state");
+  const std::size_t workloads = sigs.size() / num_p;
 
   auto table = std::make_shared<CoefficientTable>(num_p);
   for (std::size_t from = 0; from < num_p; ++from) {
@@ -60,9 +95,9 @@ LearnedModels learn_models(const simhw::NodeConfig& cfg,
       if (from == to) continue;  // identity preset by the table
       std::vector<std::vector<double>> rows_p, rows_c;
       std::vector<double> y_p, y_c;
-      rows_p.reserve(suite.size());
-      rows_c.reserve(suite.size());
-      for (std::size_t w = 0; w < suite.size(); ++w) {
+      rows_p.reserve(workloads);
+      rows_c.reserve(workloads);
+      for (std::size_t w = 0; w < workloads; ++w) {
         const auto& sf = sigs[w * num_p + from];
         const auto& st = sigs[w * num_p + to];
         rows_p.push_back({sf.dc_power_w, sf.tpi, 1.0});
@@ -84,6 +119,11 @@ LearnedModels learn_models(const simhw::NodeConfig& cfg,
   out.basic = std::make_shared<BasicModel>(cfg.pstates, table);
   out.avx512 = std::make_shared<Avx512Model>(out.basic);
   return out;
+}
+
+LearnedModels learn_models(const simhw::NodeConfig& cfg,
+                           const LearningOptions& opts) {
+  return fit_models(cfg, learning_signatures(cfg, opts));
 }
 
 EnergyModelPtr model_by_name(const LearnedModels& learned,

@@ -128,6 +128,7 @@ RunResult run_experiment(const ExperimentConfig& cfg) {
   }
   std::vector<double> round_power(app.nodes, 0.0);
   std::vector<common::Freq> f_imc(app.nodes);
+  std::vector<simhw::NoisePair> noise(app.nodes);
 
   RunResult out;
   // The iteration count is known upfront; size the node-0 timelines once
@@ -151,15 +152,17 @@ RunResult run_experiment(const ExperimentConfig& cfg) {
       demands.push_back(app.node_demand(phase, n));
     }
     for (std::size_t it = 0; it < phase.iterations; ++it) {
-      // Every node's governor in one pass. Exact: within an iteration no
-      // node's step changes what another node's governor reads (sessions
-      // and fault streams are per node, poll() only marks registers
-      // locked and reads ignore locks, EARGM updates after the loop).
-      cluster.run_governors(demands, f_imc);
+      // Every node's governor and noise pair in one pass. Exact: within an
+      // iteration no node's step changes what another node's governor
+      // reads (sessions and fault streams are per node, poll() only marks
+      // registers locked and reads ignore locks, EARGM updates after the
+      // loop), and nothing but finish_iteration draws a node's noise.
+      cluster.run_governors(demands, f_imc, noise);
       for (std::size_t n = 0; n < app.nodes; ++n) {
         if (injector) injector->poll(n);  // scheduled locks fire here
         simhw::SimNode& node = cluster.node(n);
-        const auto outcome = node.finish_iteration(demands[n], f_imc[n]);
+        const auto outcome =
+            node.finish_iteration(demands[n], f_imc[n], noise[n]);
         rapl[n].poll(node);
         round_power[n] = outcome.power.total().value;
         if (injector && injector->power_reading_dropped(n)) {

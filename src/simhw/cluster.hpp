@@ -22,11 +22,13 @@ class Cluster {
   [[nodiscard]] const SimNode& node(std::size_t i) const;
 
   /// SimNode::run_governors over every node: node i's governor for its
-  /// next iteration of `demands[i]`, its IMC average to `f_imc[i]`. Each
-  /// node then runs finish_iteration with both.
+  /// next iteration of `demands[i]`, its IMC average to `f_imc[i]` and
+  /// its noise pair to `noise[i]`. Each node then runs finish_iteration
+  /// with all three.
   void run_governors(std::span<const WorkDemand> demands,
-                     std::span<common::Freq> f_imc) {
-    SimNode::run_governors(nodes_, demands, f_imc);
+                     std::span<common::Freq> f_imc,
+                     std::span<NoisePair> noise) {
+    SimNode::run_governors(nodes_, demands, f_imc, noise);
   }
 
   /// Total DC energy across nodes (exact, ground truth).

@@ -60,90 +60,172 @@ struct Vector {
   typedef T type __attribute__((vector_size(sizeof(T) * W)));
 };
 
-/// One xoshiro256** draw in every lane: `out` takes the outputs and the
-/// state steps. s1 * 5 and r * 9 are shift-and-add (AVX-512F and AVX2
-/// have no 64-bit multiply), and the xor chains are written out, so
-/// three-input xors fold into one AVX-512 ternary-logic instruction each.
+/// One xoshiro256** state step in every lane, without its output. Each
+/// word is read before it is overwritten, so the three-input xors fold
+/// into one AVX-512 ternary-logic instruction each and need no copies.
 template <typename U>
-[[gnu::always_inline]] inline void draw(U& out, U& s0, U& s1, U& s2, U& s3) {
+[[gnu::always_inline]] inline void step(U& s0, U& s1, U& s2, U& s3) {
+  const U t = s1 << 17;
+  s3 ^= s1;
+  s1 = s1 ^ s2 ^ s0;
+  s2 = s2 ^ s0 ^ t;
+  s0 ^= s3;
+  s3 = (s3 << 45) | (s3 >> 19);
+}
+
+/// step() in the lanes that still draw after draw `i`, those with more
+/// than `i` periods (`now` is i in every lane; period counts are below
+/// 2^63, so AVX2's signed compare is exact); the others keep their state.
+/// Each word's choice is written with the comparison itself as the
+/// condition, which AVX-512 turns into one merge-masked instruction (GCC
+/// 12 scalarises a condition kept in a variable, or a conditional nested
+/// in another).
+template <typename U, typename S>
+[[gnu::always_inline]] inline void masked_step(const S& now, const S& periods,
+                                               U& s0, U& s1, U& s2, U& s3) {
+  const U t = s1 << 17;
+  const U n3 = s3 ^ s1;
+  s1 = now < periods ? s1 ^ s2 ^ s0 : s1;
+  s2 = now < periods ? s2 ^ s0 ^ t : s2;
+  s0 = now < periods ? s0 ^ n3 : s0;
+  s3 = now < periods ? (n3 << 45) | (n3 >> 19) : s3;
+}
+
+/// The output of the next draw in every lane: rotl(s1 * 5, 7) * 9, the
+/// multiplies as shift-and-add (AVX-512F and AVX2 have no 64-bit
+/// multiply).
+template <typename U>
+[[gnu::always_inline]] inline void output(const U& s1, U& out) {
   const U x = (s1 << 2) + s1;
   const U r = (x << 7) | (x >> 57);
   out = (r << 3) + r;
-  const U n1 = s1 ^ s2 ^ s0;
-  const U n0 = s0 ^ s3 ^ s1;
-  const U n3 = s3 ^ s1;
-  s2 = s2 ^ s0 ^ (s1 << 17);
-  s3 = (n3 << 45) | (n3 >> 19);
-  s1 = n1;
-  s0 = n0;
 }
 
-/// The vector body, written once for W lanes per vector. Inlined into
+/// One xoshiro256** draw in every lane: `out` takes the outputs and the
+/// state steps.
+template <typename U>
+[[gnu::always_inline]] inline void draw(U& out, U& s0, U& s1, U& s2, U& s3) {
+  output(s1, out);
+  step(s0, s1, s2, s3);
+}
+
+/// Whether a lane's count is read and can be non-zero: a counted lane
+/// at threshold 0 dithers on no draw, so it only steps its stream.
+[[gnu::always_inline]] inline bool counts(const DitherLane& lane) {
+  return lane.counted && lane.threshold != 0;
+}
+
+/// One group of W lanes, the first `used` filled and the rest idle (a
+/// zero state stays zero). Every lane goes through all but its last
+/// draw, the first shortest - 1 draws unmasked and the longer lanes' rest
+/// masked, and then every lane's last draw is made at once, so no draw
+/// before it is kept.
+///
+/// A counting group (kCount) compares every draw: a draw dithers when it
+/// is at most (threshold << 11) - 1 unsigned, which is (draw >> 11) <
+/// threshold without shifting the draw (threshold 2^53 wraps to all
+/// ones, every draw). It counts the draws above that limit, a compare
+/// AVX2 makes without negating it, so a lane's count is its periods less
+/// those; its spare slots may hold uncounted lanes, whose counts are
+/// dropped. A step-only group makes each draw but the last as the state
+/// update alone, without the output.
+template <std::size_t W, bool kCount>
+[[gnu::always_inline]] inline void run_group(
+    const std::array<DitherLane*, W>& group, std::size_t used) {
+  using U = typename Vector<std::uint64_t, W>::type;
+  using S = typename Vector<std::int64_t, W>::type;
+  U s0{}, s1{}, s2{}, s3{}, periods{}, limit{};
+  std::uint64_t shortest = group[0]->periods;
+  std::uint64_t longest = 0;
+  for (std::size_t j = 0; j < used; ++j) {
+    const DitherLane& lane = *group[j];
+    s0[j] = lane.state[0];
+    s1[j] = lane.state[1];
+    s2[j] = lane.state[2];
+    s3[j] = lane.state[3];
+    periods[j] = lane.periods;
+    if constexpr (kCount) limit[j] = (lane.threshold << 11) - 1;
+    shortest = std::min(shortest, lane.periods);
+    longest = std::max(longest, lane.periods);
+  }
+  const S speriods = reinterpret_cast<S>(periods);
+  S above{};
+  U out{};
+  std::uint64_t i = 1;
+  for (; i < shortest; ++i) {
+    if constexpr (kCount) {
+      draw(out, s0, s1, s2, s3);
+      above -= out > limit;
+    } else {
+      step(s0, s1, s2, s3);
+    }
+  }
+  for (; i < longest; ++i) {
+    const S now = S{} + static_cast<std::int64_t>(i);
+    if constexpr (kCount) {
+      output(s1, out);
+      above = now < speriods ? above - (out > limit) : above;
+    }
+    masked_step(now, speriods, s0, s1, s2, s3);
+  }
+  draw(out, s0, s1, s2, s3);
+  if constexpr (kCount) above -= out > limit;
+  for (std::size_t j = 0; j < used; ++j) {
+    DitherLane& lane = *group[j];
+    lane.state = common::Rng::State{s0[j], s1[j], s2[j], s3[j]};
+    lane.last = out[j];
+    if (lane.counted) {
+      lane.dithers =
+          counts(lane) ? lane.periods - static_cast<std::uint64_t>(above[j])
+                       : 0;
+    }
+  }
+}
+
+/// The vector pass, written once for W lanes per vector. Inlined into
 /// each target-specific entry below, so it is compiled for that ISA, and
 /// no vector value crosses a function boundary (the ABI of a vector
 /// argument depends on the ISA, which -Wpsabi warns about).
 ///
-/// Lanes run in groups of W; a last, partial group is padded with idle
-/// lanes whose results are dropped. The group's shortest period count
-/// runs unmasked; only the longer lanes' tail is masked.
+/// Lanes without periods are skipped. The lanes whose counts are read
+/// run first, in groups of W; uncounted lanes fill the last such group's
+/// spare slots, and the uncounted lanes left run in step-only groups. A
+/// last, partial group is padded with idle slots whose results are
+/// dropped.
 template <std::size_t W>
 [[gnu::always_inline]] inline void vector_lanes(std::span<DitherLane> lanes) {
-  using U = typename Vector<std::uint64_t, W>::type;
-  using S = typename Vector<std::int64_t, W>::type;
-  for (std::size_t first = 0; first < lanes.size(); first += W) {
-    DitherLane* const group = lanes.data() + first;
-    const std::size_t used = std::min(W, lanes.size() - first);
-    U s0{}, s1{}, s2{}, s3{}, threshold{}, periods{};
-    std::uint64_t shortest = group[0].periods;
-    std::uint64_t longest = 0;
-    for (std::size_t j = 0; j < used; ++j) {
-      s0[j] = group[j].state[0];
-      s1[j] = group[j].state[1];
-      s2[j] = group[j].state[2];
-      s3[j] = group[j].state[3];
-      threshold[j] = group[j].threshold;
-      periods[j] = group[j].periods;
-      shortest = std::min(shortest, group[j].periods);
-      longest = std::max(longest, group[j].periods);
+  std::size_t next_counted = 0;
+  std::size_t next_uncounted = 0;
+  // The next lane with periods whose counts() is `want`, from `cursor`.
+  const auto take = [&](std::size_t& cursor, bool want) -> DitherLane* {
+    for (; cursor < lanes.size(); ++cursor) {
+      DitherLane& lane = lanes[cursor];
+      if (lane.periods != 0 && counts(lane) == want) {
+        ++cursor;
+        return &lane;
+      }
     }
-    // Draw values and thresholds are below 2^53, periods below 2^63: the
-    // signed compares AVX2 has are exact for them.
-    const S limit = reinterpret_cast<S>(threshold);
-    S count{};
-    U last{};
-    std::uint64_t i = 0;
-    for (; i < shortest; ++i) {
-      draw(last, s0, s1, s2, s3);
-      count -= reinterpret_cast<S>(last >> 11) < limit;
+    return nullptr;
+  };
+  // Fill `group` from `used` on with lanes of `want`; returns the count.
+  const auto fill = [&](std::array<DitherLane*, W>& group, std::size_t used,
+                        std::size_t& cursor, bool want) {
+    for (; used < W; ++used) {
+      group[used] = take(cursor, want);
+      if (group[used] == nullptr) break;
     }
-    for (; i < longest; ++i) {
-      // All ones in the lanes that still draw, zero in the others; a
-      // lane that is done keeps its state, count and last draw.
-      const U live = reinterpret_cast<U>(reinterpret_cast<S>(U{} + i) <
-                                         reinterpret_cast<S>(periods));
-      const U x = (s1 << 2) + s1;
-      const U r = (x << 7) | (x >> 57);
-      const U out = (r << 3) + r;
-      count -= reinterpret_cast<S>(live) &
-               (reinterpret_cast<S>(out >> 11) < limit);
-      last = (out & live) | (last & ~live);
-      const U t = s1 << 17;
-      const U d0 = s3 ^ s1;   // s0 ^= s3 after s3 ^= s1
-      const U d1 = s2 ^ s0;   // s1 ^= s2 after s2 ^= s0
-      const U n3 = s3 ^ s1;
-      const U d3 = ((n3 << 45) | (n3 >> 19)) ^ s3;
-      s2 ^= (s0 ^ t) & live;
-      s1 ^= d1 & live;
-      s0 ^= d0 & live;
-      s3 ^= d3 & live;
-    }
-    for (std::size_t j = 0; j < used; ++j) {
-      DitherLane& lane = group[j];
-      if (lane.periods == 0) continue;
-      lane.state = common::Rng::State{s0[j], s1[j], s2[j], s3[j]};
-      lane.dithers = static_cast<std::uint64_t>(count[j]);
-      lane.last = last[j];
-    }
+    return used;
+  };
+  std::array<DitherLane*, W> group;
+  for (;;) {
+    const std::size_t used = fill(group, 0, next_counted, true);
+    if (used == 0) break;
+    run_group<W, true>(group, fill(group, used, next_uncounted, false));
+  }
+  for (;;) {
+    const std::size_t used = fill(group, 0, next_uncounted, false);
+    if (used == 0) break;
+    run_group<W, false>(group, used);
   }
 }
 
@@ -265,6 +347,10 @@ void dither_lanes(std::span<DitherLane> lanes) {
 }
 
 void dither_lanes(std::span<DitherLane> lanes, LaneVariant variant) {
+  for (const DitherLane& lane : lanes) {
+    EAR_CHECK_MSG(lane.threshold <= kMaxDitherThreshold,
+                  "a dither threshold is at most 2^53");
+  }
   switch (variant) {
     case LaneVariant::kScalar:
       scalar_lanes(lanes);

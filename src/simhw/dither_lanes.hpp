@@ -8,7 +8,8 @@
 //  * dither_lanes: the hardware UFS loop's dither draws, one per ~10 ms
 //    control period per socket (hw_ufs.hpp).
 //  * noise_lanes: a node's run-to-run noise, one pair of normal draws
-//    (time, then power) per iteration (SimNode::execute_stretches).
+//    (time, then power) per iteration (SimNode::run_governors and
+//    SimNode::execute_stretches).
 #pragma once
 
 #include <array>
@@ -30,6 +31,9 @@ namespace ear::simhw {
   return (draw >> 11) < threshold;
 }
 
+/// The largest threshold, p >= 1: every draw dithers.
+inline constexpr std::uint64_t kMaxDitherThreshold = std::uint64_t{1} << 53;
+
 /// One stream's share of a dither pass. No member has a default, so a
 /// stack array of lanes costs nothing until a pass fills it; a
 /// designated initialiser zeroes the members it does not name.
@@ -37,8 +41,8 @@ struct DitherLane {
   common::Rng::State state;   // in: the stream; out: after the draws
   std::uint64_t periods;      // in: draws to make (below 2^63)
   std::uint64_t threshold;    // in: see draw_dithers (at most 2^53)
-  /// In: false when nobody reads `dithers`; the scalar path then only
-  /// steps the stream up to the last draw.
+  /// In: false when nobody reads `dithers`. Every variant then only
+  /// steps the stream up to the last draw and leaves `dithers` as it is.
   bool counted;
   std::uint64_t dithers;      // out: draws that dither (counted lanes)
   std::uint64_t last;         // out: the last draw
@@ -80,9 +84,12 @@ enum class LaneVariant : std::uint8_t { kScalar, kAvx2, kAvx512 };
 /// the scalar loop).
 [[nodiscard]] LaneVariant dither_variant(std::size_t lanes);
 
-/// Make every lane's draws: `periods` draws from `state`, counting those
-/// that dither and keeping the last. A lane with no periods is left as
-/// it is. Bitwise the same for every variant.
+/// Make every lane's draws: `periods` draws from `state`, keeping the
+/// last and, in a counted lane, counting those that dither. A lane with
+/// no periods is left as it is. Bitwise the same for every variant. The
+/// vector variants run the counted lanes in groups of their own and the
+/// uncounted ones, past the last counted group's spare slots, in groups
+/// that only step their streams.
 void dither_lanes(std::span<DitherLane> lanes);
 /// dither_lanes with a chosen variant, which must be supported (tests
 /// and benches compare the variants).

@@ -101,10 +101,9 @@ std::uint64_t dither_threshold(const HwUfsParams& params) {
   // holds exactly when k < p * 2^53 (a power-of-two scaling, exact for
   // every p < 1), i.e. when k < ceil(p * 2^53). Every k passes once
   // p >= 1.
-  constexpr double kSpan = 0x1p53;
   const double p = params.dither_probability;
-  return p >= 1.0 ? static_cast<std::uint64_t>(kSpan)
-                  : static_cast<std::uint64_t>(std::ceil(p * kSpan));
+  return p >= 1.0 ? kMaxDitherThreshold
+                  : static_cast<std::uint64_t>(std::ceil(p * 0x1p53));
 }
 
 /// The sum of the selected frequencies in kHz, `dithers` of the periods

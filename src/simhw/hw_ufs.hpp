@@ -127,6 +127,13 @@ struct UfsPeriods {
   [[nodiscard]] bool draws() const {
     return summary.can_dither && periods > 0;
   }
+  /// Whether average() reads the dither count: the plan draws and its
+  /// one-bin-down selection differs from the steady one. A window that
+  /// holds both on one value (a cap one bin or more below the target, or
+  /// min == max) averages to `steady` for any count.
+  [[nodiscard]] bool counts() const {
+    return draws() && summary.dithered != summary.steady;
+  }
   /// The time-averaged selection when `dithers` of the periods dithered:
   /// the per-period sum (evaluate_periods) over the period count,
   /// truncated to whole kHz. Needs at least one period.

@@ -81,19 +81,25 @@ UncoreRatioLimit SimNode::uncore_limit() const {
   return sockets_.front().msr.uncore_limit();
 }
 
-Freq SimNode::uncore_freq() const { return sockets_.front().ufs.current(); }
+Freq SimNode::uncore_freq(std::size_t socket) const {
+  EAR_CHECK(socket < config().sockets);
+  return sockets_[socket].ufs.current();
+}
 
 void SimNode::run_governors(std::span<SimNode> nodes,
                             std::span<const WorkDemand> demands,
-                            std::span<Freq> f_imc) {
-  EAR_CHECK(demands.size() == nodes.size() && f_imc.size() == nodes.size());
+                            std::span<Freq> f_imc,
+                            std::span<NoisePair> noise) {
+  EAR_CHECK(demands.size() == nodes.size() && f_imc.size() == nodes.size() &&
+            noise.size() == nodes.size());
   // Passes of at most 16 nodes (the catalog's largest app; 32 lanes fill
   // whole vector groups) keep the scratch small and on the stack. Every
   // slot a pass reads it writes first, so nothing is initialised up
-  // front: a disengaged optional and a DitherLane cost no stores.
+  // front: a disengaged optional and a lane cost no stores.
   constexpr std::size_t kPassNodes = 16;
   std::array<std::optional<UfsPeriods>, kPassNodes> plans;
   std::array<DitherLane, kPassNodes * kMaxSockets> lanes;
+  std::array<NoiseLane, kPassNodes> rows;
   for (std::size_t first = 0; first < nodes.size(); first += kPassNodes) {
     const std::size_t n = std::min(kPassNodes, nodes.size() - first);
     const std::span<SimNode> pass = nodes.subspan(first, n);
@@ -101,8 +107,13 @@ void SimNode::run_governors(std::span<SimNode> nodes,
     for (std::size_t i = 0; i < n; ++i) {
       plans[i] = pass[i].plan_governor(demands[first + i]);
       used += pass[i].load_lanes(*plans[i], std::span(lanes).subspan(used));
+      rows[i].state = pass[i].rng_.state();
+      rows[i].pairs = 1;
     }
     dither_lanes(std::span(lanes).first(used));
+    // Each node's noise pair, drawn ahead: the stream resumes after it,
+    // and nothing draws from it before the node's finish_iteration.
+    noise_lanes(std::span(rows).first(n));
     used = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const UfsPeriods& plan = *plans[i];
@@ -110,6 +121,8 @@ void SimNode::run_governors(std::span<SimNode> nodes,
       f_imc[first + i] =
           pass[i].settle_lanes(plan, std::span(lanes).subspan(used, k));
       used += k;
+      noise[first + i] = rows[i].normals[0];
+      pass[i].rng_ = common::Rng::resume(rows[i].after[0]);
     }
   }
 }
@@ -122,10 +135,11 @@ std::size_t SimNode::load_lanes(const UfsPeriods& plan,
   // within each period) leaves every stream — and thus every selection —
   // unchanged. The last socket drives the reported value; the others
   // track identically because EAR applies node-level workloads
-  // symmetrically, so nobody reads their counts.
+  // symmetrically, so nobody reads their counts. Nor the last socket's,
+  // when the window holds both selections on one value.
   const std::span<Socket> all = sockets();
   for (std::size_t s = 0; s < all.size(); ++s) {
-    const bool counted = s + 1 == all.size();
+    const bool counted = s + 1 == all.size() && plan.counts();
     out[s] = all[s].ufs.lane(plan, counted);
   }
   return all.size();
@@ -137,7 +151,7 @@ Freq SimNode::settle_lanes(const UfsPeriods& plan,
   for (std::size_t s = 0; s < all.size(); ++s) {
     all[s].ufs.finish(plan, lanes.empty() ? nullptr : &lanes[s]);
   }
-  return plan.average(lanes.empty() ? 0 : lanes.back().dithers);
+  return plan.average(plan.counts() ? lanes.back().dithers : 0);
 }
 
 UfsPeriods SimNode::plan_governor(const WorkDemand& demand) {
@@ -161,45 +175,52 @@ UfsPeriods SimNode::plan_governor(const WorkDemand& demand) {
   if (inputs.epb == 0) inputs.epb = 6;  // unprogrammed MSR -> default bias
 
   // Estimate the duration at the governor's current setting to know how
-  // many control periods the iteration spans. The loop re-evaluates
-  // every ~10 ms; its output is averaged across those periods (bounded
-  // to keep long iterations cheap — beyond a few hundred periods the
-  // average has converged anyway).
-  const PerfResult estimate = evaluate_iteration(
-      cfg, demand, f_cpu, sockets_.front().ufs.current());
-  const auto periods = static_cast<std::size_t>(
-      std::clamp(estimate.iter_time.value / spec_->ufs.evaluation_period_s,
-                 1.0, 400.0));
+  // many control periods the iteration spans (the time alone: nothing
+  // else of the model is read). The loop re-evaluates every ~10 ms; its
+  // output is averaged across those periods (bounded to keep long
+  // iterations cheap — beyond a few hundred periods the average has
+  // converged anyway).
+  const Secs estimate =
+      iteration_time(cfg, demand, f_cpu, sockets_.front().ufs.current())
+          .iter_time;
+  const auto periods = static_cast<std::size_t>(std::clamp(
+      estimate.value / spec_->ufs.evaluation_period_s, 1.0, 400.0));
   return plan_ufs_periods(cfg, spec_->ufs, inputs,
                           sockets_.front().msr.uncore_limit(), periods);
 }
 
 IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   // run_governors' steps for this node alone. Its own sockets never fill
-  // a vector, so dither_lanes takes the scalar loop.
+  // a vector, so dither_lanes takes the scalar loop, and its noise pair
+  // comes straight from the stream.
   const UfsPeriods plan = plan_governor(demand);
   std::array<DitherLane, kMaxSockets> lanes;
   const std::size_t used = load_lanes(plan, lanes);
   const std::span<DitherLane> mine = std::span(lanes).first(used);
   dither_lanes(mine);
-  return finish_iteration(demand, settle_lanes(plan, mine));
+  const Freq f_imc = settle_lanes(plan, mine);
+  NoisePair noise;
+  noise[0] = rng_.normal();
+  noise[1] = rng_.normal();
+  return finish_iteration(demand, f_imc, noise);
 }
 
 IterationOutcome SimNode::finish_iteration(const WorkDemand& demand,
-                                           Freq f_imc) {
+                                           Freq f_imc,
+                                           const NoisePair& noise) {
   const NodeConfig& cfg = spec_->config;
   const Freq f_cpu = cpu_freq();
   PerfResult perf = evaluate_iteration(cfg, demand, f_cpu, f_imc);
 
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
-  perf.iter_time.value *= jitter(rng_.normal(), spec_->noise.time_sigma);
+  perf.iter_time.value *= jitter(noise[0], spec_->noise.time_sigma);
   perf.gbps = perf.iter_time.value > 0.0
                   ? perf.bytes / perf.iter_time.value / 1e9
                   : 0.0;
 
   const PowerBreakdown power =
       scale(evaluate_power(cfg, demand, perf, f_cpu, f_imc),
-            jitter(rng_.normal(), spec_->noise.power_sigma));
+            jitter(noise[1], spec_->noise.power_sigma));
 
   const Secs dt = perf.iter_time;
   const Joules energy = power.total() * dt;
@@ -484,11 +505,12 @@ void SimNode::execute_stretches(std::span<StretchRun> runs) {
 }
 
 void SimNode::deposit(const PowerBreakdown& power, Secs dt) {
-  // The package energy splits evenly across the sockets.
-  const Joules pkg_share{(power.package() * dt).value /
-                         static_cast<double>(config().sockets)};
+  // The package energy splits evenly across the sockets: one share,
+  // quantised once, into every socket's counter.
+  const std::uint64_t pkg_share = to_energy_counts(Joules{
+      (power.package() * dt).value / static_cast<double>(config().sockets)});
   for (std::size_t s = 0; s < config().sockets; ++s) {
-    rapl_.deposit_pkg(s, pkg_share);
+    rapl_.add_pkg(s, pkg_share);
   }
   rapl_.deposit_dram(power.dram * dt);
   inm_.deposit(power.total() * dt, dt);

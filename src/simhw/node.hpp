@@ -46,6 +46,10 @@ struct IterationOutcome {
   common::Joules energy;     // DC node energy of the iteration
 };
 
+/// One iteration's run-to-run noise: two Rng::normal() draws from the
+/// node's stream, the time's, then the power's.
+using NoisePair = std::array<double, 2>;
+
 /// What a phase-stable stretch looked like (see execute_stretch).
 struct StretchSummary {
   std::size_t iterations = 0;   // iterations actually executed
@@ -102,20 +106,24 @@ class SimNode {
 
   /// The governor half of execute_iteration for every node of `nodes`,
   /// node i running `demands[i]`: plan each node's control periods, make
-  /// every socket's dither draws in one dither_lanes pass, and write each
-  /// node's time-averaged uncore frequency to `f_imc[i]`. A node's result
+  /// every socket's dither draws in one dither_lanes pass and every
+  /// node's noise pair in one noise_lanes pass, and write each node's
+  /// time-averaged uncore frequency to `f_imc[i]` and its pair to
+  /// `noise[i]` (the node's stream resumes after it). A node's result
   /// and state are bitwise what its own execute_iteration would produce,
-  /// because no node's governor reads another node's state. The scratch
-  /// is on the stack: nothing is allocated.
+  /// because no node's governor or noise reads another node's state. The
+  /// scratch is on the stack: nothing is allocated.
   static void run_governors(std::span<SimNode> nodes,
                             std::span<const WorkDemand> demands,
-                            std::span<common::Freq> f_imc);
+                            std::span<common::Freq> f_imc,
+                            std::span<NoisePair> noise);
 
-  /// The rest of execute_iteration, with the uncore averaging `f_imc`:
-  /// what run_governors wrote for this node and `demand`, with nothing
-  /// but MSR locks changed on the node in between.
+  /// The rest of execute_iteration, with the uncore averaging `f_imc`
+  /// and the noise `noise`: what run_governors wrote for this node and
+  /// `demand`, with nothing but MSR locks changed on the node in between.
   IterationOutcome finish_iteration(const WorkDemand& demand,
-                                    common::Freq f_imc);
+                                    common::Freq f_imc,
+                                    const NoisePair& noise);
 
   /// Execute up to `max_iters` iterations of the same demand, stopping
   /// before any iteration that would *start* at or past `stop_before_s`
@@ -202,8 +210,8 @@ class SimNode {
   /// The island's shared description: nodes of one Cluster return the
   /// same object.
   [[nodiscard]] const NodeConfig& config() const { return spec_->config; }
-  /// Current (last-period) uncore frequency of socket 0.
-  [[nodiscard]] common::Freq uncore_freq() const;
+  /// Current (last-period) uncore frequency of `socket` (checked).
+  [[nodiscard]] common::Freq uncore_freq(std::size_t socket = 0) const;
 
  private:
   /// One socket's state: the register file and the UFS loop's dither
@@ -219,8 +227,8 @@ class SimNode {
   /// iteration spans at the current uncore setting.
   [[nodiscard]] UfsPeriods plan_governor(const WorkDemand& demand);
   /// Write the sockets' lanes of `plan` to `out`, the last socket's
-  /// counted (it drives the reported value), and return how many: none
-  /// when the plan draws nothing.
+  /// counted when the plan counts (it drives the reported value), and
+  /// return how many: none when the plan draws nothing.
   std::size_t load_lanes(const UfsPeriods& plan, std::span<DitherLane> out);
   /// Take the lanes back after the pass and return the time-averaged
   /// uncore frequency of the periods.

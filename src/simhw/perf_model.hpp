@@ -42,6 +42,25 @@ struct PerfResult {
 [[nodiscard]] double available_bandwidth_gbps(const MemoryModel& mem,
                                               Freq f_imc);
 
+/// The wall-time half of evaluate_iteration: the roofline's terms and the
+/// iteration's time, without the PMU-visible counters. The governor
+/// counts its control periods from it; evaluate_iteration builds on it,
+/// so the two agree bit for bit.
+struct IterationTime {
+  Secs iter_time;               // t_busy + t_comm + t_gpu
+  double compute_s = 0.0;       // t_compute
+  double latency_s = 0.0;       // t_lat
+  double bandwidth_s = 0.0;     // t_bw
+  double available_gbps = 0.0;  // at f_imc
+};
+
+/// The time of one iteration of `demand` with every active core at
+/// `f_cpu` and the socket uncores at `f_imc` (evaluate_iteration's checks
+/// apply).
+[[nodiscard]] IterationTime iteration_time(const NodeConfig& cfg,
+                                           const WorkDemand& demand,
+                                           Freq f_cpu, Freq f_imc);
+
 /// Evaluate one iteration of `demand` with every active core at `f_cpu` and
 /// the socket uncores at `f_imc`.
 [[nodiscard]] PerfResult evaluate_iteration(const NodeConfig& cfg,

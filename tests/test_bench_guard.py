@@ -139,26 +139,39 @@ class BenchGuardTest(GuardTestBase):
         self.assertIn("bad input", r.stderr)
 
 
-def dither_lanes(scalar_ns, dispatched_ns, variant):
+def dither_lanes(scalar_ns, dispatched_ns, variant, all_counted_ns=None):
+    """The report's DitherLanes cases at 26 lanes: the campaign mix timed
+    scalar and dispatched, and all lanes counted on the dispatched
+    variant (1.3x the mix when not given)."""
+    if all_counted_ns is None:
+        all_counted_ns = 1.3 * dispatched_ns
     return [
-        {"name": "BM_DitherLanes/lanes:26/dispatched:0",
+        {"name": "BM_DitherLanes/lanes:26/dispatched:0/all_counted:0",
          "real_time": scalar_ns, "time_unit": "ns", "label": "scalar"},
-        {"name": "BM_DitherLanes/lanes:26/dispatched:1",
+        {"name": "BM_DitherLanes/lanes:26/dispatched:1/all_counted:0",
          "real_time": dispatched_ns, "time_unit": "ns", "label": variant},
+        {"name": "BM_DitherLanes/lanes:26/dispatched:1/all_counted:1",
+         "real_time": all_counted_ns, "time_unit": "ns", "label": variant},
     ]
 
 
-def dither_baseline(**floor):
+def dither_baseline(all_counted=None, **floor):
     base = baseline()
-    base["dither_lanes"] = {"floor": floor}
+    if all_counted is None:
+        all_counted = {"avx512": 1.15, "avx2": 1.15}
+    base["dither_lanes"] = {"floor": floor, "all_counted_floor": all_counted}
     return base
 
 
 class DitherLanesGuardTest(GuardTestBase):
-    def guard(self, scalar_ns, dispatched_ns, variant, base):
+    def guard(self, scalar_ns, dispatched_ns, variant, base,
+              all_counted_ns=None, drop=None):
+        cases = dither_lanes(scalar_ns, dispatched_ns, variant,
+                             all_counted_ns)
+        if drop is not None:
+            cases = [c for c in cases if not c["name"].endswith(drop)]
         return self.run_guard(
-            self.write("report.json", bench_report(
-                extra=dither_lanes(scalar_ns, dispatched_ns, variant))),
+            self.write("report.json", bench_report(extra=cases)),
             self.write("baseline.json", base),
         )
 
@@ -167,12 +180,51 @@ class DitherLanesGuardTest(GuardTestBase):
                        dither_baseline(avx512=1.5, avx2=1.1))
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("scalar/avx512 at 26 lanes = 3.00x", r.stdout)
+        self.assertIn("all-counted/mix (avx512) at 26 lanes = 1.30x",
+                      r.stdout)
 
     def test_vector_variant_below_its_floor_fails(self):
         r = self.guard(9000.0, 8500.0, "avx2",
                        dither_baseline(avx512=1.5, avx2=1.1))
         self.assertEqual(r.returncode, 1, r.stderr)
         self.assertIn("avx2 dither kernel", r.stderr)
+
+    def test_every_lane_counted_fails_the_step_only_floor(self):
+        # A kernel that counts every lane runs the mix no faster than all
+        # lanes counted: above the scalar floor, below the step-only one.
+        r = self.guard(9000.0, 3000.0, "avx512",
+                       dither_baseline(avx512=1.5, avx2=1.1),
+                       all_counted_ns=3050.0)
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertIn("all-counted/mix (avx512) at 26 lanes = 1.02x",
+                      r.stdout)
+        self.assertIn("step-only", r.stderr)
+
+    def test_step_only_floor_holds_for_avx2_too(self):
+        r = self.guard(9000.0, 4000.0, "avx2",
+                       dither_baseline(avx512=1.5, avx2=1.1),
+                       all_counted_ns=4800.0)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        r = self.guard(9000.0, 4000.0, "avx2",
+                       dither_baseline(avx512=1.5, avx2=1.1),
+                       all_counted_ns=4400.0)
+        self.assertEqual(r.returncode, 1, r.stderr)
+
+    def test_missing_all_counted_case_is_exit_2(self):
+        r = self.guard(9000.0, 3000.0, "avx512",
+                       dither_baseline(avx512=1.5, avx2=1.1),
+                       drop="all_counted:1")
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("all_counted:1", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+    def test_missing_all_counted_floor_is_exit_2(self):
+        r = self.guard(9000.0, 3000.0, "avx512",
+                       dither_baseline(all_counted={"avx2": 1.15},
+                                       avx512=1.5, avx2=1.1))
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("dither_lanes.all_counted_floor.avx512", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
 
     def test_scalar_runner_prints_a_notice(self):
         r = self.guard(9000.0, 9000.0, "scalar", dither_baseline())

@@ -3,9 +3,12 @@
 // driven against a real simulated node.
 #include "earl/session.hpp"
 
+#include <bit>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "dynais/dynais.hpp"
 #include "earl/library.hpp"
 #include "sim/experiment.hpp"
 #include "workload/catalog.hpp"
@@ -135,6 +138,68 @@ TEST(EarlSession, PhaseChangeRevalidates) {
   EXPECT_TRUE(metrics::signature_changed(sig_phase0, sig_phase1));
   // ...and the session kept producing signatures across the transition.
   EXPECT_GT(f.session->signatures_computed(), 8u);
+}
+
+/// Counts the snapshots it serves and passes each one through untouched.
+struct CountingFilter final : eard::SnapshotFilter {
+  std::size_t calls = 0;
+  metrics::Snapshot filter(const metrics::Snapshot& clean) override {
+    ++calls;
+    return clean;
+  }
+};
+
+// Unfiltered, EARL reads the node clock before it asks for a snapshot. A
+// filter draws from its fault stream on every call, so a filtered daemon
+// must still serve exactly one snapshot per iteration the session sees:
+// one per time tick in time-guided mode, one per DynAIS loop or iteration
+// event in MPI mode. The filter changes nothing, so the filtered session
+// decides exactly as an unfiltered one.
+TEST(EarlSession, FilteredDaemonServesOneSnapshotPerIteration) {
+  for (const bool is_mpi : {true, false}) {
+    const workload::AppModel app =
+        workload::make_app(is_mpi ? "bt-mz.d" : "bt-mz.c.omp");
+    Fixture filtered("min_energy_eufs", is_mpi, app);
+    Fixture plain("min_energy_eufs", is_mpi, app);
+    CountingFilter counter;
+    filtered.daemon.set_snapshot_filter(&counter);
+    dynais::Dynais detector(EarlSettings{}.dynais);
+    std::size_t expected = 0;
+    const auto& phase = app.phases.front();
+    for (int i = 0; i < 80; ++i) {
+      for (Fixture* f : {&filtered, &plain}) {
+        (void)f->node.execute_iteration(phase.demand);
+        if (is_mpi) {
+          f->session->on_mpi_calls(phase.mpi_pattern);
+        } else {
+          f->session->on_time_tick();
+        }
+      }
+      if (!is_mpi) {
+        ++expected;
+        continue;
+      }
+      for (const std::uint32_t e : phase.mpi_pattern) {
+        const dynais::Status st = detector.push(e).status;
+        if (st == dynais::Status::kNewLoop ||
+            st == dynais::Status::kNewIteration) {
+          ++expected;
+        }
+      }
+    }
+    EXPECT_EQ(counter.calls, expected) << (is_mpi ? "MPI" : "time-guided");
+    EXPECT_GT(expected, 40u);
+    filtered.daemon.set_snapshot_filter(nullptr);
+    ASSERT_GT(plain.session->signatures_computed(), 2u);
+    EXPECT_EQ(filtered.session->signatures_computed(),
+              plain.session->signatures_computed());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  filtered.session->last_signature().dc_power_w),
+              std::bit_cast<std::uint64_t>(
+                  plain.session->last_signature().dc_power_w));
+    EXPECT_EQ(filtered.node.uncore_limit().max_freq,
+              plain.node.uncore_limit().max_freq);
+  }
 }
 
 }  // namespace

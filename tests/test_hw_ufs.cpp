@@ -413,11 +413,13 @@ TEST(HwUfsDitherLoop, PeriodCountMustKeepTheSumExact) {
 //
 // Every dither_lanes variant the host runs must leave each lane exactly as
 // one draw per period from its own stream does: the count of draws with
-// uniform() < p, the last raw draw and the final stream state. Calls mix
-// lane counts that leave partial vector groups, period counts from 0 to
-// 401 (so one group has an unmasked head and a masked tail), counted and
-// uncounted lanes, and probabilities including p exactly at a draw the
-// stream produces and one ulp above it.
+// uniform() < p, the last raw draw and the final stream state; an
+// uncounted lane's count is left as it was. Calls mix lane counts that
+// leave partial vector groups, period counts from 0 to 401 (so one group
+// has an unmasked head and a masked tail), mostly counted, mostly
+// uncounted (step-only groups of unequal and zero period counts) and
+// all-uncounted lanes, and probabilities including p exactly at a draw
+// the stream produces and one ulp above it.
 
 struct LaneCase {
   std::uint64_t seed;
@@ -483,6 +485,9 @@ std::string run_lanes(const std::vector<LaneCase>& cases,
       continue;
     }
     if (got.last != want.last) return why.str() + "last draw";
+    if (!c.counted && got.dithers != 7) {
+      return why.str() + "an uncounted lane's count was written";
+    }
     if (c.counted && got.dithers != want.dithers) {
       return why.str() + "count " + std::to_string(got.dithers) +
              " != " + std::to_string(want.dithers);
@@ -500,7 +505,8 @@ TEST(DitherLanes, EveryVariantMatchesThePerPeriodOracle) {
     std::size_t failures = 0;
     std::string first;
     for (std::size_t n = 1; n <= 33; ++n) {
-      for (int round = 0; round < 4; ++round) {
+      // Rounds 0-3 count three lanes in four, 4-5 one in four, 6 none.
+      for (int round = 0; round < 7; ++round) {
         std::vector<LaneCase> cases;
         for (std::size_t j = 0; j < n; ++j) {
           // Counts 0-401, with the edges of the masked tail (0, 1, the
@@ -509,10 +515,13 @@ TEST(DitherLanes, EveryVariantMatchesThePerPeriodOracle) {
               (j + static_cast<std::size_t>(round)) % 11 == 0
                   ? std::array<std::uint64_t, 4>{0, 1, 400, 401}[j % 4]
                   : pick.below(402);
+          const std::uint64_t draw = pick.below(4);
           cases.push_back({.seed = 1 + pick.below(1'000'000),
                            .p = ps[pick.below(std::size(ps))],
                            .periods = periods,
-                           .counted = pick.below(4) != 0});
+                           .counted = round < 4   ? draw != 0
+                                      : round < 6 ? draw == 0
+                                                  : false});
         }
         const std::string why = run_lanes(cases, variant);
         if (!why.empty() && failures++ == 0) {

@@ -3,10 +3,15 @@
 // blending semantics of §V-A.
 #include "models/learning.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "metrics/accumulator.hpp"
+#include "oracles/learning_reference.hpp"
 #include "simhw/node.hpp"
 #include "workload/synthetic.hpp"
 
@@ -56,6 +61,63 @@ TEST(Learning, AllPairsAvailable) {
   for (simhw::Pstate f = 0; f < table.num_pstates(); ++f) {
     for (simhw::Pstate t = 0; t < table.num_pstates(); ++t) {
       EXPECT_TRUE(table.at(f, t).available) << f << "->" << t;
+    }
+  }
+}
+
+// Every field of a signature as raw bits, so equality means bitwise.
+std::vector<std::uint64_t> bits(const metrics::Signature& s) {
+  return {std::bit_cast<std::uint64_t>(s.iter_time_s),
+          std::bit_cast<std::uint64_t>(s.cpi),
+          std::bit_cast<std::uint64_t>(s.tpi),
+          std::bit_cast<std::uint64_t>(s.gbps),
+          std::bit_cast<std::uint64_t>(s.vpi),
+          std::bit_cast<std::uint64_t>(s.wait_fraction),
+          std::bit_cast<std::uint64_t>(s.dc_power_w),
+          s.avg_cpu_freq.as_khz(),
+          s.avg_imc_freq.as_khz(),
+          std::bit_cast<std::uint64_t>(s.elapsed_s),
+          s.iterations,
+          s.valid ? 1u : 0u};
+}
+
+std::vector<std::uint64_t> bits(const Coefficients& k) {
+  return {std::bit_cast<std::uint64_t>(k.a), std::bit_cast<std::uint64_t>(k.b),
+          std::bit_cast<std::uint64_t>(k.c), std::bit_cast<std::uint64_t>(k.d),
+          std::bit_cast<std::uint64_t>(k.e), std::bit_cast<std::uint64_t>(k.f),
+          k.available ? 1u : 0u};
+}
+
+// Learning runs its samples in blocks of 16 nodes through the governor
+// pass; each sample must measure what its own node alone measures (the
+// per-sample oracle), so the fitted coefficients are the oracle's bit
+// for bit, on every node type and under non-default options.
+TEST(Learning, BlocksMatchThePerSampleOracle) {
+  const LearningOptions short_run{.iterations_per_sample = 3, .seed = 99};
+  for (const simhw::NodeConfig& node :
+       {simhw::make_skylake_6148_node(), simhw::make_icelake_8358_node(),
+        simhw::make_skylake_6142m_gpu_node()}) {
+    for (const LearningOptions& opts : {LearningOptions{}, short_run}) {
+      const std::vector<metrics::Signature> want =
+          oracle::reference_learning_signatures(node, opts);
+      const std::vector<metrics::Signature> got =
+          learning_signatures(node, opts);
+      ASSERT_EQ(got.size(), want.size()) << node.name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(bits(got[i]), bits(want[i]))
+            << node.name << ", sample " << i << ", "
+            << opts.iterations_per_sample << " iterations";
+      }
+      const LearnedModels fitted = fit_models(node, want);
+      const LearnedModels learned = learn_models(node, opts);
+      const std::size_t num_p = node.pstates.size();
+      for (simhw::Pstate from = 0; from < num_p; ++from) {
+        for (simhw::Pstate to = 0; to < num_p; ++to) {
+          ASSERT_EQ(bits(learned.coefficients->at(from, to)),
+                    bits(fitted.coefficients->at(from, to)))
+              << node.name << " " << from << "->" << to;
+        }
+      }
     }
   }
 }

@@ -647,11 +647,27 @@ TEST(Cluster, AllocationsDoNotGrowWithNodeCount) {
   EXPECT_EQ(allocations(1000), small);
 }
 
+// Every field of an iteration's outcome as raw bits.
+std::vector<std::uint64_t> bits(const IterationOutcome& o) {
+  std::vector<std::uint64_t> out = bits(o.perf);
+  for (const double w : {o.power.base.value, o.power.cores.value,
+                         o.power.uncore.value, o.power.dram.value,
+                         o.power.gpu.value, o.energy.value}) {
+    out.push_back(std::bit_cast<std::uint64_t>(w));
+  }
+  out.push_back(o.uncore_freq.as_khz());
+  return out;
+}
+
 // The batched governor pass (one dither_lanes call over every socket of
-// every node) leaves each node exactly as its own execute_iteration does:
-// across pass boundaries (more than 16 nodes), partial vector groups,
-// closed dither gates (idle nodes, a zero probability), pinned and
-// narrowed windows, P-state and EPB moves, one- and two-socket nodes.
+// every node, one noise_lanes call over every node's noise pair) leaves
+// each node exactly as its own execute_iteration does: across pass
+// boundaries (more than 16 nodes), partial vector groups, closed dither
+// gates (idle nodes, a zero probability), pinned and narrowed windows,
+// windows [min, trial] one or more bins below the loop's target (both
+// selections on one value, so the last socket runs uncounted), P-state
+// and EPB moves, one- and two-socket nodes. Every outcome field, both
+// sockets' selection and the noise stream are compared.
 TEST(Cluster, BatchedGovernorsEqualPerNodeIterations) {
   for (const std::size_t sockets : {std::size_t{1}, std::size_t{2}}) {
     for (const double p : {0.12, 0.0}) {
@@ -674,6 +690,7 @@ TEST(Cluster, BatchedGovernorsEqualPerNodeIterations) {
         demands.push_back(d);
       }
       std::vector<Freq> f_imc(kNodes);
+      std::vector<NoisePair> noise(kNodes);
       for (int it = 0; it < 12; ++it) {
         if (it == 4) {
           for (Cluster* c : {&ref, &batched}) {
@@ -685,15 +702,32 @@ TEST(Cluster, BatchedGovernorsEqualPerNodeIterations) {
             }
           }
         }
-        batched.run_governors(demands, f_imc);
+        if (it == 7) {
+          // The loop targets 2.4 GHz here (a nominal request): trial
+          // windows one to three bins below it, on about a third of the
+          // nodes.
+          for (Cluster* c : {&ref, &batched}) {
+            for (std::size_t n = 8; n < kNodes; n += 3) {
+              const Freq cap = Freq::mhz(2300 - 100 * (n / 3 % 3));
+              c->node(n).set_uncore_limit_all({cap, cfg.uncore.min()});
+            }
+          }
+        }
+        batched.run_governors(demands, f_imc, noise);
         for (std::size_t n = 0; n < kNodes; ++n) {
           const IterationOutcome a = ref.node(n).execute_iteration(demands[n]);
           const IterationOutcome b =
-              batched.node(n).finish_iteration(demands[n], f_imc[n]);
-          ASSERT_EQ(a.uncore_freq, b.uncore_freq)
+              batched.node(n).finish_iteration(demands[n], f_imc[n], noise[n]);
+          ASSERT_EQ(bits(a), bits(b))
               << sockets << " sockets, p " << p << ", node " << n
               << ", iteration " << it;
-          ASSERT_EQ(bits(a.perf), bits(b.perf));
+          ASSERT_EQ(ref.node(n).noise_state(), batched.node(n).noise_state())
+              << sockets << " sockets, p " << p << ", node " << n
+              << ", iteration " << it;
+          for (std::size_t s = 0; s < sockets; ++s) {
+            ASSERT_EQ(ref.node(n).uncore_freq(s), batched.node(n).uncore_freq(s))
+                << "socket " << s << ", node " << n << ", iteration " << it;
+          }
           ASSERT_EQ(bits(ref.node(n)), bits(batched.node(n)))
               << sockets << " sockets, p " << p << ", node " << n
               << ", iteration " << it;
@@ -707,8 +741,9 @@ TEST(Cluster, RunGovernorsAllocatesNothing) {
   Cluster cluster(make_skylake_6148_node(), 40, 9);
   const std::vector<WorkDemand> demands(cluster.size(), demand());
   std::vector<Freq> f_imc(cluster.size());
+  std::vector<NoisePair> noise(cluster.size());
   const std::size_t before = g_allocations.load();
-  for (int it = 0; it < 3; ++it) cluster.run_governors(demands, f_imc);
+  for (int it = 0; it < 3; ++it) cluster.run_governors(demands, f_imc, noise);
   EXPECT_EQ(g_allocations.load(), before);
 }
 

@@ -1,9 +1,15 @@
 #include "simhw/perf_model.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "models/learning.hpp"
 #include "simhw/config.hpp"
+#include "workload/phase.hpp"
 
 namespace ear::simhw {
 namespace {
@@ -177,6 +183,44 @@ TEST(PerfModel, InvalidInputsThrow) {
   d.active_cores = 0;  // instructions but nobody to run them
   EXPECT_THROW((void)evaluate_iteration(c, d, Freq::ghz(2.4), Freq::ghz(2.4)),
                common::InvariantError);
+}
+
+// The governor counts its control periods from iteration_time alone: it
+// must be evaluate_iteration's time bit for bit at every operating point
+// the simulator reaches. Every node type, P-state and uncore bin, over the
+// learning suite's demands, each as given and as a 16-node app with 30 %
+// imbalance scales its middle and last nodes (AppModel::node_demand).
+TEST(PerfModel, TimeOnlyEstimateIsTheIterationsTime) {
+  for (const NodeConfig& node :
+       {make_skylake_6148_node(), make_icelake_8358_node(),
+        make_skylake_6142m_gpu_node()}) {
+    workload::AppModel app;
+    app.nodes = 16;
+    app.imbalance = 0.3;
+    std::vector<WorkDemand> demands;
+    for (const WorkDemand& d : models::learning_demands(node)) {
+      const workload::Phase phase{.demand = d};
+      for (const std::size_t n : {0u, 7u, 15u}) {
+        demands.push_back(app.node_demand(phase, n));
+      }
+    }
+    std::size_t points = 0;
+    for (Pstate p = 0; p < node.pstates.size(); ++p) {
+      const Freq f_cpu = node.pstates.freq(p);
+      for (const Freq f_imc : node.uncore.descending()) {
+        for (const WorkDemand& d : demands) {
+          const double want =
+              evaluate_iteration(node, d, f_cpu, f_imc).iter_time.value;
+          const double got = iteration_time(node, d, f_cpu, f_imc).iter_time.value;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                    std::bit_cast<std::uint64_t>(want))
+              << node.name << " P" << p << " imc " << f_imc.as_khz();
+          ++points;
+        }
+      }
+    }
+    EXPECT_GT(points, 1000u) << node.name;
+  }
 }
 
 /// Parameterised sweep: at every uncore bin, observables stay physical.

@@ -15,7 +15,8 @@ Inputs:
     the pre-PR and post-PR reference numbers
 
 The same mode also guards the vector lane kernels: ``BM_DitherLanes``
-at 26 lanes (the governor's dither draws) and ``BM_NoiseLanes`` at 16
+at 26 lanes (the governor's dither draws, the campaign's mix of counted
+and uncounted lanes: ``all_counted:0``) and ``BM_NoiseLanes`` at 16
 lanes (a facility block's noise draws) each time the scalar loop
 (``dispatched:0``) and the variant the kernel dispatches to
 (``dispatched:1``, named by the benchmark's label). When a vector
@@ -23,7 +24,10 @@ variant ran, the scalar/dispatched time ratio must reach the baseline's
 ``dither_lanes.floor`` or ``noise_lanes.floor`` for that variant; on a
 runner without one (label ``scalar``: no AVX2 for the dither kernel, no
 AVX-512F with AVX-512DQ for the noise kernel), or when the report has no
-such benchmark, the guard prints a notice instead.
+such benchmark, the guard prints a notice instead. The dither kernel's
+dispatched variant also times 26 lanes all counted (``all_counted:1``):
+uncounted lanes only step their streams, so the all-counted/mix time
+ratio must reach ``dither_lanes.all_counted_floor`` for that variant.
 
 Event-core mode (``--event-core``) reinterprets both positional inputs
 as ``event_core_baseline_v2`` JSON (the ``bench_cluster_scale
@@ -60,18 +64,66 @@ def load_benchmarks(path):
     return out
 
 
-# The lane kernels: (benchmark, lane count, baseline key, kernel name).
+# The lane kernels: (benchmark, lane count, name suffix of the guarded
+# case, baseline key, kernel name).
 LANE_KERNELS = (
-    ("BM_DitherLanes", 26, "dither_lanes", "dither"),
-    ("BM_NoiseLanes", 16, "noise_lanes", "noise"),
+    ("BM_DitherLanes", 26, "/all_counted:0", "dither_lanes", "dither"),
+    ("BM_NoiseLanes", 16, "", "noise_lanes", "noise"),
 )
 
 
-def check_lanes(report, baseline, baseline_path, bench, lanes, key, what):
+def variant_floor(baseline, baseline_path, key, field, variant):
+    """The baseline's numeric key.field.variant, or None after printing
+    what is missing."""
+    floors = (baseline.get(key) or {}).get(field)
+    floor = floors.get(variant) if isinstance(floors, dict) else None
+    if not isinstance(floor, (int, float)):
+        print(f"bench_guard: baseline {baseline_path} has no numeric "
+              f"{key}.{field}.{variant}", file=sys.stderr)
+        return None
+    return floor
+
+
+def check_all_counted(report, baseline, baseline_path):
+    """The dither kernel's all-counted/mix ratio on its dispatched
+    variant: 0 = within the floor or nothing to hold (check_lanes has
+    printed why), 1 = regression, 2 = bad input."""
+    mixed_name = "BM_DitherLanes/lanes:26/dispatched:1/all_counted:0"
+    counted_name = "BM_DitherLanes/lanes:26/dispatched:1/all_counted:1"
+    if mixed_name not in report or report[mixed_name][1] == "scalar":
+        return 0
+    if counted_name not in report:
+        print(f"bench_guard: report has {mixed_name} but no {counted_name}; "
+              "run every DitherLanes case", file=sys.stderr)
+        return 2
+    mixed_ns, variant = report[mixed_name]
+    counted_ns, _ = report[counted_name]
+    floor = variant_floor(baseline, baseline_path, "dither_lanes",
+                          "all_counted_floor", variant)
+    if floor is None:
+        return 2
+    if not mixed_ns > 0:
+        print(f"bench_guard: report key {mixed_name} is {mixed_ns!r}; "
+              "rerun the benchmark", file=sys.stderr)
+        return 2
+    ratio = counted_ns / mixed_ns
+    print(f"bench_guard: dither lanes all-counted/mix ({variant}) at 26 "
+          f"lanes = {ratio:.2f}x (floor {floor:g}x)")
+    if ratio < floor:
+        print(f"bench_guard: FAIL — the {variant} dither kernel runs the "
+              f"campaign mix only {ratio:.2f}x faster than all lanes "
+              f"counted, below the {floor:g}x floor: uncounted lanes are "
+              "not taking the step-only path", file=sys.stderr)
+        return 1
+    return 0
+
+
+def check_lanes(report, baseline, baseline_path, bench, lanes, suffix, key,
+                what):
     """0 = within the floor or nothing to hold, 1 = regression, 2 = bad
     baseline. `report` maps name -> (ns, label)."""
-    scalar_name = f"{bench}/lanes:{lanes}/dispatched:0"
-    dispatched_name = f"{bench}/lanes:{lanes}/dispatched:1"
+    scalar_name = f"{bench}/lanes:{lanes}/dispatched:0{suffix}"
+    dispatched_name = f"{bench}/lanes:{lanes}/dispatched:1{suffix}"
     if scalar_name not in report or dispatched_name not in report:
         print(f"bench_guard: notice — no {bench} at {lanes} lanes in the "
               f"report; {what} kernel not checked")
@@ -82,11 +134,8 @@ def check_lanes(report, baseline, baseline_path, bench, lanes, key, what):
         print(f"bench_guard: notice — this CPU ran no vector {what} "
               f"variant; {what} kernel not checked")
         return 0
-    floors = (baseline.get(key) or {}).get("floor")
-    floor = floors.get(variant) if isinstance(floors, dict) else None
-    if not isinstance(floor, (int, float)):
-        print(f"bench_guard: baseline {baseline_path} has no numeric "
-              f"{key}.floor.{variant}", file=sys.stderr)
+    floor = variant_floor(baseline, baseline_path, key, "floor", variant)
+    if floor is None:
         return 2
     if not dispatched_ns > 0:
         print(f"bench_guard: report key {dispatched_name} is "
@@ -341,6 +390,7 @@ def main():
 
     lanes = [check_lanes(report, baseline, args.baseline, *kernel)
              for kernel in LANE_KERNELS]
+    lanes.append(check_all_counted(report, baseline, args.baseline))
     if 2 in lanes:
         return 2
     if now_ratio > limit:
