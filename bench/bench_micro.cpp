@@ -17,6 +17,7 @@
 #include "sim/campaign.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
+#include "simhw/cluster.hpp"
 #include "simhw/dither_lanes.hpp"
 #include "workload/catalog.hpp"
 #include "workload/synthetic.hpp"
@@ -141,6 +142,40 @@ BENCHMARK(BM_DitherLanes)
     ->ArgNames({"lanes", "dispatched", "all_counted"})
     ->ArgsProduct({{2, 26}, {0, 1}, {0}})
     ->Args({26, 1, 1});
+
+// The governor pass of one iteration of a 13-node two-socket app
+// (Cluster::run_governors: plans, dither lanes, noise pairs), each node
+// planning about 186 periods. capped:0 runs the boot window, where every
+// plan counts; capped:1 a window two bins below the loop's 2.4 GHz
+// target, which holds both selections on one value, so every socket owes
+// its draws instead of making them. bench_guard.py holds open/capped.
+// The capped debt grows by about 186 draws per socket per iteration and
+// is paid at once past 2^32 draws, so keep runs well under 20M
+// iterations.
+void BM_ClusterGovernors(benchmark::State& state) {
+  const auto cfg = simhw::make_skylake_6148_node();
+  simhw::Cluster cluster(cfg, 13, 7);
+  if (state.range(0) != 0) {
+    for (simhw::SimNode& node : cluster) {
+      node.set_uncore_limit_all(
+          {.max_freq = common::Freq::ghz(2.2), .min_freq = cfg.uncore.min()});
+    }
+  }
+  const std::vector<simhw::WorkDemand> demands(
+      cluster.size(), workload::make_demand(
+                          cfg, workload::SyntheticSpec{.iter_seconds = 1.86}));
+  std::vector<common::Freq> f_imc(cluster.size());
+  std::vector<simhw::NoisePair> noise(cluster.size());
+  for (auto _ : state) {
+    cluster.run_governors(demands, f_imc, noise);
+    benchmark::DoNotOptimize(f_imc.data());
+    benchmark::DoNotOptimize(noise.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    cluster.size()));
+}
+BENCHMARK(BM_ClusterGovernors)->ArgName("capped")->Arg(0)->Arg(1);
 
 // The noise draws of one facility block: `lanes` node streams, each with
 // a row of 1-8 pairs (two Rng::normal() draws per iteration).

@@ -156,14 +156,27 @@ double UfsLoopState::evaluate_periods(const NodeConfig& cfg,
   return period_sum(plan, one.dithers);
 }
 
+void UfsLoopState::owe(const UfsPeriods& plan) {
+  EAR_EXPECT(plan.draws() && !plan.counts());
+  const OwedDraws debt = owe_draws(owed_, plan.periods);
+  rng_.discard(debt.pay);
+  owed_ = debt.owed;
+}
+
+void UfsLoopState::pay() {
+  rng_.discard(owed_);
+  owed_ = 0;
+}
+
 void UfsLoopState::finish(const UfsPeriods& plan, const DitherLane* lane) {
   if (plan.periods == 0) return;
-  current_ = plan.summary.steady;
-  if (lane == nullptr) return;
-  rng_ = common::Rng::resume(lane->state);
-  if (draw_dithers(lane->last, plan.threshold)) {
-    current_ = plan.summary.dithered;
+  if (lane == nullptr) {
+    select(plan.summary.steady);
+    return;
   }
+  rng_ = common::Rng::resume(lane->state);
+  select(draw_dithers(lane->last, plan.threshold) ? plan.summary.dithered
+                                                  : plan.summary.steady);
 }
 
 UfsStretchSummary UfsLoopState::integrate_stretch(

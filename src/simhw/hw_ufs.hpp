@@ -20,6 +20,10 @@
 // the application would not notice a slower uncore.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simhw/config.hpp"
@@ -130,7 +134,8 @@ struct UfsPeriods {
   /// Whether average() reads the dither count: the plan draws and its
   /// one-bin-down selection differs from the steady one. A window that
   /// holds both on one value (a cap one bin or more below the target, or
-  /// min == max) averages to `steady` for any count.
+  /// min == max) averages to `steady`, and selects it last, for any
+  /// draw, so a node owes such a plan's draws (UfsLoopState::owe).
   [[nodiscard]] bool counts() const {
     return draws() && summary.dithered != summary.steady;
   }
@@ -149,15 +154,36 @@ struct UfsPeriods {
                                           const UncoreRatioLimit& limit,
                                           std::size_t periods);
 
-/// One socket's control-loop state: its dither stream and the selection
-/// of the last period. That is all of the loop that differs between
-/// sockets, so a node keeps one inline per socket; the node description
-/// and tuning it runs against are shared by every node of an island and
-/// passed in by reference.
+/// The most draws a stream owes (UfsLoopState::owe).
+inline constexpr std::uint64_t kMaxOwedDraws =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// How a debt of `owed` draws takes `draws` more: the draws to make now
+/// and the debt after. A debt that would pass kMaxOwedDraws is paid at
+/// once, the new draws with it, so it always fits 32 bits. `draws` is
+/// below 2^53 (plan_ufs_periods' bound), so the sum cannot wrap.
+struct OwedDraws {
+  std::uint64_t pay;
+  std::uint32_t owed;
+};
+[[nodiscard]] constexpr OwedDraws owe_draws(std::uint32_t owed,
+                                            std::uint64_t draws) {
+  const std::uint64_t total = owed + draws;
+  if (total > kMaxOwedDraws) return {.pay = total, .owed = 0};
+  return {.pay = 0, .owed = static_cast<std::uint32_t>(total)};
+}
+
+/// One socket's control-loop state: its dither stream, the draws it owes
+/// that stream and the selection of the last period. That is all of the
+/// loop that differs between sockets, so a node keeps one inline per
+/// socket (40 B: the selection is a checked 32-bit kHz value beside a
+/// 32-bit debt); the node description and tuning it runs against are
+/// shared by every node of an island and passed in by reference.
 class UfsLoopState {
  public:
-  UfsLoopState(Freq initial, std::uint64_t seed)
-      : rng_(seed), current_(initial) {}
+  UfsLoopState(Freq initial, std::uint64_t seed) : rng_(seed) {
+    select(initial);
+  }
 
   /// Evaluate `periods` consecutive control-loop periods under constant
   /// inputs and return the sum of the selected frequencies in kHz.
@@ -167,26 +193,37 @@ class UfsLoopState {
   /// consumes exactly the draws the per-period loop would (one per period
   /// when the dither gate can open, none otherwise — a gate that cannot
   /// change the selection, i.e. dither_probability <= 0 or NaN, counts as
-  /// closed and consumes nothing). `current()` afterwards is the last
-  /// period's selection. `periods == 0` is a no-op returning 0. The
-  /// precondition of plan_ufs_periods applies.
+  /// closed and consumes nothing), after any draws the stream owes (see
+  /// lane). `current()` afterwards is the last period's selection.
+  /// `periods == 0` is a no-op returning 0. The precondition of
+  /// plan_ufs_periods applies.
   double evaluate_periods(const NodeConfig& cfg, const HwUfsParams& params,
                           const UfsInputs& in, const UncoreRatioLimit& limit,
                           std::size_t periods);
 
   /// This socket's stream as a lane of a dither pass over `plan`
   /// (dither_lanes); `counted` when the caller reads its dither count.
-  [[nodiscard]] DitherLane lane(const UfsPeriods& plan, bool counted) const {
+  /// The draws the stream owes are made first (Rng::discard), so the
+  /// lane starts where drawing every earlier period would have left it.
+  [[nodiscard]] DitherLane lane(const UfsPeriods& plan, bool counted) {
+    if (owed_ != 0) pay();
     return DitherLane{.state = rng_.state(),
                       .periods = plan.periods,
                       .threshold = plan.threshold,
                       .counted = counted};
   }
 
+  /// Owe the stream `plan`'s draws instead of making them: for a plan
+  /// that draws but does not count, whose average and both selections
+  /// are `steady` for any draw. Nothing reads the stream until the next
+  /// lane(), which makes them first; finish(plan, nullptr) then closes
+  /// the plan.
+  void owe(const UfsPeriods& plan);
+
   /// Close `plan` after its pass: take the stream back from `lane` (null
-  /// when the plan draws nothing) and select the last period, one bin
-  /// down when the lane's last draw dithered. A plan of no periods
-  /// changes nothing.
+  /// when the plan draws nothing or its draws are owed) and select the
+  /// last period, one bin down when the lane's last draw dithered. A
+  /// plan of no periods changes nothing.
   void finish(const UfsPeriods& plan, const DitherLane* lane);
 
   /// Closed-form stretch integration: summarise the per-period behaviour
@@ -203,22 +240,39 @@ class UfsLoopState {
 
   /// Leave `current()` where integrate_stretch leaves it for a stretch
   /// it summarised as `s`: on the steady selection.
-  void hold(const UfsStretchSummary& s) { current_ = s.steady; }
+  void hold(const UfsStretchSummary& s) { select(s.steady); }
 
   /// Idle fast path: with no active cores any number of periods settles
   /// on hw_ufs_idle_freq — no rng, no input vector. Bitwise identical to
   /// evaluate_periods with an idle input at any period count (proved in
   /// test_node.cpp).
   Freq settle_idle(const NodeConfig& cfg, const UncoreRatioLimit& limit) {
-    current_ = hw_ufs_idle_freq(cfg, limit);
-    return current_;
+    const Freq f = hw_ufs_idle_freq(cfg, limit);
+    select(f);
+    return f;
   }
 
-  [[nodiscard]] Freq current() const { return current_; }
+  [[nodiscard]] Freq current() const { return Freq::khz(current_khz_); }
+
+  /// The stream as it stands, without the draws it owes.
+  [[nodiscard]] const common::Rng::State& stream() const {
+    return rng_.state();
+  }
+  /// The draws the stream owes (owe); the next lane() makes them first.
+  [[nodiscard]] std::uint32_t owed() const { return owed_; }
 
  private:
+  /// Make the owed draws.
+  void pay();
+  void select(Freq f) {
+    EAR_EXPECT_MSG(f.as_khz() <= std::numeric_limits<std::uint32_t>::max(),
+                   "a UFS selection must fit 32 bits of kHz");
+    current_khz_ = static_cast<std::uint32_t>(f.as_khz());
+  }
+
   common::Rng rng_;
-  Freq current_;
+  std::uint32_t current_khz_ = 0;
+  std::uint32_t owed_ = 0;
 };
 
 /// A standalone governor for one socket: the loop state together with

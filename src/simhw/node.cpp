@@ -82,8 +82,12 @@ UncoreRatioLimit SimNode::uncore_limit() const {
 }
 
 Freq SimNode::uncore_freq(std::size_t socket) const {
+  return governor(socket).current();
+}
+
+const UfsLoopState& SimNode::governor(std::size_t socket) const {
   EAR_CHECK(socket < config().sockets);
-  return sockets_[socket].ufs.current();
+  return sockets_[socket].ufs;
 }
 
 void SimNode::run_governors(std::span<SimNode> nodes,
@@ -117,7 +121,7 @@ void SimNode::run_governors(std::span<SimNode> nodes,
     used = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const UfsPeriods& plan = *plans[i];
-      const std::size_t k = plan.draws() ? pass[i].config().sockets : 0;
+      const std::size_t k = plan.counts() ? pass[i].config().sockets : 0;
       f_imc[first + i] =
           pass[i].settle_lanes(plan, std::span(lanes).subspan(used, k));
       used += k;
@@ -130,17 +134,23 @@ void SimNode::run_governors(std::span<SimNode> nodes,
 std::size_t SimNode::load_lanes(const UfsPeriods& plan,
                                 std::span<DitherLane> out) {
   if (!plan.draws()) return 0;
+  const std::span<Socket> all = sockets();
+  // A window that holds both selections on one value (the eUFS cap after
+  // IMC_FREQ_SEL) makes every draw select `steady`: nothing reads them
+  // until a later lane of the same stream, which makes them first, so
+  // each socket owes them instead.
+  if (!plan.counts()) {
+    for (Socket& s : all) s.ufs.owe(plan);
+    return 0;
+  }
   // Each socket's governor has its own rng stream, so drawing all of one
   // governor's periods in its own lane (instead of interleaving sockets
   // within each period) leaves every stream — and thus every selection —
   // unchanged. The last socket drives the reported value; the others
   // track identically because EAR applies node-level workloads
-  // symmetrically, so nobody reads their counts. Nor the last socket's,
-  // when the window holds both selections on one value.
-  const std::span<Socket> all = sockets();
+  // symmetrically, so nobody reads their counts.
   for (std::size_t s = 0; s < all.size(); ++s) {
-    const bool counted = s + 1 == all.size() && plan.counts();
-    out[s] = all[s].ufs.lane(plan, counted);
+    out[s] = all[s].ufs.lane(plan, /*counted=*/s + 1 == all.size());
   }
   return all.size();
 }

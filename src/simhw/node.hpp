@@ -106,7 +106,8 @@ class SimNode {
 
   /// The governor half of execute_iteration for every node of `nodes`,
   /// node i running `demands[i]`: plan each node's control periods, make
-  /// every socket's dither draws in one dither_lanes pass and every
+  /// every socket's dither draws in one dither_lanes pass (a node whose
+  /// plan does not count owes them instead, see load_lanes) and every
   /// node's noise pair in one noise_lanes pass, and write each node's
   /// time-averaged uncore frequency to `f_imc[i]` and its pair to
   /// `noise[i]` (the node's stream resumes after it). A node's result
@@ -212,6 +213,9 @@ class SimNode {
   [[nodiscard]] const NodeConfig& config() const { return spec_->config; }
   /// Current (last-period) uncore frequency of `socket` (checked).
   [[nodiscard]] common::Freq uncore_freq(std::size_t socket = 0) const;
+  /// The UFS loop state of `socket` (checked): its dither stream and the
+  /// draws it owes that stream.
+  [[nodiscard]] const UfsLoopState& governor(std::size_t socket) const;
 
  private:
   /// One socket's state: the register file and the UFS loop's dither
@@ -227,8 +231,9 @@ class SimNode {
   /// iteration spans at the current uncore setting.
   [[nodiscard]] UfsPeriods plan_governor(const WorkDemand& demand);
   /// Write the sockets' lanes of `plan` to `out`, the last socket's
-  /// counted when the plan counts (it drives the reported value), and
-  /// return how many: none when the plan draws nothing.
+  /// counted (it drives the reported value), and return how many: none
+  /// when the plan draws nothing, or does not count, in which case every
+  /// socket owes its draws (UfsLoopState::owe).
   std::size_t load_lanes(const UfsPeriods& plan, std::span<DitherLane> out);
   /// Take the lanes back after the pass and return the time-averaged
   /// uncore frequency of the periods.

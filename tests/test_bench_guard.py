@@ -280,6 +280,65 @@ class NoiseLanesGuardTest(GuardTestBase):
         self.assertNotIn("Traceback", r.stderr)
 
 
+def cluster_governors(open_ns, capped_ns):
+    cases = []
+    for capped, ns in ((0, open_ns), (1, capped_ns)):
+        if ns is not None:
+            cases.append({"name": f"BM_ClusterGovernors/capped:{capped}",
+                          "real_time": ns, "time_unit": "ns"})
+    return cases
+
+
+class ClusterGovernorsGuardTest(GuardTestBase):
+    def guard(self, open_ns, capped_ns, floor=2.0):
+        base = baseline()
+        if floor is not None:
+            base["cluster_governors"] = {"floor": floor}
+        return self.run_guard(
+            self.write("report.json", bench_report(
+                extra=cluster_governors(open_ns, capped_ns))),
+            self.write("baseline.json", base),
+        )
+
+    def test_owing_capped_sockets_pass(self):
+        r = self.guard(2400.0, 650.0)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("cluster governors open/capped = 3.69x (floor 2x)",
+                      r.stdout)
+
+    def test_capped_sockets_that_draw_fail(self):
+        # Step-only lanes for every capped socket: the pass costs about
+        # four fifths of an open one.
+        r = self.guard(2400.0, 1900.0)
+        self.assertEqual(r.returncode, 1, r.stderr)
+        self.assertIn("open/capped = 1.26x", r.stdout)
+        self.assertIn("could owe", r.stderr)
+
+    def test_report_without_the_pair_prints_a_notice(self):
+        r = self.guard(None, None)
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("owed dither draws not checked", r.stdout)
+
+    def test_half_a_pair_is_exit_2(self):
+        r = self.guard(2400.0, None)
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("BM_ClusterGovernors/capped:0 without its pair",
+                      r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+    def test_missing_floor_is_exit_2(self):
+        r = self.guard(2400.0, 650.0, floor=None)
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("cluster_governors.floor", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+    def test_zero_capped_time_is_exit_2(self):
+        r = self.guard(2400.0, 0.0)
+        self.assertEqual(r.returncode, 2, r.stderr)
+        self.assertIn("BM_ClusterGovernors/capped:1", r.stderr)
+        self.assertNotIn("Traceback", r.stderr)
+
+
 def event_core_report(speedup=4.7, nodes=10000, host_cpus=4,
                       scale=2.3, schema="event_core_baseline_v2"):
     """A minimal event_core_baseline_v2 document with one entry."""

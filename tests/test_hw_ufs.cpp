@@ -409,6 +409,93 @@ TEST(HwUfsDitherLoop, PeriodCountMustKeepTheSumExact) {
                common::ContractViolation);
 }
 
+// --- Owed draws ------------------------------------------------------------
+//
+// A plan whose window holds both selections on one value (kCapping under
+// a 2.4 GHz target) selects `steady` for any draw, so a socket may owe
+// its draws; the next lane of the stream makes them first.
+
+// owe_draws keeps a debt in 32 bits: it grows up to kMaxOwedDraws, and a
+// debt that would pass that is paid at once, the new draws with it.
+TEST(HwUfsOwedDraws, ADebtPastThirtyTwoBitsIsPaidAtOnce) {
+  constexpr std::uint64_t kMax = 0xffff'ffff;
+  static_assert(kMaxOwedDraws == kMax);
+  const auto expect = [](std::uint32_t owed, std::uint64_t draws,
+                         std::uint64_t pay, std::uint32_t after) {
+    const OwedDraws debt = owe_draws(owed, draws);
+    EXPECT_EQ(debt.pay, pay) << owed << " + " << draws;
+    EXPECT_EQ(debt.owed, after) << owed << " + " << draws;
+  };
+  expect(0, 186, 0, 186);
+  expect(kMax - 5, 5, 0, kMax);
+  expect(kMax, 0, 0, kMax);
+  expect(kMax - 5, 6, kMax + 1, 0);
+  expect(kMax, 1, kMax + 1, 0);
+  expect(0, kMax + 1, kMax + 1, 0);
+  constexpr std::uint64_t kMostPeriods = (std::uint64_t{1} << 53) - 1;
+  expect(kMax, kMostPeriods, kMax + kMostPeriods, 0);
+}
+
+// While a socket owes, its stream stands still and its selection is the
+// stepped loop's; the next lane, or evaluate_periods, makes the owed
+// draws first and then runs on the stepped loop's stream.
+TEST(HwUfsOwedDraws, TheNextLanePaysFirst) {
+  const NodeConfig node = cfg();
+  const HwUfsParams params;
+  const UfsPeriods capped =
+      plan_ufs_periods(node, params, base_inputs(), kCapping, 186);
+  const UfsPeriods open =
+      plan_ufs_periods(node, params, base_inputs(), kOpen, 97);
+  ASSERT_TRUE(capped.draws());
+  ASSERT_FALSE(capped.counts());
+  ASSERT_TRUE(open.counts());
+  for (const bool through_lane : {true, false}) {
+    UfsLoopState owing(node.uncore.max(), 77);
+    HwUfsGovernor stepped(node, params, 77);
+    const common::Rng::State before = owing.stream();
+    for (int i = 0; i < 3; ++i) {
+      owing.owe(capped);
+      owing.finish(capped, nullptr);
+      (void)stepped.evaluate_periods(base_inputs(), kCapping, 186);
+      EXPECT_EQ(owing.current(), stepped.current());
+    }
+    EXPECT_EQ(owing.stream(), before);
+    EXPECT_EQ(owing.owed(), 3u * 186u);
+    if (through_lane) {
+      DitherLane lane = owing.lane(open, /*counted=*/true);
+      EXPECT_EQ(owing.owed(), 0u);
+      dither_lanes({&lane, 1});
+      owing.finish(open, &lane);
+      EXPECT_EQ(open.average(lane.dithers).as_khz(),
+                static_cast<std::uint64_t>(
+                    stepped.evaluate_periods(base_inputs(), kOpen, 97) / 97.0));
+    } else {
+      EXPECT_EQ(owing.evaluate_periods(node, params, base_inputs(), kOpen, 97),
+                stepped.evaluate_periods(base_inputs(), kOpen, 97));
+      EXPECT_EQ(owing.owed(), 0u);
+    }
+    EXPECT_EQ(owing.current(), stepped.current());
+    // The streams stand together: the next counting stretch agrees.
+    EXPECT_EQ(owing.evaluate_periods(node, params, base_inputs(), kOpen, 301),
+              stepped.evaluate_periods(base_inputs(), kOpen, 301));
+  }
+}
+
+TEST(HwUfsOwedDraws, OnlyAPlanThatDrawsButDoesNotCountOwes) {
+  const NodeConfig node = cfg();
+  const HwUfsParams params;
+  UfsLoopState state(node.uncore.max(), 5);
+  UfsInputs idle = base_inputs();
+  idle.active_cores = 0;
+  for (const UfsPeriods& plan :
+       {plan_ufs_periods(node, params, base_inputs(), kOpen, 97),
+        plan_ufs_periods(node, params, idle, kOpen, 97),
+        plan_ufs_periods(node, params, base_inputs(), kCapping, 0)}) {
+    EXPECT_THROW(state.owe(plan), common::ContractViolation);
+  }
+  EXPECT_EQ(state.owed(), 0u);
+}
+
 // --- The lane kernel against the per-period oracle -----------------------
 //
 // Every dither_lanes variant the host runs must leave each lane exactly as

@@ -1,5 +1,6 @@
 #include "simhw/node.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -731,6 +733,154 @@ TEST(Cluster, BatchedGovernorsEqualPerNodeIterations) {
           ASSERT_EQ(bits(ref.node(n)), bits(batched.node(n)))
               << sockets << " sockets, p " << p << ", node " << n
               << ", iteration " << it;
+        }
+      }
+    }
+  }
+}
+
+// A node's governors under the rule that draws every period, written
+// out: every socket runs UfsLoopState::evaluate_periods (which never
+// owes) on the stream SimNode seeds for it, the noise pair comes from
+// the node's own stream, and `acct`, a node of the same seed driven
+// through finish_iteration alone, keeps the counters. The inputs are
+// plan_governor's at the nominal P-state and an unprogrammed EPB.
+struct SteppedNode {
+  SteppedNode(const NodeConfig& c, std::uint64_t seed)
+      : cfg(c), noise_rng(seed), acct(c, seed) {
+    common::SplitMix64 seeder(seed ^ 0x5eed);
+    for (std::size_t s = 0; s < cfg.sockets; ++s) {
+      ufs.emplace_back(cfg.uncore.max(), seeder.next());
+    }
+  }
+
+  IterationOutcome step(const WorkDemand& d, const UncoreRatioLimit& limit) {
+    const HwUfsParams params;
+    const Freq f_cpu = acct.cpu_freq();
+    const Freq f_cap = cfg.pstates.avx512_effective(f_cpu);
+    const UfsInputs in{
+        .requested_core_freq = f_cpu,
+        .effective_core_freq = Freq::khz(static_cast<std::uint64_t>(
+            (1.0 - d.vpi) * static_cast<double>(f_cpu.as_khz()) +
+            d.vpi * static_cast<double>(f_cap.as_khz()))),
+        .bw_utilisation = bw,
+        .relaxed_fraction = d.relaxed_wait_fraction,
+        .active_cores = d.active_cores,
+        .epb = 6};
+    const Secs estimate =
+        iteration_time(cfg, d, f_cpu, ufs.front().current()).iter_time;
+    const auto periods = static_cast<std::size_t>(std::clamp(
+        estimate.value / params.evaluation_period_s, 1.0, 400.0));
+    double sum = 0.0;
+    for (UfsLoopState& s : ufs) {
+      sum = s.evaluate_periods(cfg, params, in, limit, periods);
+    }
+    noise = {noise_rng.normal(), noise_rng.normal()};
+    const IterationOutcome out = acct.finish_iteration(
+        d, Freq::khz(static_cast<std::uint64_t>(
+               sum / static_cast<double>(periods))),
+        noise);
+    bw = out.perf.bw_utilisation;
+    return out;
+  }
+
+  NodeConfig cfg;
+  common::Rng noise_rng;
+  SimNode acct;
+  std::vector<UfsLoopState> ufs;
+  NoisePair noise{};
+  double bw = 0.5;  // SimNode's initial bandwidth feedback
+};
+
+// `node`'s stream of `socket` after the draws it owes.
+common::Rng::State paid_stream(const SimNode& node, std::size_t socket) {
+  const UfsLoopState& g = node.governor(socket);
+  common::Rng rng = common::Rng::resume(g.stream());
+  rng.discard(g.owed());
+  return rng.state();
+}
+
+// A window that holds both UFS selections on one value makes the node's
+// sockets owe their dither draws, and the next counting plan makes them
+// first. Over a window that opens, caps (the cap moved between two
+// values below the loop's target), reopens, caps again and reopens, a
+// node run through Cluster::run_governors and one run through
+// execute_iteration stay bitwise on the rule that draws every period
+// (SteppedNode): after every iteration the outcome, the noise pair and
+// stream, every socket's selection, the counters and each dither stream
+// with its debt paid are equal, a capped iteration leaves a debt, and
+// after a counting plan nothing is owed and the streams are equal as
+// they stand.
+TEST(SimNode, OwedDitherDrawsKeepTheSteppedStreams) {
+  const UncoreRatioLimit open{Freq::ghz(2.4), Freq::ghz(1.2)};
+  // The loop targets 2.4 GHz (a nominal request): caps one and three
+  // bins below it.
+  const UncoreRatioLimit cap_a{Freq::ghz(2.3), Freq::ghz(1.2)};
+  const UncoreRatioLimit cap_b{Freq::ghz(2.1), Freq::ghz(1.2)};
+  const std::vector<UncoreRatioLimit> windows = {
+      open,  open,  cap_a, cap_b, cap_b, cap_a, cap_b, open,
+      open,  cap_b, cap_a, cap_a, open,  cap_a};
+  for (const std::size_t sockets : {std::size_t{1}, std::size_t{2}}) {
+    NodeConfig cfg = make_skylake_6148_node();
+    cfg.sockets = sockets;
+    constexpr std::size_t kNodes = 3;
+    constexpr std::uint64_t kSeed = 21;
+    Cluster batched(cfg, kNodes, kSeed);
+    std::vector<SimNode> single;
+    std::vector<SteppedNode> ref;
+    common::SplitMix64 seeder(kSeed);  // Cluster's node seeds
+    std::vector<WorkDemand> demands;
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      const std::uint64_t seed = seeder.next();
+      single.emplace_back(cfg, seed);
+      ref.emplace_back(cfg, seed);
+      WorkDemand d = demand();
+      d.bytes = 10e9 * static_cast<double>(1 + n);
+      d.active_cores = cfg.total_cores();
+      demands.push_back(d);
+    }
+    std::vector<Freq> f_imc(kNodes);
+    std::vector<NoisePair> noise(kNodes);
+    for (std::size_t it = 0; it < windows.size(); ++it) {
+      const bool counts = windows[it].max_freq == open.max_freq;
+      for (std::size_t n = 0; n < kNodes; ++n) {
+        batched.node(n).set_uncore_limit_all(windows[it]);
+        single[n].set_uncore_limit_all(windows[it]);
+      }
+      batched.run_governors(demands, f_imc, noise);
+      for (std::size_t n = 0; n < kNodes; ++n) {
+        const IterationOutcome want = ref[n].step(demands[n], windows[it]);
+        std::vector<std::uint64_t> counters = bits(ref[n].acct);
+        counters.pop_back();  // acct's own governors never ran
+        const std::string where = std::to_string(sockets) + " sockets, node " +
+                                  std::to_string(n) + ", iteration " +
+                                  std::to_string(it);
+        ASSERT_EQ(f_imc[n], want.uncore_freq) << where;
+        ASSERT_EQ(noise[n], ref[n].noise) << where;
+        const std::pair<const SimNode*, IterationOutcome> paths[] = {
+            {&batched.node(n),
+             batched.node(n).finish_iteration(demands[n], f_imc[n], noise[n])},
+            {&single[n], single[n].execute_iteration(demands[n])}};
+        for (const auto& [node, got] : paths) {
+          ASSERT_EQ(bits(got), bits(want)) << where;
+          std::vector<std::uint64_t> mine = bits(*node);
+          mine.pop_back();
+          ASSERT_EQ(mine, counters) << where;
+          ASSERT_EQ(node->noise_state(), ref[n].noise_rng.state()) << where;
+          for (std::size_t s = 0; s < sockets; ++s) {
+            const UfsLoopState& g = node->governor(s);
+            ASSERT_EQ(node->uncore_freq(s), ref[n].ufs[s].current())
+                << where << ", socket " << s;
+            ASSERT_EQ(paid_stream(*node, s), ref[n].ufs[s].stream())
+                << where << ", socket " << s;
+            if (counts) {
+              ASSERT_EQ(g.owed(), 0u) << where << ", socket " << s;
+              ASSERT_EQ(g.stream(), ref[n].ufs[s].stream())
+                  << where << ", socket " << s;
+            } else {
+              ASSERT_GT(g.owed(), 0u) << where << ", socket " << s;
+            }
+          }
         }
       }
     }

@@ -4,8 +4,9 @@
 // digests can. Each case covers a path the governor's batched dither
 // pass (SimNode::run_governors) must keep bitwise: a multi-node app, the
 // same app under the reference chaos plan and under a mid-run register
-// lock (poll() fires between the pass and the node's iteration), and a
-// single node.
+// lock (poll() fires between the pass and the node's iteration), a
+// single node, and a phase change whose reopened window pays the dither
+// draws its capped sockets owe.
 //
 // A change that moves simulated results on purpose updates these values
 // together with tests/golden/paper.json and says which runs moved.
@@ -20,7 +21,9 @@
 #include "faults/fault_plan.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
+#include "simhw/config.hpp"
 #include "workload/catalog.hpp"
+#include "workload/synthetic.hpp"
 
 namespace ear::sim {
 namespace {
@@ -145,6 +148,20 @@ TEST(RunDigest, SingleNodeApp) {
   const RunResult r = run_experiment(eufs("bt-mz.c.omp"));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(hex(digest(r)), "f1b8d90b82ebb72");
+}
+
+// The IMC cap holds both UFS selections on one value, so the capped
+// sockets owe their dither draws; the memory phase's eUFS restart
+// reopens the window, and its first counting plans pay that debt (tens
+// of thousands of draws across the two sockets).
+TEST(RunDigest, PhaseChangePaysOwedDraws) {
+  const RunResult r = run_experiment(ExperimentConfig{
+      .app = workload::make_phase_change_app(simhw::make_skylake_6148_node(),
+                                             240),
+      .earl = settings_me_eufs(0.05, 0.02),
+      .seed = 7});
+  ASSERT_EQ(r.nodes.size(), 1u);
+  EXPECT_EQ(hex(digest(r)), "d5816f3ae777ab95");
 }
 
 }  // namespace

@@ -28,6 +28,11 @@ such benchmark, the guard prints a notice instead. The dither kernel's
 dispatched variant also times 26 lanes all counted (``all_counted:1``):
 uncounted lanes only step their streams, so the all-counted/mix time
 ratio must reach ``dither_lanes.all_counted_floor`` for that variant.
+``BM_ClusterGovernors`` times one iteration's governor pass over a
+13-node cluster under the boot window (``capped:0``) and under a window
+below the loop's target (``capped:1``), whose sockets owe their dither
+draws instead of making them: the open/capped time ratio must reach
+``cluster_governors.floor``; a report without the pair gets a notice.
 
 Event-core mode (``--event-core``) reinterprets both positional inputs
 as ``event_core_baseline_v2`` JSON (the ``bench_cluster_scale
@@ -114,6 +119,43 @@ def check_all_counted(report, baseline, baseline_path):
               f"campaign mix only {ratio:.2f}x faster than all lanes "
               f"counted, below the {floor:g}x floor: uncounted lanes are "
               "not taking the step-only path", file=sys.stderr)
+        return 1
+    return 0
+
+
+def check_cluster_governors(report, baseline, baseline_path):
+    """The governor pass's open/capped time ratio: 0 = within the floor
+    or nothing to hold, 1 = regression, 2 = bad input."""
+    open_name = "BM_ClusterGovernors/capped:0"
+    capped_name = "BM_ClusterGovernors/capped:1"
+    present = [n for n in (open_name, capped_name) if n in report]
+    if not present:
+        print("bench_guard: notice — no BM_ClusterGovernors in the report; "
+              "owed dither draws not checked")
+        return 0
+    if len(present) == 1:
+        print(f"bench_guard: report has {present[0]} without its pair; run "
+              "both ClusterGovernors cases", file=sys.stderr)
+        return 2
+    floor = (baseline.get("cluster_governors") or {}).get("floor")
+    if not isinstance(floor, (int, float)):
+        print(f"bench_guard: baseline {baseline_path} has no numeric "
+              "cluster_governors.floor", file=sys.stderr)
+        return 2
+    open_ns, _ = report[open_name]
+    capped_ns, _ = report[capped_name]
+    if not capped_ns > 0:
+        print(f"bench_guard: report key {capped_name} is {capped_ns!r}; "
+              "rerun the benchmark", file=sys.stderr)
+        return 2
+    ratio = open_ns / capped_ns
+    print(f"bench_guard: cluster governors open/capped = {ratio:.2f}x "
+          f"(floor {floor:g}x)")
+    if ratio < floor:
+        print(f"bench_guard: FAIL — a capped window's governor pass runs "
+              f"only {ratio:.2f}x faster than an open one, below the "
+              f"{floor:g}x floor: capped sockets make the dither draws "
+              "they could owe", file=sys.stderr)
         return 1
     return 0
 
@@ -391,6 +433,7 @@ def main():
     lanes = [check_lanes(report, baseline, args.baseline, *kernel)
              for kernel in LANE_KERNELS]
     lanes.append(check_all_counted(report, baseline, args.baseline))
+    lanes.append(check_cluster_governors(report, baseline, args.baseline))
     if 2 in lanes:
         return 2
     if now_ratio > limit:
